@@ -5,7 +5,7 @@ from .autodiff import DimensionError, Tensor, backward, no_grad
 from .cfr import assemble_input, cfr_forward
 from .datagen import GenConfig, GroundTruth, choose_k, generate, kmeans, silhouette
 from .features import (ConfigError, Dataset, EmbeddingTable, Example, Feature,
-                       FeatureSchema, ParseError, SchemaError, embed,
+                       FeatureSchema, ParseError, SchemaError,
                        fit_numeric_boundaries, load_dataset, write_dataset)
 from .head import LossWeights, ce_loss, cos_loss, decide, total_loss, var_loss
 from .metrics import EvalReport, UndefinedMetricError, auc, evaluate, gini

@@ -186,14 +186,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data * b.data, (a, b), backward_fn)
 
 
-def elementwise(kind: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch for the pointwise binary ops: kind in {add, sub, mul}."""
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return ops[kind](a, b)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis; all other dimensions must agree."""
     parts = list(parts)

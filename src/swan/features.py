@@ -346,7 +346,7 @@ class EmbeddingSet:
 
 @dataclass
 class EmbeddingBundle:
-    """Grouped embeddings of one example (or one row-batch of examples)."""
+    """Grouped embeddings of a row batch of examples."""
 
     e_user: Tensor
     e_scene_id: Tensor
@@ -387,17 +387,3 @@ def embed_indices(idx: dict[str, np.ndarray], scene_idx: np.ndarray,
         e_other=_concat_features(idx, schema.other_features, tables, batch),
     )
 
-
-def embed(example: Example, tables: EmbeddingSet,
-          schema: FeatureSchema) -> EmbeddingBundle:
-    """Embed one example into flat vectors, concatenated in schema order."""
-    enc = encode_example(example, schema)
-    idx = {name: np.array([code]) for name, code in enc.items()}
-    scene_idx = np.array([tables.scene_index(example.scene_id)])
-    batched = embed_indices(idx, scene_idx, tables, schema)
-    return EmbeddingBundle(
-        e_user=ad.reshape(batched.e_user, (batched.e_user.shape[1],)),
-        e_scene_id=ad.reshape(batched.e_scene_id, (tables.dim,)),
-        e_scene_attr=ad.reshape(batched.e_scene_attr, (tables.dim,)),
-        e_other=ad.reshape(batched.e_other, (batched.e_other.shape[1],)),
-    )

@@ -24,9 +24,8 @@ _EPS = 1e-12
 
 @dataclass
 class HeadParams:
-    gate_mlp: MLP    # e_in -> N_s + N_a gate logits
+    gate_mlp: MLP    # one linear layer: e_in -> N_s + N_a gate logits
     final_mlp: MLP   # d_expert -> 1 logit
-    gate_softmax: bool = True
 
 
 @dataclass
@@ -54,8 +53,8 @@ def decide(e_in: Tensor, seg_outputs: Sequence[Tensor],
     """Final click probability from the gated expert mixture.
 
     Shared experts contribute gate * output; adaptive experts contribute
-    gate * selector_gate * output. Gates come from one MLP over the model
-    input, softmax-normalized across all experts when `gate_softmax` is on.
+    gate * selector_gate * output. Gates come from one linear layer over
+    the model input, softmax-normalized across all experts.
     """
     seg_outputs = list(seg_outputs)
     aeg_outputs = list(aeg_outputs)
@@ -72,8 +71,7 @@ def decide(e_in: Tensor, seg_outputs: Sequence[Tensor],
     if gates.shape[-1] != n_total:
         raise DimensionError(
             f"decide: gate output width {gates.shape[-1]} != expert count {n_total}")
-    if params.gate_softmax:
-        gates = ad.softmax(gates)
+    gates = ad.softmax(gates)
     d = (seg_outputs or aeg_outputs)[0].shape[1]
     mixed = None
     for i, vec in enumerate(seg_outputs):
@@ -167,19 +165,14 @@ def var_loss(w: Tensor) -> Tensor:
 
 
 def total_loss(labels, predictions: Tensor, aeg_outputs: Sequence[Tensor],
-               w: Tensor | None, weights: LossWeights,
-               literal_var: bool = False) -> Tensor:
+               w: Tensor | None, weights: LossWeights) -> Tensor:
     """alpha * cross-entropy + beta * cosine + gamma * gate-variance term.
 
-    `literal_var` flips the variance term back to its positive form (an
-    ablation switch; the default negated form is what rewards gate spread).
+    The variance term is negated (see `var_loss`), so it rewards gate spread.
     """
     loss = ad.scale(ce_loss(labels, predictions), weights.alpha)
     if weights.beta > 0.0 and len(list(aeg_outputs)) > 1:
         loss = ad.add(loss, ad.scale(cos_loss(aeg_outputs), weights.beta))
     if weights.gamma > 0.0 and w is not None:
-        v = var_loss(w)
-        if literal_var:
-            v = ad.scale(v, -1.0)
-        loss = ad.add(loss, ad.scale(v, weights.gamma))
+        loss = ad.add(loss, ad.scale(var_loss(w), weights.gamma))
     return loss

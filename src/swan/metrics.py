@@ -37,15 +37,13 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
     order = np.argsort(s, kind="stable")
     sorted_scores = s[order]
+    # Tie groups of the sorted scores, by their first and last positions.
+    is_first = np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]
+    first = np.flatnonzero(is_first)
+    last = np.r_[first[1:], y.size] - 1
+    # 1-based ranks; a tie group takes the average of its rank range
     ranks = np.empty(y.size, dtype=np.float64)
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based ranks; a tie group takes the average of its rank range
-        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    ranks[order] = ((first + last + 2) / 2.0)[np.cumsum(is_first) - 1]
     rank_sum_pos = ranks[y == 1].sum()
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -19,12 +19,21 @@ from . import autodiff as ad
 from .aem import AemParams, aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (EmbeddingSet, EmbeddingTable, Example, FeatureSchema,
-                       SchemaError, embed_indices, encode_example)
+from .features import (ConfigError, EmbeddingSet, EmbeddingTable, Example,
+                       FeatureSchema, SchemaError, embed_indices,
+                       encode_example)
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import SanOutput, san_forward
 from .srg import SceneRelationGraph, profile_new_scene, similar_scenes
+
+
+def _known_keys(cls, obj: dict) -> dict:
+    """A copy of `obj`; unknown keys raise ConfigError naming them."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+    return dict(obj)
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class ComponentFlags:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ComponentFlags":
-        return cls(**obj)
+        return cls(**_known_keys(cls, obj))
 
 
 @dataclass(frozen=True)
@@ -61,12 +70,8 @@ class ModelConfig:
     san_hidden: tuple[int, ...] = (32, 16)
     expert_hidden: tuple[int, ...] = (32, 16)
     selector_hidden: tuple[int, ...] = (32, 16)
-    gate_hidden: tuple[int, ...] = ()
     final_hidden: tuple[int, ...] = (16,)
     dnn_hidden: tuple[int, ...] = (64, 32)
-    gate_softmax: bool = True
-    hard_gate_inference: bool = False
-    var_loss_literal: bool = False
     flags: ComponentFlags = field(default_factory=ComponentFlags)
 
     def __post_init__(self):
@@ -88,18 +93,14 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        kwargs = dict(obj)
+        kwargs = _known_keys(cls, obj)
         if "flags" in kwargs:
             kwargs["flags"] = ComponentFlags.from_json(kwargs["flags"])
         for key in ("san_hidden", "expert_hidden", "selector_hidden",
-                    "gate_hidden", "final_hidden", "dnn_hidden"):
+                    "final_hidden", "dnn_hidden"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
-
-
-def _group_width(schema: FeatureSchema, feats, dim: int) -> int:
-    return len(feats) * dim
 
 
 class SwanParams:
@@ -160,8 +161,8 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
               for f in schema.scene_features}
         for sid in sorted(scene_ids)
     }
-    d_user = _group_width(schema, schema.user_features, d)
-    d_other = _group_width(schema, schema.other_features, d)
+    d_user = len(schema.user_features) * d
+    d_other = len(schema.other_features) * d
     d_in = d_other + d_user + 2 * d
     san_mlp = MLP.create(rng, d_user + 3 * d, config.san_hidden, 1)
     aem = AemParams(
@@ -174,10 +175,8 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
         tau=config.tau,
     )
     head = HeadParams(
-        gate_mlp=MLP.create(rng, d_in, config.gate_hidden,
-                            config.n_seg + config.n_aeg),
+        gate_mlp=MLP.create(rng, d_in, (), config.n_seg + config.n_aeg),
         final_mlp=MLP.create(rng, config.expert_dim, config.final_hidden, 1),
-        gate_softmax=config.gate_softmax,
     )
     return SwanParams(config, schema, embeddings, cfr_tables, san_mlp, aem,
                       head, seed)
@@ -214,9 +213,8 @@ def init_dnn_params(schema: FeatureSchema, scene_ids: Sequence[str],
     rng = np.random.default_rng(seed)
     d = config.embed_dim
     embeddings = EmbeddingSet.create(rng, schema, scene_ids, d)
-    d_in = (_group_width(schema, schema.other_features, d)
-            + _group_width(schema, schema.user_features, d)
-            + d + _group_width(schema, schema.scene_features, d))
+    d_in = (len(schema.other_features) + len(schema.user_features) + 1
+            + len(schema.scene_features)) * d
     tower = MLP.create(rng, d_in, config.dnn_hidden, 1)
     return DnnParams(config, schema, embeddings, tower, seed)
 
@@ -281,8 +279,7 @@ def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
     return ids
 
 
-def swan_forward(params: SwanParams, batch: PreparedBatch,
-                 training: bool = True) -> SwanForward:
+def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
     """Full pipeline for a single-scene row batch.
 
     With an empty neighborhood (a cold scene below the weight threshold)
@@ -320,10 +317,7 @@ def swan_forward(params: SwanParams, batch: PreparedBatch,
     e_in = assemble_input(bundle.e_other, bundle.e_user, vec_san, e_target, e_cfr)
 
     if cfg.flags.aem:
-        selector = expert_selector(bundle.e_user, vec_san, params.aem)
-        w = selector.w
-        if cfg.hard_gate_inference and not training:
-            w = Tensor(np.round(w.data))
+        w = expert_selector(bundle.e_user, vec_san, params.aem).w
     else:
         w = Tensor(np.ones((n_rows, cfg.n_aeg)))
 
@@ -352,42 +346,14 @@ def dnn_forward(params: DnnParams, batch: PreparedBatch) -> Tensor:
 # prediction
 
 
-def _example_profile(params, graph: SceneRelationGraph, example: Example,
-                     reprofile: bool):
-    if example.scene_id in graph.profiles and not reprofile:
-        return graph.profiles[example.scene_id]
-    return profile_new_scene(graph, example.scene_id, [example], params.schema)
+def predict(params, graph: SceneRelationGraph | None, example: Example) -> float:
+    """Click probability for one example, also from a never-seen scene.
 
-
-def prepare_example(params, graph: SceneRelationGraph | None,
-                    example: Example, reprofile: bool = False) -> PreparedBatch:
-    schema = params.schema
-    enc = encode_example(example, schema)
-    idx = {name: np.array([code]) for name, code in enc.items()}
-    scene_idx = np.array([params.embeddings.scene_index(example.scene_id)])
-    neighbors: list[str] = []
-    if graph is not None and params.kind == "swan":
-        profile = _example_profile(params, graph, example, reprofile)
-        neighbors = resolve_neighbors(graph, example.scene_id, profile, params)
-    return PreparedBatch(scene_id=example.scene_id, feature_idx=idx,
-                         scene_idx=scene_idx, labels=None,
-                         neighbor_ids=neighbors)
-
-
-def predict(params, graph: SceneRelationGraph | None, example: Example,
-            reprofile: bool = False) -> float:
-    """Click probability for one example; works for never-seen scenes.
-
-    `reprofile` forces the cold-start path (profiling the scene from the
-    example itself) even when the scene is a graph node.
+    It is `predict_scores` over a one-example dataset.
     """
     if not isinstance(example, Example):
         raise SchemaError("predict needs an Example")
-    batch = prepare_example(params, graph, example, reprofile=reprofile)
-    if params.kind == "swan":
-        out = swan_forward(params, batch, training=False)
-        return float(out.yhat.data[0, 0])
-    return float(dnn_forward(params, batch).data[0, 0])
+    return float(predict_scores(params, graph, [example])[0])
 
 
 def _group_by_scene(dataset: Sequence[Example]) -> dict[str, list[int]]:
@@ -434,7 +400,7 @@ def predict_scores(params, graph: SceneRelationGraph | None,
                                       neighbor_ids=neighbors)
                 at = rows[lo:lo + batch_size]
                 if params.kind == "swan":
-                    out = swan_forward(params, batch, training=False)
+                    out = swan_forward(params, batch)
                     scores[at] = out.yhat.data[:, 0]
                     if collect_gates and out.w is not None:
                         if gates is None:

@@ -1,6 +1,6 @@
 """Versioned binary model files.
 
-Layout: 8-byte magic "SWANMDL1", a big-endian uint64 header length, a
+Layout: 8-byte magic "SWANMDL2", a big-endian uint64 header length, a
 UTF-8 JSON header (kind, config, schema, scene ids, graph, parameter
 manifest), then the raw little-endian float64 parameter buffers in
 manifest order. Serialization is byte-deterministic for identical
@@ -19,7 +19,7 @@ from .model import (DnnParams, ModelConfig, SwanParams, init_dnn_params,
                     init_swan_params)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
-MAGIC = b"SWANMDL1"
+MAGIC = b"SWANMDL2"
 
 
 def save_model(params: SwanParams | DnnParams, path: str,
@@ -47,20 +47,24 @@ def save_model(params: SwanParams | DnnParams, path: str,
 def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | None]:
     """Rebuild params (zero-initialized, then overwritten) and the graph."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
-        (length,) = struct.unpack(">Q", fh.read(8))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        payload = fh.read()
+        data = fh.read()
+    magic = data[:len(MAGIC)]
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
+    start = len(MAGIC) + 8
+    end = start
+    if len(data) >= start:
+        end += struct.unpack_from(">Q", data, len(MAGIC))[0]
+    if not start < end <= len(data):
+        raise ValueError(f"{path}: truncated header")
+    header = json.loads(data[start:end].decode("utf-8"))
+    payload = memoryview(data)[end:]
 
-    config = ModelConfig.from_json(header["config"])
-    schema = FeatureSchema.from_json(header["schema"])
-    scene_ids = header["scene_ids"]
-    if header["kind"] == "swan":
-        params = init_swan_params(schema, scene_ids, config, seed=header["seed"])
-    else:
-        params = init_dnn_params(schema, scene_ids, config, seed=header["seed"])
+    init = {"swan": init_swan_params, "dnn": init_dnn_params}.get(header["kind"])
+    if init is None:
+        raise ValueError(f"{path}: unknown model kind {header['kind']!r}")
+    params = init(FeatureSchema.from_json(header["schema"]), header["scene_ids"],
+                  ModelConfig.from_json(header["config"]), seed=header["seed"])
 
     named = params.named_parameters()
     manifest = header["params"]
@@ -73,6 +77,8 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
             raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{tensor.shape} != {shape}")
         size = int(np.prod(shape, dtype=np.int64)) * 8
+        if offset + size > len(payload):
+            raise ValueError(f"{path}: truncated parameter payload")
         buf = np.frombuffer(payload[offset:offset + size], dtype="<f8")
         tensor.data = buf.reshape(shape).astype(np.float64)
         offset += size

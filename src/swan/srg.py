@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import Example, FeatureSchema, SchemaError
+from .features import Example, FeatureSchema, SchemaError, _feature_value
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -43,13 +43,8 @@ def _item_matrix(examples: Sequence[Example],
     names = [f.name for f in feats]
     cols = np.empty((len(examples), len(feats)))
     for j, feat in enumerate(feats):
-        cols[:, j] = [feat.encode(ex.item[feat.name] if feat.name in ex.item
-                                  else _missing(feat.name)) for ex in examples]
+        cols[:, j] = [feat.encode(_feature_value(ex, feat)) for ex in examples]
     return names, cols
-
-
-def _missing(name: str):
-    raise SchemaError(f"example is missing feature {name!r}")
 
 
 def select_key_features(examples: Sequence[Example], labels: Sequence[int],
@@ -93,8 +88,7 @@ def profile_scene(scene_examples: Sequence[Example], key_features: Sequence[str]
     out: dict[tuple[str, str], float] = {}
     for name in key_features:
         feat = schema[name]
-        values = np.array([feat.encode(ex.item[name] if name in ex.item
-                                       else _missing(name))
+        values = np.array([feat.encode(_feature_value(ex, feat))
                            for ex in scene_examples], dtype=np.float64)
         out[(name, "mean")] = float(values.mean())
         out[(name, "var")] = float(values.var())  # population variance
@@ -199,7 +193,16 @@ class SceneRelationGraph:
 def profile_weight(a: SceneProfile, b: SceneProfile) -> int:
     if a.layout != b.layout:
         raise SchemaError("profiles have different slot layouts")
-    return sum(1 for x, y in zip(a.categories, b.categories) if x == y)
+    return _shared_slots(a, b)
+
+
+def _shared_slots(a: SceneProfile, b: SceneProfile) -> int:
+    """Edge weight of two profiles whose layouts the caller has checked.
+
+    With equal layouts, two slots are equal exactly when their
+    categories are.
+    """
+    return sum(1 for x, y in zip(a.slots, b.slots) if x == y)
 
 
 def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
@@ -217,7 +220,7 @@ def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
     edges: dict[tuple[str, str], int] = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            w = profile_weight(by_id[a], by_id[b])
+            w = _shared_slots(by_id[a], by_id[b])
             if w > 0:
                 edges[(a, b)] = w
     return SceneRelationGraph(profiles=by_id, edges=edges)
@@ -235,9 +238,11 @@ def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
         raise ValueError("similar_scenes needs a non-empty graph")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if next(iter(graph.profiles.values())).layout != target.layout:
+        raise SchemaError("target profile's slot layout differs from the graph's")
     weighted = []
     for sid in graph.scene_ids:
-        w = profile_weight(graph.profiles[sid], target)
+        w = _shared_slots(graph.profiles[sid], target)
         if w >= min_weight:
             weighted.append((sid, w))
     weighted.sort(key=lambda t: (-t[1], t[0]))
@@ -302,6 +307,8 @@ def graph_from_json(obj: dict) -> SceneRelationGraph:
         scene_id=node["scene_id"],
         slots=tuple((name, agg, int(cat)) for name, agg, cat in node["profile"]))
         for node in obj["nodes"]}
+    if len({p.layout for p in profiles.values()}) > 1:
+        raise SchemaError("graph profiles have inconsistent slot layouts")
     return SceneRelationGraph(
         profiles=profiles,
         edges={(a, b): int(w) for a, b, w in obj["edges"]},

@@ -19,7 +19,7 @@ from .features import Example, FeatureSchema
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
-                    dnn_forward, encode_batch, init_dnn_params,
+                    _known_keys, dnn_forward, encode_batch, init_dnn_params,
                     init_swan_params, resolve_neighbors, swan_forward)
 from .srg import SceneRelationGraph, build_srg
 
@@ -59,11 +59,11 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
-        kwargs = dict(obj)
+        kwargs = _known_keys(cls, obj)
         if "model" in kwargs:
             kwargs["model"] = ModelConfig.from_json(kwargs["model"])
         if "loss" in kwargs:
-            kwargs["loss"] = LossWeights(**kwargs["loss"])
+            kwargs["loss"] = LossWeights(**_known_keys(LossWeights, kwargs["loss"]))
         return cls(**kwargs)
 
     @classmethod
@@ -73,7 +73,12 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam over a fixed-order parameter list."""
+    """Standard dense Adam over a fixed-order parameter list.
+
+    Every step decays the moments of every tensor and applies its update,
+    also when the tensor's gradient is all zeros: such a tensor still moves
+    by what its first moment carries from earlier steps.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -92,8 +97,6 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
@@ -142,13 +145,12 @@ def _scene_batches(dataset: Sequence[Example], schema: FeatureSchema,
 def _batch_loss(params, batch: PreparedBatch, weights: LossWeights) -> Tensor:
     if params.kind == "swan":
         flags = params.config.flags
-        out = swan_forward(params, batch, training=True)
+        out = swan_forward(params, batch)
         eff = LossWeights(
             alpha=weights.alpha,
             beta=weights.beta if flags.loss_cos else 0.0,
             gamma=weights.gamma if (flags.loss_var and flags.aem) else 0.0)
-        return total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, eff,
-                          literal_var=params.config.var_loss_literal)
+        return total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, eff)
     yhat = dnn_forward(params, batch)
     return ce_loss(batch.labels, yhat)
 

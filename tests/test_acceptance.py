@@ -140,7 +140,7 @@ class TestCriterion1:
         weights = LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3)
 
         def build():
-            out = swan_forward(params, batch, training=True)
+            out = swan_forward(params, batch)
             return total_loss(labels, out.yhat, out.aeg_outputs, out.w, weights)
 
         backward(build())

@@ -37,12 +37,6 @@ class TestForwardValues:
         x = Tensor([1.5, -2.0, 7.0])
         np.testing.assert_array_equal(ad.sub(x, x).data, np.zeros(3))
 
-    def test_elementwise_dispatch(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        np.testing.assert_array_equal(ad.elementwise("add", a, b).data, [4.0, 6.0])
-        with pytest.raises(ValueError):
-            ad.elementwise("div", a, b)
-
     def test_elementwise_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.add(Tensor([1.0]), Tensor([1.0, 2.0]))

@@ -8,9 +8,10 @@ import pytest
 from swan import autodiff as ad
 from swan.autodiff import backward
 from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
-                           FeatureSchema, ParseError, SchemaError, embed,
-                           encode_example, fit_numeric_boundaries,
-                           load_dataset, write_dataset)
+                           FeatureSchema, ParseError, SchemaError,
+                           embed_indices, encode_example,
+                           fit_numeric_boundaries, load_dataset, write_dataset)
+from swan.model import encode_batch
 
 
 @pytest.fixture
@@ -128,40 +129,46 @@ class TestDatasetIO:
         assert loaded.oov_count == 1
 
 
+def _embed_one(example, tables, schema):
+    """Embeddings of the one-row encoded batch holding `example`."""
+    idx, scene_idx = encode_batch([example], schema, tables)
+    return embed_indices(idx, scene_idx, tables, schema)
+
+
 class TestEmbedding:
     def test_user_width_forced_by_schema(self):
         sch = FeatureSchema([Feature("u", "categorical", "user", vocab=3)])
         rng = np.random.default_rng(0)
         tables = EmbeddingSet.create(rng, sch, ["s1"], dim=4)
         ex = Example(user={"u": 1}, item={}, scene_id="s1", label=0)
-        bundle = embed(ex, tables, sch)
-        assert bundle.e_user.shape == (4,)
+        bundle = _embed_one(ex, tables, sch)
+        assert bundle.e_user.shape == (1, 4)
 
     def test_group_separation(self, schema):
         rng = np.random.default_rng(1)
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=4)
         a = _example()
         b = _example(item={"brand": 1, "price": 2.0})
-        ea = embed(a, tables, schema)
-        eb = embed(b, tables, schema)
+        ea = _embed_one(a, tables, schema)
+        eb = _embed_one(b, tables, schema)
         np.testing.assert_array_equal(ea.e_user.data, eb.e_user.data)
         assert not np.array_equal(ea.e_other.data, eb.e_other.data)
 
     def test_unseen_scene_uses_oov_id_row_but_same_attr(self, schema):
         rng = np.random.default_rng(2)
         tables = EmbeddingSet.create(rng, schema, ["s1", "s2"], dim=4)
-        known = embed(_example(scene="s1"), tables, schema)
-        cold = embed(_example(scene="never_seen"), tables, schema)
+        known = _embed_one(_example(scene="s1"), tables, schema)
+        cold = _embed_one(_example(scene="never_seen"), tables, schema)
         assert not np.array_equal(known.e_scene_id.data, cold.e_scene_id.data)
         np.testing.assert_array_equal(known.e_scene_attr.data, cold.e_scene_attr.data)
         np.testing.assert_array_equal(
-            cold.e_scene_id.data, tables.scene_table.weights.data[-1])
+            cold.e_scene_id.data[0], tables.scene_table.weights.data[-1])
 
     def test_embed_is_pure(self, schema):
         rng = np.random.default_rng(3)
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=8)
-        one = embed(_example(), tables, schema)
-        two = embed(_example(), tables, schema)
+        one = _embed_one(_example(), tables, schema)
+        two = _embed_one(_example(), tables, schema)
         for a, b in ((one.e_user, two.e_user), (one.e_other, two.e_other),
                      (one.e_scene_id, two.e_scene_id),
                      (one.e_scene_attr, two.e_scene_attr)):
@@ -171,7 +178,7 @@ class TestEmbedding:
         rng = np.random.default_rng(4)
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=4)
         ex = _example()
-        bundle = embed(ex, tables, schema)
+        bundle = _embed_one(ex, tables, schema)
         loss = ad.sum_all(ad.concat([bundle.e_user, bundle.e_scene_id,
                                      bundle.e_scene_attr, bundle.e_other]))
         backward(loss)
@@ -190,7 +197,7 @@ class TestEmbedding:
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=4)
         del tables.feature_tables["brand"]
         with pytest.raises(ConfigError, match="brand"):
-            embed(_example(), tables, schema)
+            _embed_one(_example(), tables, schema)
 
     def test_concat_order_follows_schema_order(self):
         rng = np.random.default_rng(6)
@@ -200,9 +207,9 @@ class TestEmbedding:
         sch21 = FeatureSchema([f2, f1])
         tables = EmbeddingSet.create(rng, sch12, ["s"], dim=4)
         ex = Example(user={"a": 1, "b": 2}, item={}, scene_id="s", label=0)
-        e12 = embed(ex, tables, sch12).e_user.data
+        e12 = _embed_one(ex, tables, sch12).e_user.data[0]
         tables21 = EmbeddingSet(sch21, 4, tables.feature_tables,
                                 tables.scene_table, tables.scene_vocab)
-        e21 = embed(ex, tables21, sch21).e_user.data
+        e21 = _embed_one(ex, tables21, sch21).e_user.data[0]
         np.testing.assert_array_equal(e12[:4], e21[4:])
         np.testing.assert_array_equal(e12[4:], e21[:4])

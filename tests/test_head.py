@@ -15,10 +15,9 @@ from swan.head import (HeadParams, LossWeights, ce_loss, cos_loss, decide,
 from swan.nn import MLP, Linear
 
 
-def _head(rng, d_in, n_seg, n_aeg, d_expert, gate_softmax=True):
+def _head(rng, d_in, n_seg, n_aeg, d_expert):
     return HeadParams(gate_mlp=MLP.create(rng, d_in, (), n_seg + n_aeg),
-                      final_mlp=MLP.create(rng, d_expert, (4,), 1),
-                      gate_softmax=gate_softmax)
+                      final_mlp=MLP.create(rng, d_expert, (4,), 1))
 
 
 class TestDecide:
@@ -240,17 +239,6 @@ class TestTotalLoss:
                     + 0.02 * var_loss(w).item())
         assert total_loss(y, p, aeg, w, weights).item() == pytest.approx(
             expected, abs=1e-12)
-
-    def test_literal_variance_flag_flips_sign(self):
-        rng = np.random.default_rng(11)
-        y = rng.integers(0, 2, size=5).astype(float)
-        p = Tensor(rng.uniform(0.1, 0.9, (5, 1)))
-        w = Tensor(rng.uniform(0.1, 0.9, (5, 3)))
-        weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.5)
-        base = ce_loss(y, p).item()
-        negated = total_loss(y, p, [], w, weights).item() - base
-        literal = total_loss(y, p, [], w, weights, literal_var=True).item() - base
-        assert negated == pytest.approx(-literal, abs=1e-12)
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):

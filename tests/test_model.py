@@ -10,13 +10,26 @@ from swan import autodiff as ad
 from swan.aem import expert_selector
 from swan.cfr import assemble_input, cfr_forward
 from swan.datagen import generate
-from swan.features import embed_indices, encode_example
+from swan.features import ConfigError, embed_indices
 from swan.head import decide
-from swan.model import (ComponentFlags, ModelConfig, init_dnn_params,
-                        init_swan_params, predict, predict_scores,
-                        prepare_example, resolve_neighbors, swan_forward)
+from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
+                        encode_batch, init_dnn_params, init_swan_params,
+                        predict, predict_scores, resolve_neighbors,
+                        swan_forward)
 from swan.san import san_forward
 from swan.srg import build_srg, profile_new_scene, similar_scenes
+
+
+def _batch(params, graph, examples):
+    """One-scene batch built the way criterion 1 of the acceptance suite does."""
+    sid = examples[0].scene_id
+    profile = (graph.profiles[sid] if sid in graph.profiles
+               else profile_new_scene(graph, sid, examples, params.schema))
+    idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
+    return PreparedBatch(scene_id=sid, feature_idx=idx, scene_idx=scene_idx,
+                         labels=None,
+                         neighbor_ids=resolve_neighbors(graph, sid, profile,
+                                                        params))
 
 
 def _zero_all(params):
@@ -45,7 +58,7 @@ class TestPredict:
         config = tiny_model_config(min_weight=10 ** 6)
         params = init_swan_params(result.schema, graph.scene_ids, config, seed=1)
         ex = result.test[0]
-        batch = prepare_example(params, graph, ex)
+        batch = _batch(params, graph, [ex])
         assert batch.neighbor_ids == []
         value = predict(params, graph, ex)
         assert 0.0 < value < 1.0
@@ -59,22 +72,19 @@ class TestPredict:
 
     def test_known_scene_reprofile_consistency(self):
         # A scene whose training profile came from a single item profiles
-        # identically through the cold-start path, so both routes must agree
-        # bit for bit when the neighbor sets coincide.
+        # identically through the cold-start path, so both routes retrieve
+        # the same neighbors.
         gen = generate(tiny_gen_config(items_per_scene=1, examples_per_scene=12,
                                        train_scenes=4, cold_scenes=1))
         graph = build_srg(gen.train, gen.schema, cc_threshold=0.01, buckets=3)
         params = init_swan_params(gen.schema, graph.scene_ids,
                                   tiny_model_config(), seed=3)
         ex = gen.train[0]
-        known_path = predict(params, graph, ex)
-        cold_path = predict(params, graph, ex, reprofile=True)
-        known_neighbors = resolve_neighbors(
-            graph, ex.scene_id, graph.profiles[ex.scene_id], params)
+        stored = graph.profiles[ex.scene_id]
         re_profile = profile_new_scene(graph, ex.scene_id, [ex], gen.schema)
-        cold_neighbors = resolve_neighbors(graph, ex.scene_id, re_profile, params)
-        assert known_neighbors == cold_neighbors
-        assert known_path == cold_path
+        assert re_profile.slots == stored.slots
+        assert (resolve_neighbors(graph, ex.scene_id, stored, params)
+                == resolve_neighbors(graph, ex.scene_id, re_profile, params))
 
     def test_predict_scores_aligns_with_predict(self, tiny_data):
         # Known scenes use the stored profile in both paths; a cold scene
@@ -112,9 +122,7 @@ class TestComposedPipeline:
         profile = graph.profiles[ex.scene_id]
         neighbor_ids = [sid for sid, _ in similar_scenes(
             graph, profile, k=config.k_neighbors, min_weight=config.min_weight)]
-        enc = encode_example(ex, params.schema)
-        idx = {name: np.array([code]) for name, code in enc.items()}
-        scene_idx = np.array([params.embeddings.scene_index(ex.scene_id)])
+        idx, scene_idx = encode_batch([ex], params.schema, params.embeddings)
         with ad.no_grad():
             bundle = embed_indices(idx, scene_idx, params.embeddings,
                                    params.schema)
@@ -154,8 +162,8 @@ class TestAblationWiring:
         result, graph = tiny_data
         config = replace(tiny_model_config(), flags=ComponentFlags(aem=False))
         params = init_swan_params(result.schema, graph.scene_ids, config, seed=8)
-        batch = prepare_example(params, graph, result.train[0])
-        out = swan_forward(params, batch, training=True)
+        batch = _batch(params, graph, [result.train[0]])
+        out = swan_forward(params, batch)
         np.testing.assert_array_equal(out.w.data, 1.0)
 
     def test_cfr_off_zeroes_cross_scene_block(self, tiny_data):
@@ -166,8 +174,8 @@ class TestAblationWiring:
         on = init_swan_params(result.schema, graph.scene_ids, config_on, seed=9)
         off = init_swan_params(result.schema, graph.scene_ids, config_off, seed=9)
         ex = result.train[0]
-        b_on = prepare_example(on, graph, ex)
-        b_off = prepare_example(off, graph, ex)
+        b_on = _batch(on, graph, [ex])
+        b_off = _batch(off, graph, [ex])
         d = base.embed_dim
         e_in_on = swan_forward(on, b_on).e_in.data
         e_in_off = swan_forward(off, b_off).e_in.data
@@ -181,3 +189,19 @@ class TestConfigJson:
         config = replace(tiny_model_config(), flags=ComponentFlags(loss_cos=False))
         again = ModelConfig.from_json(config.to_json())
         assert again == config
+
+    def test_unknown_model_keys_named(self):
+        obj = tiny_model_config().to_json()
+        obj["hard_gate_inference"] = False
+        with pytest.raises(ConfigError, match="hard_gate_inference"):
+            ModelConfig.from_json(obj)
+
+    def test_unknown_flag_keys_named(self):
+        obj = ComponentFlags().to_json()
+        obj["gate_softmax"] = True
+        with pytest.raises(ConfigError, match="gate_softmax"):
+            ComponentFlags.from_json(obj)
+        obj = tiny_model_config().to_json()
+        obj["flags"]["gate_softmax"] = True
+        with pytest.raises(ConfigError, match="gate_softmax"):
+            ModelConfig.from_json(obj)

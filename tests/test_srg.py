@@ -211,6 +211,13 @@ class TestGraph:
         assert again.profiles["a"].slots == g.profiles["a"].slots
         assert again.boundaries == g.boundaries
 
+    def test_json_inconsistent_layout_rejected(self):
+        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
+                                         _profile("b", (0, 2))]))
+        obj["nodes"][1]["profile"] = [["k0", "mean", 0], ["k9", "max", 2]]
+        with pytest.raises(SchemaError, match="layout"):
+            graph_from_json(obj)
+
 
 class TestSimilarScenes:
     def test_identical_target_ranks_first_full_weight(self):
@@ -235,6 +242,13 @@ class TestSimilarScenes:
             similar_scenes(
                 build_graph([_profile("a", (0,))]).__class__({}, {}),
                 _profile("q", (0,)))
+
+    def test_target_layout_mismatch_rejected(self):
+        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        with pytest.raises(SchemaError, match="layout"):
+            similar_scenes(g, _profile("q", (0, 1, 2)))
+        with pytest.raises(SchemaError, match="layout"):
+            similar_scenes(g, _profile("q", (0, 1), names=["k0", "other"]))
 
     @given(st.permutations(range(6)))
     @settings(max_examples=30, deadline=None)

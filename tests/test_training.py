@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config, tiny_train_config
-from swan.features import Dataset, Example
+from swan.autodiff import Tensor
+from swan.features import ConfigError, Dataset, Example
 from swan.metrics import evaluate
 from swan.model import predict_scores
 from swan.srg import build_srg
-from swan.training import (Adam, baseline_dnn, gate_saturation, run_sweep,
-                           train)
+from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
+                           run_sweep, train)
 
 
 def _params_snapshot(params):
@@ -92,7 +93,6 @@ class TestBaseline:
 
 class TestAdam:
     def test_single_step_matches_closed_form(self):
-        from swan.autodiff import Tensor
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p._grad = np.array([0.5, -1.5])
         opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
@@ -102,6 +102,45 @@ class TestAdam:
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
+
+    def test_zero_gradient_step_still_moves(self):
+        # Dense Adam: the first moment keeps the earlier gradient, so a
+        # step with an all-zero gradient moves the tensor anyway.
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        g = np.array([0.5, -1.5])
+        p._grad = g.copy()
+        opt.step()
+        before = p.data.copy()
+        opt.zero_grad()
+        opt.step()
+        m = 0.9 * (0.1 * g)
+        v = 0.999 * (0.001 * g * g)
+        m_hat = m / (1 - 0.9 ** 2)
+        v_hat = v / (1 - 0.999 ** 2)
+        expected = before - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert not np.array_equal(p.data, before)
+        np.testing.assert_allclose(p.data, expected, atol=1e-12)
+
+
+class TestTrainConfigJson:
+    def test_unknown_keys_named(self):
+        obj = tiny_train_config().to_json()
+        obj["warmup"] = 3
+        with pytest.raises(ConfigError, match="warmup"):
+            TrainConfig.from_json(obj)
+
+    def test_unknown_loss_keys_named(self):
+        obj = tiny_train_config().to_json()
+        obj["loss"]["delta"] = 0.1
+        with pytest.raises(ConfigError, match="delta"):
+            TrainConfig.from_json(obj)
+
+    def test_stale_model_field_named(self):
+        obj = tiny_train_config().to_json()
+        obj["model"]["hard_gate_inference"] = False
+        with pytest.raises(ConfigError, match="hard_gate_inference"):
+            TrainConfig.from_json(obj)
 
 
 class TestEvaluate:
