@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,9 +43,10 @@ class Feature:
     """One feature descriptor.
 
     Categorical features carry a vocabulary size; raw values are integer
-    codes in [0, vocab) and anything else maps to a reserved OOV index.
-    Numeric features carry sorted bucket boundaries (fit on a training
-    split) and encode to the bucket index of the raw value.
+    codes in [0, vocab) and anything else, booleans included, maps to a
+    reserved OOV index. Numeric features carry sorted bucket boundaries
+    (fit on a training split) and encode to the bucket index of the raw
+    value, which must be a finite number and not a boolean.
     """
 
     name: str
@@ -81,16 +83,35 @@ class Feature:
 
     def encode(self, value) -> int:
         if self.kind == "categorical":
+            if isinstance(value, bool):
+                return self.oov_index
             try:
                 code = int(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return self.oov_index
             if code != value or not 0 <= code < self.vocab:
                 return self.oov_index
             return code
         if self.boundaries is None:
             raise SchemaError(f"numeric feature {self.name!r} has no fitted boundaries")
-        return bisect_right(self.boundaries, float(value))
+        return bisect_right(self.boundaries, self.number(value))
+
+    def number(self, value) -> float:
+        """A raw numeric value as a float; SchemaError unless finite and not a bool."""
+        # A finite float passes straight through: value - value is 0.0 for
+        # it, and NaN, which is truthy, for NaN and ±inf.
+        if type(value) is float and not value - value:
+            return value
+        if isinstance(value, bool):
+            raise SchemaError(f"numeric feature {self.name!r}: boolean value {value!r}")
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"numeric feature {self.name!r}: not a number: {value!r}") from None
+        if not math.isfinite(x):
+            raise SchemaError(f"numeric feature {self.name!r}: non-finite value {value!r}")
+        return x
 
     def is_oov(self, value) -> bool:
         return self.kind == "categorical" and self.encode(value) == self.oov_index
@@ -208,7 +229,7 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
         if feat.kind != "numeric" or feat.boundaries is not None:
             fitted.append(feat)
             continue
-        values = np.array([float(_feature_value(ex, feat)) for ex in examples])
+        values = np.array([feat.number(_feature_value(ex, feat)) for ex in examples])
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         qs = np.quantile(values, np.arange(1, buckets) / buckets)
@@ -220,8 +241,10 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
 def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
     """Load a JSON-lines dataset, validating every record against the schema.
 
-    Malformed lines raise ParseError naming file, line and column; unknown
-    feature names raise SchemaError. Out-of-vocabulary categorical values
+    Malformed lines raise ParseError naming file, line and column, and so
+    does a numeric value that is not a finite number (JSON's NaN and
+    Infinity included) or is a boolean; unknown feature names raise
+    SchemaError. Out-of-vocabulary categorical values, booleans included,
     are kept (they encode to the reserved index later) and counted.
     """
     known_user = {f.name for f in schema if f.group == "user"}
@@ -258,7 +281,12 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
                          scene_id=str(obj["scene_id"]), label=int(label))
             for feat in schema:
                 value = _feature_value(ex, feat)
-                if feat.is_oov(value):
+                if feat.kind == "numeric":
+                    try:
+                        feat.number(value)
+                    except SchemaError as e:
+                        raise ParseError(f"{path}:{lineno}: {e}") from None
+                elif feat.is_oov(value):
                     ds.oov_count += 1
             ds.append(ex)
     if ds.oov_count:

@@ -73,7 +73,16 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard dense Adam over a fixed-order parameter list.
+    """Standard dense Adam over one flat buffer holding every parameter.
+
+    On construction the parameters are copied, in list order, into one
+    contiguous float64 buffer, and each `p.data` becomes a view of its
+    slice, reshaped to the tensor's shape. From then on the optimizer owns
+    that memory and updates it in place; rebinding `p.data` afterwards
+    detaches the tensor, and `step` raises instead of skipping it. The
+    moments, the gathered gradient and one scratch vector are flat buffers
+    of the same length, so a step is one gradient gather and a few vector
+    ops, whatever the number of tensors.
 
     Every step decays the moments of every tensor and applies its update,
     also when the tensor's gradient is all zeros: such a tensor still moves
@@ -88,19 +97,51 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate(
+            [p.data.ravel() for p in self.params] or [np.zeros(0)])
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._g = np.zeros_like(self.flat)
+        self._scratch = np.zeros_like(self.flat)
+        self._grad_views = []
+        lo = 0
+        for p in self.params:
+            hi = lo + p.data.size
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+            self._grad_views.append(self._g[lo:hi].reshape(p.data.shape))
+            lo = hi
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
-            p.data = p.data - self.lr * update
+        g, m, v, s = self._g, self.m, self.v, self._scratch
+        g.fill(0.0)
+        for i, (p, view) in enumerate(zip(self.params, self._grad_views)):
+            if p.data.base is not self.flat:
+                raise RuntimeError(
+                    f"parameter {i} (shape {p.data.shape}) no longer views the "
+                    "optimizer's buffer; its data was rebound after Adam was built")
+            if p._grad is not None:
+                view[...] = p._grad
+        # The operations, operand order and rounding of the per-tensor form
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p = p - lr * (m/bc1) / (sqrt(v/bc2) + eps), done in place; once v
+        # is updated, the gradient buffer is reused for the update.
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, self.eps, out=s)
+        np.divide(m, bc1, out=g)
+        np.divide(g, s, out=g)
+        np.multiply(g, self.lr, out=g)
+        np.subtract(self.flat, g, out=self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -203,6 +244,7 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
                 backward(loss)
                 opt.step()
             opt.zero_grad()
+            del loss  # free this batch's graph before the next one is built
         epoch_losses.append(total / n_examples)
     return TrainResult(params=params, epoch_losses=epoch_losses)
 

@@ -60,6 +60,41 @@ class TestSchema:
         assert feat.encode(15.0) == 1
         assert feat.encode(25.0) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_numeric_encode_rejects_non_finite(self, schema, value):
+        with pytest.raises(SchemaError, match="price.*non-finite"):
+            schema["price"].encode(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_numeric_encode_rejects_bool(self, schema, value):
+        with pytest.raises(SchemaError, match="price.*boolean"):
+            schema["price"].encode(value)
+
+    @pytest.mark.parametrize("value", [True, False, float("nan"),
+                                       float("inf")])
+    def test_categorical_bool_and_non_finite_are_oov(self, schema, value):
+        feat = schema["brand"]
+        assert feat.encode(value) == feat.oov_index
+        assert feat.is_oov(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_fit_numeric_boundaries_rejects_non_finite(self, value):
+        sch = FeatureSchema([Feature("v", "numeric", "item")])
+        examples = [Example(user={}, item={"v": float(i)}, scene_id="s", label=0)
+                    for i in range(10)]
+        examples[4].item["v"] = value
+        with pytest.raises(SchemaError, match="'v'.*non-finite"):
+            fit_numeric_boundaries(examples, sch, buckets=4)
+
+    def test_fit_numeric_boundaries_rejects_bool(self):
+        sch = FeatureSchema([Feature("v", "numeric", "item")])
+        examples = [Example(user={}, item={"v": float(i)}, scene_id="s", label=0)
+                    for i in range(10)]
+        examples[4].item["v"] = True
+        with pytest.raises(SchemaError, match="'v'.*boolean"):
+            fit_numeric_boundaries(examples, sch, buckets=4)
+
     def test_json_round_trip(self, schema):
         again = FeatureSchema.from_json(json.loads(json.dumps(schema.to_json())))
         assert [f.name for f in again] == [f.name for f in schema]
@@ -120,6 +155,33 @@ class TestDatasetIO:
         write_dataset([ex], path)
         with pytest.raises(SchemaError, match="brand"):
             load_dataset(path, schema)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numeric_names_line_and_feature(self, tmp_path, schema,
+                                                       token):
+        path = tmp_path / "data.jsonl"
+        write_dataset([_example()], path)
+        line = json.dumps(_example(item={"price": 0.0}).__dict__)
+        with open(path, "a") as fh:
+            fh.write(line.replace('"price": 0.0', f'"price": {token}') + "\n")
+        with pytest.raises(ParseError, match=r"data\.jsonl:2: .*'price'"):
+            load_dataset(path, schema)
+
+    def test_bool_numeric_names_line_and_feature(self, tmp_path, schema):
+        path = tmp_path / "data.jsonl"
+        write_dataset([_example(item={"price": True})], path)
+        with pytest.raises(ParseError, match=r"data\.jsonl:1: .*'price'"):
+            load_dataset(path, schema)
+
+    def test_bool_categoricals_counted_as_oov(self, tmp_path, schema):
+        path = tmp_path / "data.jsonl"
+        write_dataset([_example(user={"city": True}),
+                       _example(item={"brand": False, "hour": True})], path)
+        loaded = load_dataset(path, schema)
+        assert loaded.oov_count == 3
+        enc = encode_example(loaded[1], schema)
+        assert enc["brand"] == schema["brand"].oov_index
+        assert enc["hour"] == schema["hour"].oov_index
 
     def test_oov_counted(self, tmp_path, schema):
         path = tmp_path / "data.jsonl"

@@ -123,6 +123,111 @@ class TestAdam:
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
 
+class ReferenceAdam:
+    """Per-tensor dense Adam, the loop the flat-buffer optimizer replaced."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            p.data = p.data - self.lr * update
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+
+def _mixed_tensors(rng):
+    shapes = [(), (3,), (2, 4), (), (40, 25), (3, 2), (0, 4), (1,), (300,)]
+    # Small values, so that a last-bit change in the update shows in p.
+    return [Tensor(rng.normal(size=s) * 1e-3, requires_grad=True)
+            for s in shapes]
+
+
+def _flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatAdam:
+    def test_matches_per_tensor_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        flat = _mixed_tensors(rng)
+        ref = [Tensor(t.data.copy(), requires_grad=True) for t in flat]
+        opt = Adam(flat, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+        ref_opt = ReferenceAdam(ref, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+        for step in range(6):
+            for i, (a, b) in enumerate(zip(flat, ref)):
+                if i % 3 == 0:      # a gradient
+                    g = rng.normal(size=a.shape)
+                    a._grad, b._grad = g.copy(), g.copy()
+                elif i % 3 == 1 and step % 2 == 0:   # an all-zero gradient
+                    a._grad, b._grad = np.zeros(a.shape), np.zeros(a.shape)
+                # otherwise never touched: _grad stays None
+            opt.step()
+            ref_opt.step()
+            opt.zero_grad()
+            ref_opt.zero_grad()
+            for a, b in zip(flat, ref):
+                assert a.shape == b.shape
+                assert np.array_equal(a.data, b.data)
+            # The moments too: a last-bit difference there can vanish in p.
+            assert np.array_equal(opt.m, _flatten(ref_opt.m))
+            assert np.array_equal(opt.v, _flatten(ref_opt.v))
+
+    def test_params_view_the_flat_buffer(self):
+        tensors = _mixed_tensors(np.random.default_rng(0))
+        before = [t.data.copy() for t in tensors]
+        opt = Adam(tensors)
+        assert opt.flat.size == sum(b.size for b in before)
+        for t, b in zip(tensors, before):
+            assert t.data.base is opt.flat
+            assert np.array_equal(t.data, b)
+
+    @pytest.mark.parametrize("kind", ["swan", "dnn"])
+    def test_trained_model_bytes_match_reference(self, tiny_data, tmp_path,
+                                                 monkeypatch, kind):
+        from swan import training
+        from swan.serialize import save_model
+        result, graph = tiny_data
+        config = tiny_train_config(epochs=2, model_kind=kind)
+        g = graph if kind == "swan" else None
+        flat = train(result.train, g, config)
+        monkeypatch.setattr(training, "Adam", ReferenceAdam)
+        ref = train(result.train, g, config)
+        assert flat.epoch_losses == ref.epoch_losses
+        save_model(flat.params, tmp_path / "flat.bin", g)
+        save_model(ref.params, tmp_path / "ref.bin", g)
+        assert (tmp_path / "flat.bin").read_bytes() == \
+            (tmp_path / "ref.bin").read_bytes()
+
+    def test_empty_parameter_list(self):
+        opt = Adam([])
+        opt.step()
+        opt.zero_grad()
+        assert opt.t == 1
+
+    def test_rebound_data_raises(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        opt = Adam([a, b])
+        opt.step()
+        b.data = np.zeros((2, 2))
+        with pytest.raises(RuntimeError, match="parameter 1"):
+            opt.step()
+
+
 class TestTrainConfigJson:
     def test_unknown_keys_named(self):
         obj = tiny_train_config().to_json()
