@@ -5,14 +5,15 @@ into per-expert selection probabilities plus a single shared threshold;
 a smooth logistic comparison (`dics`) converts each probability/threshold
 pair into a gate in (0, 1) without breaking gradients. The adaptive
 group's experts are gated at the decision layer; the shared group's
-experts run unconditionally for every scene.
+experts run unconditionally for every scene. Each group is one stacked
+MLP (`MLP.stacked`), so a group's N experts run as one wide MLP and
+return [B, N*d_expert], expert i in column block i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -47,15 +48,13 @@ class AemParams:
 
     prob_mlp: MLP    # e_user (+) vec_san -> N_a logits
     thre_mlp: MLP    # vec_san -> 1 logit
-    aeg: list[MLP]   # adaptive experts, e_in -> d_expert
-    seg: list[MLP]   # shared experts, e_in -> d_expert
+    aeg: MLP         # N_a stacked adaptive experts, e_in -> N_a * d_expert
+    seg: MLP         # N_s stacked shared experts, e_in -> N_s * d_expert
     tau: float
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.aeg or not self.seg:
-            raise ValueError("both expert groups need at least one expert")
 
 
 @dataclass
@@ -75,14 +74,14 @@ def expert_selector(e_user: Tensor, vec_san: Tensor,
     return SelectorOutput(p=p, t=t, w=w)
 
 
-def aeg_forward(e_in: Tensor, w: Tensor, experts: Sequence[MLP]) -> list[Tensor]:
-    """Adaptive-group expert outputs; `w` is applied at the decision layer."""
-    if w.shape[-1] != len(experts):
+def aeg_forward(e_in: Tensor, w: Tensor, experts: MLP) -> Tensor:
+    """Stacked adaptive-group outputs; `w` is applied at the decision layer."""
+    if w.shape[-1] != experts.n:
         raise ad.DimensionError(
-            f"aeg_forward: {w.shape[-1]} gates for {len(experts)} experts")
-    return [expert(e_in) for expert in experts]
+            f"aeg_forward: {w.shape[-1]} gates for {experts.n} experts")
+    return experts(e_in)
 
 
-def seg_forward(e_in: Tensor, experts: Sequence[MLP]) -> list[Tensor]:
-    """Shared-group expert outputs, identical treatment for every scene."""
-    return [expert(e_in) for expert in experts]
+def seg_forward(e_in: Tensor, experts: MLP) -> Tensor:
+    """Stacked shared-group outputs, identical treatment for every scene."""
+    return experts(e_in)

@@ -5,7 +5,9 @@ backward closure on the output tensor; `backward` replays the records in
 reverse insertion order, which is a valid topological order because an op
 can only consume tensors created before it. There is no implicit
 broadcasting: shape adaptation is explicit via `reshape`, `repeat_rows`
-and `repeat_cols`.
+and `repeat_cols`. The fused ops (`affine`, `block_matmul`, `mix` and
+`abs_cos_pairs`) each replace a chain of narrow ops with one record and
+an analytic backward, and state the block layout they expect.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ class DimensionError(ValueError):
 
 
 _SEQ = itertools.count()
+NORM_FLOOR = 1e-12  # abs_cos_pairs treats a squared norm <= this as zero
 _GRAD_ENABLED = True
 
 
@@ -150,6 +153,112 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data @ b.data, (a, b), backward_fn)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w plus the bias vector b on every row: one op for a Linear layer."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise DimensionError(
+            f"affine needs a 2-D input and weight and a 1-D bias, got "
+            f"{x.shape}, {w.shape} and {b.shape}")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(
+            f"affine: shapes disagree, got {x.shape}, {w.shape} and {b.shape}")
+
+    def backward_fn(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    return _record(x.data @ w.data + b.data, (x, w, b), backward_fn)
+
+
+def block_matmul(x: Tensor, w: Tensor, n: int) -> Tensor:
+    """n independent products in one op: block i of the output is x_i @ w_i.
+
+    x is [B, n*k], made of n column blocks x_i of width k; w is [n*k, m],
+    made of n row blocks w_i of height k. The output is [B, n*m], the
+    products side by side. This is the expert-axis matmul of n stacked
+    MLPs past their first layer.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"block_matmul needs 2-D operands, got {x.shape} and {w.shape}")
+    if n < 1 or x.shape[1] % n or x.shape[1] != w.shape[0]:
+        raise DimensionError(
+            f"block_matmul: {x.shape} and {w.shape} are not {n} matching blocks")
+    batch, k, m = x.shape[0], x.shape[1] // n, w.shape[1]
+    xs = x.data.reshape(batch, n, k).transpose(1, 0, 2)  # [n, B, k]
+    ws = w.data.reshape(n, k, m)
+
+    def backward_fn(g: np.ndarray) -> None:
+        gs = g.reshape(batch, n, m).transpose(1, 0, 2)  # [n, B, m]
+        if x.requires_grad:
+            gx = np.matmul(gs, ws.transpose(0, 2, 1))  # [n, B, k]
+            _accumulate(x, gx.transpose(1, 0, 2).reshape(batch, n * k))
+        if w.requires_grad:
+            _accumulate(w, np.matmul(xs.transpose(0, 2, 1), gs).reshape(n * k, m))
+
+    out = np.matmul(xs, ws).transpose(1, 0, 2).reshape(batch, n * m)
+    return _record(out, (x, w), backward_fn)
+
+
+def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
+    """Coefficient-weighted sum of n column blocks: sum_i c[:, i] * v_i.
+
+    c is [B, n] and v is [B, n*d], made of n column blocks v_i of width
+    d; the output is [B, d].
+    """
+    if c.data.ndim != 2 or v.data.ndim != 2 or c.shape != (v.shape[0], n):
+        raise DimensionError(f"mix needs [B, {n}] coefficients, got {c.shape}")
+    if n < 1 or v.shape[1] % n:
+        raise DimensionError(f"mix: width {v.shape[1]} is not {n} equal blocks")
+    batch, d = v.shape[0], v.shape[1] // n
+    vs = v.data.reshape(batch, n, d)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if c.requires_grad:
+            _accumulate(c, (vs * g[:, None, :]).sum(axis=2))
+        if v.requires_grad:
+            _accumulate(v, (c.data[:, :, None] * g[:, None, :]).reshape(batch, n * d))
+
+    return _record((c.data[:, :, None] * vs).sum(axis=1), (c, v), backward_fn)
+
+
+def abs_cos_pairs(v: Tensor, n: int) -> Tensor:
+    """Sum of |cosine| over the unordered pairs of n column blocks, all rows.
+
+    v is [B, n*d]; row b holds n vectors of width d. A pair with a
+    vector whose squared norm is at most NORM_FLOOR contributes 0 and no
+    gradient, so dead-ReLU outputs do not poison the backward pass. The
+    result is a 0-d scalar, computed from each row's Gram matrix.
+    """
+    if v.data.ndim != 2 or n < 1 or v.shape[1] % n:
+        raise DimensionError(f"abs_cos_pairs: {v.shape} is not {n} equal column blocks")
+    batch, d = v.shape[0], v.shape[1] // n
+    vs = v.data.reshape(batch, n, d)
+    gram = np.matmul(vs, vs.transpose(0, 2, 1))  # [B, n, n]
+    sq = np.einsum("bii->bi", gram)
+    live = sq > NORM_FLOOR
+    inv = np.maximum(sq, NORM_FLOOR) ** -0.5
+    mask = live[:, :, None] & live[:, None, :]
+    mask &= ~np.eye(n, dtype=bool)
+    cos = np.where(mask, gram * inv[:, :, None] * inv[:, None, :], 0.0)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if v.requires_grad:
+            # d|cos_mn| = sign * (v_n / (|v_m||v_n|) - cos_mn v_m / |v_m|^2)
+            # for each vector m of a live pair, 0 elsewhere.
+            sign = np.sign(cos)
+            a = sign * inv[:, :, None] * inv[:, None, :]
+            t = np.abs(cos).sum(axis=2) * inv * inv
+            gv = np.matmul(a, vs) - t[:, :, None] * vs
+            _accumulate(v, float(g) * gv.reshape(batch, n * d))
+
+    return _record(np.asarray(np.abs(cos[:, upper]).sum()), (v,), backward_fn)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
 
@@ -263,26 +372,6 @@ def log(x: Tensor) -> Tensor:
     return _record(np.log(x.data), (x,), backward_fn)
 
 
-def absolute(x: Tensor) -> Tensor:
-    """|x| with subgradient 0 at exactly 0."""
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * np.sign(x.data))
-
-    return _record(np.abs(x.data), (x,), backward_fn)
-
-
-def power(x: Tensor, p: float) -> Tensor:
-    """Elementwise x**p; fractional or negative p require positive inputs."""
-    out = x.data ** p
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * p * x.data ** (p - 1.0))
-
-    return _record(out, (x,), backward_fn)
-
-
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient passes only strictly inside."""
     def backward_fn(g: np.ndarray) -> None:
@@ -351,21 +440,6 @@ def repeat_cols(x: Tensor, times: int) -> Tensor:
             _accumulate(x, g.sum(axis=1, keepdims=True))
 
     return _record(np.broadcast_to(x.data, (x.shape[0], times)), (x,), backward_fn)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError(f"slice_cols needs a 2-D tensor, got {x.shape}")
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ValueError(f"slice_cols: bad range [{start}, {stop}) for width {x.shape[1]}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            _accumulate(x, full)
-
-    return _record(x.data[:, start:stop], (x,), backward_fn)
 
 
 def rows(table: Tensor, indices) -> Tensor:

@@ -24,14 +24,16 @@ def cfr_forward(weights: Tensor, scene_feature_idx: Mapping[str, np.ndarray],
 
     `weights` is [B, I] aligned with `similar_ids`; each id's table set is
     applied to the target-scene feature indices (summed over the scene
-    features) and the results are mixed with the attention weights.
+    features), and the I sums are mixed with the attention weights in one
+    op. The tables stay per scene: one stacked table would make every
+    step's dense embedding gradient grow with the number of scenes.
     """
     similar_ids = list(similar_ids)
     if weights.shape[-1] != len(similar_ids):
         raise DimensionError(
             f"cfr_forward: {weights.shape[-1]} weights for {len(similar_ids)} scenes")
-    out = None
-    for i, sid in enumerate(similar_ids):
+    sums = []
+    for sid in similar_ids:
         if sid not in cfr_tables:
             raise ConfigError(f"no cross-scene table set for scene {sid!r}")
         tables = cfr_tables[sid]
@@ -39,10 +41,8 @@ def cfr_forward(weights: Tensor, scene_feature_idx: Mapping[str, np.ndarray],
         for name in sorted(tables):
             part = tables[name].lookup(scene_feature_idx[name])
             emb = part if emb is None else ad.add(emb, part)
-        w_i = ad.repeat_cols(ad.slice_cols(weights, i, i + 1), emb.shape[1])
-        term = ad.mul(w_i, emb)
-        out = term if out is None else ad.add(out, term)
-    return out
+        sums.append(emb)
+    return ad.mix(weights, ad.concat(sums), len(sums))
 
 
 def assemble_input(e_other: Tensor, e_user: Tensor, vec_san: Tensor,

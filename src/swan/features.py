@@ -106,6 +106,9 @@ class Feature:
             raise SchemaError(f"numeric feature {self.name!r}: boolean value {value!r}")
         try:
             x = float(value)
+        except OverflowError:
+            raise SchemaError(
+                f"numeric feature {self.name!r}: non-finite value {value!r}") from None
         except (TypeError, ValueError):
             raise SchemaError(
                 f"numeric feature {self.name!r}: not a number: {value!r}") from None
@@ -250,14 +253,23 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
     known_user = {f.name for f in schema if f.group == "user"}
     known_item = {f.name for f in schema if f.group != "user"}
     ds = Dataset(schema=schema)
-    with open(path, encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates, caught per line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise ParseError(f"{path}:{lineno}:{e.start + 1}: "
+                                     "not valid UTF-8") from None
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
+            except (ValueError, RecursionError) as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: record is not a JSON object")
             extra = set(obj) - {"user", "item", "scene_id", "label"}

@@ -11,7 +11,6 @@ variance term pushing selector gates toward 0/1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,44 +46,41 @@ def _as_rows(t: Tensor) -> Tensor:
     return ad.reshape(t, (1, t.shape[0])) if t.data.ndim == 1 else t
 
 
-def decide(e_in: Tensor, seg_outputs: Sequence[Tensor],
-           aeg_outputs: Sequence[Tensor], w: Tensor | None,
-           params: HeadParams) -> Tensor:
+def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor | None,
+           w: Tensor | None, params: HeadParams) -> Tensor:
     """Final click probability from the gated expert mixture.
 
-    Shared experts contribute gate * output; adaptive experts contribute
-    gate * selector_gate * output. Gates come from one linear layer over
-    the model input, softmax-normalized across all experts.
+    `seg_outputs` is the [B, N_s*d] stack of the shared experts and
+    `aeg_outputs` the [B, N_a*d] stack of the adaptive ones (None for no
+    adaptive group), d being the read-out's input width. Shared experts
+    contribute gate * output; adaptive experts contribute gate *
+    selector_gate * output. Gates come from one linear layer over the
+    model input, softmax-normalized across all experts, and the mix is
+    one op over the coefficients concat(gates_seg, gates_aeg * w).
     """
-    seg_outputs = list(seg_outputs)
-    aeg_outputs = list(aeg_outputs)
-    n_total = len(seg_outputs) + len(aeg_outputs)
-    if n_total == 0:
-        raise ValueError("decide needs at least one expert output")
-    if aeg_outputs:
+    d = params.final_mlp.layers[0].w.shape[0]
+    batch = e_in.shape[0]
+    if seg_outputs.data.ndim != 2 or seg_outputs.shape[1] % d:
+        raise DimensionError(
+            f"decide: shared outputs {seg_outputs.shape} are not blocks of width {d}")
+    scale = Tensor(np.ones((batch, seg_outputs.shape[1] // d)))
+    values = seg_outputs
+    if aeg_outputs is not None:
         if w is None:
             raise ValueError("adaptive experts need selector gates")
-        if w.shape[-1] != len(aeg_outputs):
+        if aeg_outputs.shape[-1] != w.shape[-1] * d:
             raise DimensionError(
-                f"decide: {w.shape[-1]} selector gates for {len(aeg_outputs)} experts")
+                f"decide: {w.shape[-1]} selector gates for adaptive outputs "
+                f"{aeg_outputs.shape} of block width {d}")
+        scale = ad.concat([scale, w])
+        values = ad.concat([seg_outputs, aeg_outputs])
+    n_total = scale.shape[1]
     gates = params.gate_mlp(e_in)
     if gates.shape[-1] != n_total:
         raise DimensionError(
             f"decide: gate output width {gates.shape[-1]} != expert count {n_total}")
-    gates = ad.softmax(gates)
-    d = (seg_outputs or aeg_outputs)[0].shape[1]
-    mixed = None
-    for i, vec in enumerate(seg_outputs):
-        g = ad.repeat_cols(ad.slice_cols(gates, i, i + 1), d)
-        term = ad.mul(g, vec)
-        mixed = term if mixed is None else ad.add(mixed, term)
-    offset = len(seg_outputs)
-    for k, vec in enumerate(aeg_outputs):
-        g = ad.repeat_cols(ad.slice_cols(gates, offset + k, offset + k + 1), d)
-        w_k = ad.repeat_cols(ad.slice_cols(w, k, k + 1), d)
-        term = ad.mul(ad.mul(g, w_k), vec)
-        mixed = term if mixed is None else ad.add(mixed, term)
-    return ad.sigmoid(params.final_mlp(mixed))
+    coeffs = ad.mul(ad.softmax(gates), scale)
+    return ad.sigmoid(params.final_mlp(ad.mix(coeffs, values, n_total)))
 
 
 def ce_loss(labels, predictions: Tensor, n: int | None = None) -> Tensor:
@@ -104,44 +100,22 @@ def ce_loss(labels, predictions: Tensor, n: int | None = None) -> Tensor:
     return ad.scale(ad.sum_all(term), -1.0 / n)
 
 
-_NORM_FLOOR = 1e-12  # squared-norm floor below which an output counts as zero
-
-
-def cos_loss(aeg_outputs: Sequence[Tensor]) -> Tensor:
+def cos_loss(aeg_outputs: Tensor, n: int) -> Tensor:
     """Sum of |cosine| over ordered pairs of distinct adaptive-expert outputs.
 
+    `aeg_outputs` is the [B, n*d] stack of the n adaptive experts.
     Batched outputs are averaged over the rows. A pair involving a
     (numerically) zero-norm output contributes 0 with no gradient, which
     keeps dead-ReLU rows from poisoning the backward pass. The
     ordered-pair double sum equals twice the unordered sum, which is what
-    gets built.
+    `abs_cos_pairs` computes.
     """
-    outputs = [_as_rows(t) for t in aeg_outputs]
-    if not outputs:
+    v = _as_rows(aeg_outputs)
+    if n < 1:
         raise ValueError("cos_loss needs at least one expert output")
-    if len(outputs) == 1:
+    if n == 1:
         return Tensor(np.asarray(0.0))
-    batch = outputs[0].shape[0]
-    d = outputs[0].shape[1]
-    ones_col = Tensor(np.ones((d, 1)))
-    sq_norms = []
-    inv_norms = []
-    for out in outputs:
-        sq = ad.matmul(ad.mul(out, out), ones_col)  # [B, 1]
-        sq_norms.append(sq)
-        inv_norms.append(ad.power(ad.clip(sq, _NORM_FLOOR, np.inf), -0.5))
-    total = None
-    for m in range(len(outputs)):
-        for n_ in range(m + 1, len(outputs)):
-            dot = ad.matmul(ad.mul(outputs[m], outputs[n_]), ones_col)
-            cos = ad.mul(ad.mul(dot, inv_norms[m]), inv_norms[n_])
-            mask = ((sq_norms[m].data > _NORM_FLOOR)
-                    & (sq_norms[n_].data > _NORM_FLOOR))
-            if not mask.all():
-                cos = ad.mul(cos, Tensor(mask.astype(np.float64)))
-            term = ad.absolute(cos)
-            total = term if total is None else ad.add(total, term)
-    return ad.scale(ad.sum_all(total), 2.0 / batch)
+    return ad.scale(ad.abs_cos_pairs(v, n), 2.0 / v.shape[0])
 
 
 def var_loss(w: Tensor) -> Tensor:
@@ -164,15 +138,18 @@ def var_loss(w: Tensor) -> Tensor:
     return ad.scale(ad.sum_all(row_var), -1.0 / batch)
 
 
-def total_loss(labels, predictions: Tensor, aeg_outputs: Sequence[Tensor],
+def total_loss(labels, predictions: Tensor, aeg_outputs: Tensor | None,
                w: Tensor | None, weights: LossWeights) -> Tensor:
     """alpha * cross-entropy + beta * cosine + gamma * gate-variance term.
 
-    The variance term is negated (see `var_loss`), so it rewards gate spread.
+    `aeg_outputs` stacks one output block per selector gate in `w`; with
+    no gates there is neither a cosine nor a variance term. The variance
+    term is negated (see `var_loss`), so it rewards gate spread.
     """
     loss = ad.scale(ce_loss(labels, predictions), weights.alpha)
-    if weights.beta > 0.0 and len(list(aeg_outputs)) > 1:
-        loss = ad.add(loss, ad.scale(cos_loss(aeg_outputs), weights.beta))
+    if weights.beta > 0.0 and w is not None and w.shape[-1] > 1:
+        loss = ad.add(loss, ad.scale(cos_loss(aeg_outputs, w.shape[-1]),
+                                     weights.beta))
     if weights.gamma > 0.0 and w is not None:
         loss = ad.add(loss, ad.scale(var_loss(w), weights.gamma))
     return loss

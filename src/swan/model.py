@@ -133,10 +133,8 @@ class SwanParams:
         out.extend(self.san_mlp.named_parameters("san"))
         out.extend(self.aem.prob_mlp.named_parameters("selector.prob"))
         out.extend(self.aem.thre_mlp.named_parameters("selector.thre"))
-        for i, expert in enumerate(self.aem.aeg):
-            out.extend(expert.named_parameters(f"aeg.{i}"))
-        for i, expert in enumerate(self.aem.seg):
-            out.extend(expert.named_parameters(f"seg.{i}"))
+        out.extend(self.aem.aeg.named_parameters("aeg"))
+        out.extend(self.aem.seg.named_parameters("seg"))
         out.extend(self.head.gate_mlp.named_parameters("gate"))
         out.extend(self.head.final_mlp.named_parameters("final"))
         return out
@@ -168,10 +166,10 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
     aem = AemParams(
         prob_mlp=MLP.create(rng, d_user + d, config.selector_hidden, config.n_aeg),
         thre_mlp=MLP.create(rng, d, config.selector_hidden, 1),
-        aeg=[MLP.create(rng, d_in, config.expert_hidden, config.expert_dim)
-             for _ in range(config.n_aeg)],
-        seg=[MLP.create(rng, d_in, config.expert_hidden, config.expert_dim)
-             for _ in range(config.n_seg)],
+        aeg=MLP.stacked(rng, config.n_aeg, d_in, config.expert_hidden,
+                        config.expert_dim),
+        seg=MLP.stacked(rng, config.n_seg, d_in, config.expert_hidden,
+                        config.expert_dim),
         tau=config.tau,
     )
     head = HeadParams(
@@ -237,8 +235,8 @@ class PreparedBatch:
 @dataclass
 class SwanForward:
     yhat: Tensor                    # [B, 1]
-    w: Tensor | None                # [B, N_a] selector gates, None when ablated
-    aeg_outputs: list[Tensor]
+    w: Tensor                       # [B, N_a] selector gates, ones when ablated
+    aeg_outputs: Tensor             # [B, N_a * d_expert], expert i in block i
     san: SanOutput | None           # None on the empty-neighborhood fallback
     e_in: Tensor
 
@@ -257,6 +255,23 @@ def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
 
 def stable_scene_rng(seed: int, scene_id: str) -> np.random.Generator:
     return np.random.default_rng((seed, zlib.crc32(scene_id.encode("utf-8"))))
+
+
+def check_graph_scenes(graph: SceneRelationGraph, known_scenes,
+                       source: str) -> None:
+    """ValueError naming the graph's scenes that are not in `known_scenes`.
+
+    Every graph scene can be retrieved as a neighbour, and a neighbour
+    needs the model's scene embedding and cross-scene tables. `source`
+    starts the message (the file or the call being checked).
+    """
+    unknown = sorted(set(graph.profiles) - set(known_scenes))
+    if unknown:
+        shown = ", ".join(repr(s) for s in unknown[:5])
+        if len(unknown) > 5:
+            shown += f" and {len(unknown) - 5} more"
+        raise ValueError(f"{source}: the graph has {len(unknown)} scene(s) "
+                         f"the model does not know: {shown}")
 
 
 def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
@@ -296,12 +311,10 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
 
     san_out = None
     if batch.neighbor_ids:
-        sims = []
-        for sid in batch.neighbor_ids:
-            row = params.embeddings.scene_table.lookup(
-                np.array([params.embeddings.scene_vocab[sid]]))
-            sims.append(ad.repeat_rows(row, n_rows))
-        san_out = san_forward(bundle.e_user, e_target, sims, params.san_mlp)
+        vocab = params.embeddings.scene_vocab
+        e_similar = params.embeddings.scene_table.lookup(
+            np.array([vocab[sid] for sid in batch.neighbor_ids]))
+        san_out = san_forward(bundle.e_user, e_target, e_similar, params.san_mlp)
         vec_san = san_out.vec
     else:
         vec_san = Tensor(np.zeros((n_rows, d)))

@@ -29,15 +29,22 @@ class Linear:
         return cls(w, b)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        return ad.add(y, ad.repeat_rows(self.b, x.shape[0]))
+        return ad.affine(x, self.w, self.b)
 
 
 class MLP:
-    """Stack of Linear layers with ReLU between them and a linear output."""
+    """Stack of Linear layers with ReLU between them and a linear output.
 
-    def __init__(self, layers: list[Linear]):
+    With n > 1 it is n same-shaped MLPs over one input, run as one wide
+    MLP (the stacked-expert layout): layer 0 is [in, n*h] with the n
+    first layers side by side, every later layer is [n*h_in, h_out] with
+    the n layers as row blocks, applied with `block_matmul`. The output
+    is [B, n*out_dim], MLP i's output in column block i.
+    """
+
+    def __init__(self, layers: list[Linear], n: int = 1):
         self.layers = layers
+        self.n = n
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int,
@@ -45,17 +52,29 @@ class MLP:
         dims = [in_dim, *hidden, out_dim]
         return cls([Linear.create(rng, a, b) for a, b in zip(dims[:-1], dims[1:])])
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].w.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
+    @classmethod
+    def stacked(cls, rng: np.random.Generator, n: int, in_dim: int,
+                hidden: Sequence[int], out_dim: int) -> "MLP":
+        """n MLPs drawn one after another from `rng`, then stacked."""
+        if n < 1:
+            raise ValueError("a stack needs at least one MLP")
+        mlps = [cls.create(rng, in_dim, hidden, out_dim) for _ in range(n)]
+        layers = []
+        for i, group in enumerate(zip(*(m.layers for m in mlps))):
+            axis = 1 if i == 0 else 0
+            w = np.concatenate([layer.w.data for layer in group], axis=axis)
+            b = np.concatenate([layer.b.data for layer in group])
+            layers.append(Linear(Tensor(w, requires_grad=True),
+                                 Tensor(b, requires_grad=True)))
+        return cls(layers, n)
 
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
-            x = layer(x)
+            if i == 0 or self.n == 1:
+                x = layer(x)
+            else:
+                x = ad.add(ad.block_matmul(x, layer.w, self.n),
+                           ad.repeat_rows(layer.b, x.shape[0]))
             if i < len(self.layers) - 1:
                 x = ad.relu(x)
         return x

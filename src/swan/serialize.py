@@ -1,6 +1,6 @@
 """Versioned binary model files.
 
-Layout: 8-byte magic "SWANMDL2", a big-endian uint64 header length, a
+Layout: 8-byte magic "SWANMDL3", a big-endian uint64 header length, a
 UTF-8 JSON header (kind, config, schema, scene ids, graph, parameter
 manifest), then the raw little-endian float64 parameter buffers in
 manifest order. Serialization is byte-deterministic for identical
@@ -10,16 +10,17 @@ parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .features import FeatureSchema
-from .model import (DnnParams, ModelConfig, SwanParams, init_dnn_params,
-                    init_swan_params)
+from .model import (DnnParams, ModelConfig, SwanParams, check_graph_scenes,
+                    init_dnn_params, init_swan_params)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
-MAGIC = b"SWANMDL2"
+MAGIC = b"SWANMDL3"
 
 
 def save_model(params: SwanParams | DnnParams, path: str,
@@ -44,8 +45,38 @@ def save_model(params: SwanParams | DnnParams, path: str,
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+# Header fields and their JSON types; "graph" may also be null.
+_HEADER_FIELDS = {"kind": str, "seed": int, "config": dict, "schema": list,
+                  "scene_ids": list, "graph": dict, "params": list}
+
+
+def _check_header(path: str, header) -> None:
+    """ValueError naming the file unless the header has every field, well typed."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: model header is not a JSON object")
+    missing = sorted(set(_HEADER_FIELDS) - set(header))
+    if missing:
+        raise ValueError(f"{path}: model header lacks {missing}")
+    for key, kind in _HEADER_FIELDS.items():
+        value = header[key]
+        if not isinstance(value, kind) and not (key == "graph" and value is None):
+            raise ValueError(f"{path}: model header field {key!r} is not a JSON "
+                             f"{'integer' if kind is int else kind.__name__}")
+    if not all(isinstance(s, str) for s in header["scene_ids"]):
+        raise ValueError(f"{path}: model header has a scene id that is not a string")
+    for meta in header["params"]:
+        if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+                and isinstance(meta.get("shape"), list)
+                and all(type(s) is int and s >= 0 for s in meta["shape"])):
+            raise ValueError(f"{path}: malformed parameter manifest entry {meta!r}")
+
+
 def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | None]:
-    """Rebuild params (zero-initialized, then overwritten) and the graph."""
+    """Rebuild params (freshly initialized, then overwritten) and the graph.
+
+    Every defect of the file, a malformed header included, raises a
+    ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:len(MAGIC)]
@@ -57,17 +88,31 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
         end += struct.unpack_from(">Q", data, len(MAGIC))[0]
     if not start < end <= len(data):
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(data[start:end].decode("utf-8"))
+    try:
+        header = json.loads(data[start:end].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: model header is not JSON: {exc}") from None
+    _check_header(path, header)
     payload = memoryview(data)[end:]
 
     init = {"swan": init_swan_params, "dnn": init_dnn_params}.get(header["kind"])
     if init is None:
         raise ValueError(f"{path}: unknown model kind {header['kind']!r}")
-    params = init(FeatureSchema.from_json(header["schema"]), header["scene_ids"],
-                  ModelConfig.from_json(header["config"]), seed=header["seed"])
+    manifest = header["params"]
+    size = sum(math.prod(m["shape"]) * 8 for m in manifest)
+    if size > len(payload):
+        raise ValueError(f"{path}: truncated parameter payload")
+    if size < len(payload):
+        raise ValueError(f"{path}: trailing bytes in parameter payload")
+    try:
+        params = init(FeatureSchema.from_json(header["schema"]), header["scene_ids"],
+                      ModelConfig.from_json(header["config"]), seed=header["seed"])
+        graph = (graph_from_json(header["graph"]) if header["graph"] is not None
+                 else None)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad model header: {exc!r}") from None
 
     named = params.named_parameters()
-    manifest = header["params"]
     if [n for n, _ in named] != [m["name"] for m in manifest]:
         raise ValueError(f"{path}: parameter manifest does not match this build")
     offset = 0
@@ -76,14 +121,10 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
         if tensor.shape != shape:
             raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{tensor.shape} != {shape}")
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + size > len(payload):
-            raise ValueError(f"{path}: truncated parameter payload")
+        size = math.prod(shape) * 8
         buf = np.frombuffer(payload[offset:offset + size], dtype="<f8")
         tensor.data = buf.reshape(shape).astype(np.float64)
         offset += size
-    if offset != len(payload):
-        raise ValueError(f"{path}: trailing bytes in parameter payload")
-
-    graph = graph_from_json(header["graph"]) if header["graph"] is not None else None
+    if graph is not None:
+        check_graph_scenes(graph, params.known_scenes, path)
     return params, graph

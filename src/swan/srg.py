@@ -303,6 +303,8 @@ def graph_to_json(graph: SceneRelationGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SceneRelationGraph:
+    if not all(isinstance(node["scene_id"], str) for node in obj["nodes"]):
+        raise SchemaError("graph scene ids must be strings")
     profiles = {node["scene_id"]: SceneProfile(
         scene_id=node["scene_id"],
         slots=tuple((name, agg, int(cat)) for name, agg, cat in node["profile"]))

@@ -19,8 +19,9 @@ from .features import Example, FeatureSchema
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
-                    _known_keys, dnn_forward, encode_batch, init_dnn_params,
-                    init_swan_params, resolve_neighbors, swan_forward)
+                    _known_keys, check_graph_scenes, dnn_forward, encode_batch,
+                    init_dnn_params, init_swan_params, resolve_neighbors,
+                    swan_forward)
 from .srg import SceneRelationGraph, build_srg
 
 
@@ -205,7 +206,9 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     Aborts with the offending batch index if the loss ever goes
     non-finite. The feature schema normally travels with the dataset
     (load_dataset and the generator attach it); pass it explicitly for
-    hand-built example lists.
+    hand-built example lists. The full model's graph must hold only
+    scenes of the dataset (ValueError naming the others), and every
+    scene of the dataset (ValueError at the first one missing).
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
@@ -215,6 +218,7 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     scene_ids = sorted({ex.scene_id for ex in dataset})
     schema = _require_schema(dataset, schema)
     if config.model_kind == "swan":
+        check_graph_scenes(graph, scene_ids, "train")
         params = init_swan_params(schema, scene_ids, config.model, config.seed)
     else:
         params = init_dnn_params(schema, scene_ids, config.model, config.seed)

@@ -269,9 +269,9 @@ class TestCriterion7:
         variance is exactly 0; softmax rows sum to 1 over 1e5 rows."""
         dics_ok = all(abs(dics(p, p, tau) - 0.5) <= 1e-12
                       for p in (0.1, 0.37, 0.9) for tau in (1.0, 1e-3))
-        cos_ok = abs(cos_loss([Tensor([[1.0, 0.0, 0.0]]),
-                               Tensor([[0.0, 2.0, 0.0]]),
-                               Tensor([[0.0, 0.0, -3.0]])]).item()) <= 1e-12
+        cos_ok = abs(cos_loss(Tensor([[1.0, 0.0, 0.0,
+                                       0.0, 2.0, 0.0,
+                                       0.0, 0.0, -3.0]]), 3).item()) <= 1e-12
         var_ok = all(var_loss(Tensor([[c] * n])).item() == 0.0
                      for c in (0.1, 0.5, 0.77) for n in (2, 3, 10))
         rng = np.random.default_rng(7)

@@ -25,10 +25,8 @@ def _linear_mlp(w, b):
 def _params(prob, thre, tau=1.0, n_experts=2, d_in=4, d_out=3, seed=0):
     rng = np.random.default_rng(seed)
     return AemParams(prob_mlp=prob, thre_mlp=thre,
-                     aeg=[MLP.create(rng, d_in, (4,), d_out)
-                          for _ in range(n_experts)],
-                     seg=[MLP.create(rng, d_in, (4,), d_out)
-                          for _ in range(n_experts)],
+                     aeg=MLP.stacked(rng, n_experts, d_in, (4,), d_out),
+                     seg=MLP.stacked(rng, n_experts, d_in, (4,), d_out),
                      tau=tau)
 
 
@@ -146,35 +144,37 @@ class TestExpertSelector:
 class TestExpertGroups:
     def test_single_expert_shape(self):
         rng = np.random.default_rng(5)
-        expert = MLP.create(rng, 6, (4,), 3)
+        expert = MLP.stacked(rng, 1, 6, (4,), 3)
         e_in = Tensor(rng.normal(size=(2, 6)))
-        outs = aeg_forward(e_in, Tensor(np.ones((2, 1))), [expert])
-        assert len(outs) == 1 and outs[0].shape == (2, 3)
+        out = aeg_forward(e_in, Tensor(np.ones((2, 1))), expert)
+        assert out.shape == (2, 3)
 
     def test_identical_experts_identical_outputs(self):
         rng = np.random.default_rng(6)
         e1 = MLP.create(rng, 6, (4,), 3)
-        e2 = MLP([Linear(Tensor(l.w.data.copy(), requires_grad=True),
-                         Tensor(l.b.data.copy(), requires_grad=True))
-                  for l in e1.layers])
+        w0, w1 = e1.layers[0].w.data, e1.layers[1].w.data
+        b0, b1 = e1.layers[0].b.data, e1.layers[1].b.data
+        twins = MLP([Linear(Tensor(np.concatenate([w0, w0], axis=1)),
+                            Tensor(np.concatenate([b0, b0]))),
+                     Linear(Tensor(np.concatenate([w1, w1], axis=0)),
+                            Tensor(np.concatenate([b1, b1])))], n=2)
         e_in = Tensor(rng.normal(size=(3, 6)))
-        o1, o2 = aeg_forward(e_in, Tensor(np.ones((3, 2))), [e1, e2])
-        np.testing.assert_array_equal(o1.data, o2.data)
+        out = aeg_forward(e_in, Tensor(np.ones((3, 2))), twins)
+        np.testing.assert_array_equal(out.data[:, :3], out.data[:, 3:])
 
     def test_gate_count_mismatch(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ad.DimensionError):
             aeg_forward(Tensor(rng.normal(size=(1, 6))), Tensor(np.ones((1, 3))),
-                        [MLP.create(rng, 6, (), 3)])
+                        MLP.stacked(rng, 1, 6, (), 3))
 
     def test_seg_purity(self):
         rng = np.random.default_rng(8)
-        experts = [MLP.create(rng, 6, (4,), 3) for _ in range(2)]
+        experts = MLP.stacked(rng, 2, 6, (4,), 3)
         e_in = Tensor(rng.normal(size=(2, 6)))
         a = seg_forward(e_in, experts)
         b = seg_forward(e_in, experts)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.data, y.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_tiny_expert_manual_forward(self):
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -188,5 +188,35 @@ class TestExpertGroups:
         x = np.array([[2.0, 3.0], [-1.0, 0.5]])
         hidden = np.maximum(x @ w1 + b1, 0.0)
         manual = hidden @ w2 + b2
-        out = seg_forward(Tensor(x), [expert])[0]
+        out = seg_forward(Tensor(x), expert)
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+    def test_stack_equals_experts_drawn_in_turn(self, hidden):
+        # The stack holds the same initial values as n MLPs drawn one after
+        # another from the same generator, and computes the same outputs.
+        rng = np.random.default_rng(9)
+        experts = [MLP.create(rng, 6, hidden, 3) for _ in range(4)]
+        stack = MLP.stacked(np.random.default_rng(9), 4, 6, hidden, 3)
+        x = Tensor(np.random.default_rng(10).normal(size=(5, 6)))
+        expected = np.concatenate([e(x).data for e in experts], axis=1)
+        np.testing.assert_allclose(stack(x).data, expected, rtol=1e-13, atol=1e-15)
+        for i, layer in enumerate(stack.layers):
+            axis = 1 if i == 0 else 0
+            np.testing.assert_array_equal(
+                layer.w.data,
+                np.concatenate([e.layers[i].w.data for e in experts], axis=axis))
+
+    def test_stack_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        stack = MLP.stacked(rng, 3, 4, (5, 2), 3)
+        x = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+        proj = rng.normal(size=(2, 9))
+
+        def build():
+            return ad.sum_all(ad.mul(stack(x), Tensor(proj)))
+
+        backward(build())
+        for name, t in [("x", x)] + stack.named_parameters("stack"):
+            numeric = finite_difference(lambda: build().item(), t)
+            assert max_rel_error(t.grad, numeric) < 1e-4, name

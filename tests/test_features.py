@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swan import autodiff as ad
 from swan.autodiff import backward
@@ -189,6 +191,75 @@ class TestDatasetIO:
         loaded = load_dataset(path, schema)
         assert len(loaded) == 2
         assert loaded.oov_count == 1
+
+
+_FUZZ_SCHEMA = FeatureSchema([
+    Feature("age_band", "categorical", "user", vocab=5),
+    Feature("price", "numeric", "item", boundaries=(10.0, 20.0)),
+    Feature("theme", "categorical", "scene", vocab=3),
+])
+# JSON values, numbers beyond float range and non-ASCII text included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+_FEATURE_VALUES = st.dictionaries(
+    st.sampled_from(["age_band", "price", "theme", "other"]), _JSON, max_size=4)
+# Records close to valid ones, so that the checks past JSON parsing run too.
+_RECORDS = st.fixed_dictionaries(
+    {"user": _FEATURE_VALUES | _JSON, "item": _FEATURE_VALUES | _JSON,
+     "scene_id": _JSON, "label": st.sampled_from([0, 1]) | _JSON},
+    optional={"extra": _JSON})
+
+
+class TestDatasetFuzz:
+    """load_dataset raises only ParseError or SchemaError, whatever the file holds."""
+
+    def _load(self, tmp_path_factory, data: bytes):
+        path = tmp_path_factory.mktemp("fuzz") / "data.jsonl"
+        path.write_bytes(data)
+        try:
+            load_dataset(str(path), _FUZZ_SCHEMA)
+        except (ParseError, SchemaError):
+            pass
+
+    @given(st.lists(st.text(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_text_lines(self, tmp_path_factory, lines):
+        self._load(tmp_path_factory, "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        self._load(tmp_path_factory, data)
+
+    @given(st.lists(_RECORDS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_near_valid_records(self, tmp_path_factory, records):
+        self._load(tmp_path_factory, "\n".join(
+            json.dumps(r) for r in records).encode("utf-8", "surrogatepass"))
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"\n\xff\xfe\n")
+        with pytest.raises(ParseError, match=r"data.jsonl:2:1: not valid UTF-8"):
+            load_dataset(str(path), _FUZZ_SCHEMA)
+
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"label": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"data.jsonl:1: "):
+            load_dataset(str(path), _FUZZ_SCHEMA)
+
+    def test_numeric_beyond_float_range_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset([Example(user={"age_band": 1},
+                               item={"price": 10 ** 400, "theme": 0},
+                               scene_id="s", label=0)], str(path))
+        with pytest.raises(ParseError, match=r"data.jsonl:1: numeric feature 'price'"):
+            load_dataset(str(path), _FUZZ_SCHEMA)
 
 
 def _embed_one(example, tables, schema):

@@ -1,0 +1,240 @@
+"""The wide ops of the model against the per-expert, per-neighbour and
+per-pair loops they replaced, and the op counts they bring."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import tiny_model_config
+from swan import autodiff as ad
+from swan.aem import expert_selector
+from swan.autodiff import Tensor
+from swan.datagen import GenConfig, generate
+from swan.features import embed_indices
+from swan.head import LossWeights, ce_loss, total_loss, var_loss
+from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
+                        encode_batch, init_swan_params, predict_scores,
+                        resolve_neighbors, swan_forward)
+from swan.srg import build_srg, profile_new_scene
+
+# The acceptance model of tests/test_acceptance.py and the default model.
+ACCEPT_MODEL = ModelConfig(
+    embed_dim=8, expert_dim=8, n_aeg=4, n_seg=2, tau=0.02, k_neighbors=5,
+    san_hidden=(16, 8), expert_hidden=(8,), selector_hidden=(16, 8),
+    final_hidden=(), dnn_hidden=(16,))
+CONFIGS = {"accept": ACCEPT_MODEL, "default": ModelConfig()}
+WEIGHTS = LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3)
+
+
+@pytest.fixture(scope="module")
+def data():
+    gen = generate(GenConfig(seed=1, train_scenes=8, cold_scenes=2,
+                             examples_per_scene=40))
+    graph = build_srg(gen.train, gen.schema, cc_threshold=0.05, buckets=10)
+    return gen, graph
+
+
+def _batch(params, graph, examples, labels=True):
+    sid = examples[0].scene_id
+    profile = (graph.profiles[sid] if sid in graph.profiles
+               else profile_new_scene(graph, sid, examples, params.schema))
+    idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
+    return PreparedBatch(
+        scene_id=sid, feature_idx=idx, scene_idx=scene_idx,
+        labels=np.array([float(ex.label) for ex in examples]) if labels else None,
+        neighbor_ids=resolve_neighbors(graph, sid, profile, params))
+
+
+# ---------------------------------------------------------------------------
+# the loops the wide ops replaced, in numpy
+
+
+def _mlp(x, layers):
+    for i, (w, b) in enumerate(layers):
+        x = x @ w + b
+        if i < len(layers) - 1:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def _layers(mlp):
+    return [(layer.w.data, layer.b.data) for layer in mlp.layers]
+
+
+def _experts(stack):
+    """The n per-expert MLPs held in a stacked MLP, as (w, b) layer lists."""
+    experts = [[] for _ in range(stack.n)]
+    for j, (w, b) in enumerate(_layers(stack)):
+        parts = zip(np.split(w, stack.n, axis=1 if j == 0 else 0),
+                    np.split(b, stack.n))
+        for layers, part in zip(experts, parts):
+            layers.append(part)
+    return experts
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cos_loss_pairs(outputs):
+    """Sum of |cosine| over ordered pairs, row-averaged; zero norms count 0."""
+    total = np.zeros((outputs[0].shape[0], 1))
+    sq = [(o * o).sum(axis=1, keepdims=True) for o in outputs]
+    inv = [np.maximum(s, ad.NORM_FLOOR) ** -0.5 for s in sq]
+    for m in range(len(outputs)):
+        for n in range(m + 1, len(outputs)):
+            dot = (outputs[m] * outputs[n]).sum(axis=1, keepdims=True)
+            cos = dot * inv[m] * inv[n]
+            cos = cos * ((sq[m] > ad.NORM_FLOOR) & (sq[n] > ad.NORM_FLOOR))
+            total = total + np.abs(cos)
+    return total.sum() * 2.0 / outputs[0].shape[0]
+
+
+def _reference(params, batch):
+    """Prediction and loss of one batch, built loop by loop."""
+    cfg = params.config
+    with ad.no_grad():
+        bundle = embed_indices(batch.feature_idx, batch.scene_idx,
+                               params.embeddings, params.schema)
+    e_user = bundle.e_user.data
+    e_target = bundle.e_scene_id.data + bundle.e_scene_attr.data
+    rows = e_target.shape[0]
+    vec = np.zeros_like(e_target)
+    e_cfr = np.zeros_like(e_target)
+    if batch.neighbor_ids:
+        table = params.embeddings.scene_table.weights.data
+        vocab = params.embeddings.scene_vocab
+        sims = [np.repeat(table[vocab[sid]][None, :], rows, axis=0)
+                for sid in batch.neighbor_ids]
+        scores = [_mlp(np.concatenate([e_user, e_target, e_target - e_s,
+                                       e_target * e_s], axis=1),
+                       _layers(params.san_mlp)) for e_s in sims]
+        weights = _softmax(np.concatenate(scores, axis=1))
+        vec = sum(weights[:, i:i + 1] * e_s for i, e_s in enumerate(sims))
+        if cfg.flags.cfr:
+            e_cfr = sum(
+                weights[:, i:i + 1] * sum(
+                    params.cfr_tables[sid][f].weights.data[batch.feature_idx[f]]
+                    for f in sorted(params.cfr_tables[sid]))
+                for i, sid in enumerate(batch.neighbor_ids))
+    e_in = np.concatenate([bundle.e_other.data, e_user, vec, e_target + e_cfr], axis=1)
+    if cfg.flags.aem:
+        with ad.no_grad():
+            w = expert_selector(Tensor(e_user), Tensor(vec), params.aem).w.data
+    else:
+        w = np.ones((rows, cfg.n_aeg))
+    aeg = [_mlp(e_in, layers) for layers in _experts(params.aem.aeg)]
+    seg = [_mlp(e_in, layers) for layers in _experts(params.aem.seg)]
+    gates = _softmax(_mlp(e_in, _layers(params.head.gate_mlp)))
+    mixed = sum(gates[:, i:i + 1] * out for i, out in enumerate(seg))
+    mixed = mixed + sum(gates[:, len(seg) + k:len(seg) + k + 1] * w[:, k:k + 1] * out
+                        for k, out in enumerate(aeg))
+    yhat = 1.0 / (1.0 + np.exp(-_mlp(mixed, _layers(params.head.final_mlp))))
+    flags = cfg.flags
+    loss = WEIGHTS.alpha * ce_loss(batch.labels, Tensor(yhat)).item()
+    if flags.loss_cos:
+        loss += WEIGHTS.beta * _cos_loss_pairs(aeg)
+    if flags.loss_var and flags.aem:
+        loss += WEIGHTS.gamma * var_loss(Tensor(w)).item()
+    return yhat, loss
+
+
+def _fused(params, batch):
+    flags = params.config.flags
+    weights = LossWeights(
+        alpha=WEIGHTS.alpha, beta=WEIGHTS.beta if flags.loss_cos else 0.0,
+        gamma=WEIGHTS.gamma if (flags.loss_var and flags.aem) else 0.0)
+    out = swan_forward(params, batch)
+    return out.yhat.data, total_loss(batch.labels, out.yhat, out.aeg_outputs,
+                                     out.w, weights).item()
+
+
+class TestParityWithLoops:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("flags", [ComponentFlags(), ComponentFlags(cfr=False),
+                                       ComponentFlags(aem=False)],
+                             ids=["full", "no-cfr", "no-aem"])
+    def test_known_and_cold_batches(self, data, name, flags):
+        gen, graph = data
+        params = init_swan_params(gen.schema, graph.scene_ids,
+                                  replace(CONFIGS[name], flags=flags), seed=3)
+        known = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[1]][:16]
+        cold_sid = gen.test[-1].scene_id
+        cold = [ex for ex in gen.test if ex.scene_id == cold_sid][:7]
+        for examples in (known, cold):
+            batch = _batch(params, graph, examples)
+            assert batch.neighbor_ids
+            yhat, loss = _fused(params, batch)
+            ref_yhat, ref_loss = _reference(params, batch)
+            np.testing.assert_allclose(yhat, ref_yhat, rtol=1e-12, atol=0.0)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_empty_neighbourhood(self, data, name):
+        gen, graph = data
+        config = replace(CONFIGS[name], min_weight=10 ** 6)
+        params = init_swan_params(gen.schema, graph.scene_ids, config, seed=4)
+        batch = _batch(params, graph, gen.test[:5])
+        assert batch.neighbor_ids == []
+        yhat, loss = _fused(params, batch)
+        ref_yhat, ref_loss = _reference(params, batch)
+        np.testing.assert_allclose(yhat, ref_yhat, rtol=1e-12, atol=0.0)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+
+    def test_tiny_config(self, tiny_data):
+        result, graph = tiny_data
+        params = init_swan_params(result.schema, graph.scene_ids,
+                                  tiny_model_config(), seed=5)
+        batch = _batch(params, graph, result.train[:9])
+        yhat, loss = _fused(params, batch)
+        ref_yhat, ref_loss = _reference(params, batch)
+        np.testing.assert_allclose(yhat, ref_yhat, rtol=1e-12, atol=0.0)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# op counts
+
+
+@pytest.fixture
+def op_counter(monkeypatch):
+    """Counts the ops autodiff records while the test runs."""
+    counts = [0]
+    record = ad._record
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_record", counted)
+    return counts
+
+
+class TestOpCounts:
+    @pytest.mark.parametrize("name, bound", [("accept", 135), ("default", 150)])
+    def test_training_step(self, data, op_counter, name, bound):
+        gen, graph = data
+        params = init_swan_params(gen.schema, graph.scene_ids, CONFIGS[name], seed=6)
+        examples = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[0]]
+        batch = _batch(params, graph, examples)
+        assert len(batch.neighbor_ids) == CONFIGS[name].k_neighbors
+        op_counter[0] = 0
+        out = swan_forward(params, batch)
+        loss = total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, WEIGHTS)
+        assert op_counter[0] <= bound
+        ad.backward(loss)
+        assert op_counter[0] <= bound  # backward records nothing
+
+    def test_request(self, data, op_counter):
+        gen, graph = data
+        config = CONFIGS["default"]
+        params = init_swan_params(gen.schema, graph.scene_ids, config, seed=7)
+        cold_sid = gen.test[0].scene_id
+        request = [ex for ex in gen.test if ex.scene_id == cold_sid][:10]
+        assert len(_batch(params, graph, request, labels=False).neighbor_ids) \
+            == config.k_neighbors
+        op_counter[0] = 0
+        predict_scores(params, graph, request)
+        assert op_counter[0] <= 120

@@ -15,6 +15,12 @@ from swan.head import (HeadParams, LossWeights, ce_loss, cos_loss, decide,
 from swan.nn import MLP, Linear
 
 
+def _stack(parts, requires_grad=False):
+    """Expert outputs side by side: the [B, n*d] layout decide and cos_loss take."""
+    return Tensor(np.concatenate([np.asarray(p, dtype=float) for p in parts], axis=1),
+                  requires_grad=requires_grad)
+
+
 def _head(rng, d_in, n_seg, n_aeg, d_expert):
     return HeadParams(gate_mlp=MLP.create(rng, d_in, (), n_seg + n_aeg),
                       final_mlp=MLP.create(rng, d_expert, (4,), 1))
@@ -27,7 +33,7 @@ class TestDecide:
         head = _head(rng, 5, n_seg=1, n_aeg=0, d_expert=3)
         e_in = Tensor(rng.normal(size=(2, 5)))
         vec = Tensor(rng.normal(size=(2, 3)))
-        out = decide(e_in, [vec], [], None, head)
+        out = decide(e_in, vec, None, None, head)
         manual = vec.data @ head.final_mlp.layers[0].w.data
         manual = np.maximum(manual + head.final_mlp.layers[0].b.data, 0.0)
         manual = manual @ head.final_mlp.layers[1].w.data + head.final_mlp.layers[1].b.data
@@ -37,11 +43,11 @@ class TestDecide:
         rng = np.random.default_rng(1)
         head = _head(rng, 5, n_seg=2, n_aeg=2, d_expert=3)
         e_in = Tensor(rng.normal(size=(4, 5)))
-        seg = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
-        aeg = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
+        seg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
+        aeg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
         zero_w = Tensor(np.zeros((4, 2)))
         out = decide(e_in, seg, aeg, zero_w, head)
-        other_aeg = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
+        other_aeg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
         out2 = decide(e_in, seg, other_aeg, zero_w, head)
         np.testing.assert_allclose(out.data, out2.data, atol=1e-15)
 
@@ -70,26 +76,25 @@ class TestDecide:
                  + g[0, 2] * w[0, 0] * aeg[0] + g[0, 3] * w[0, 1] * aeg[1])
         manual = 1 / (1 + np.exp(-(mixed @ fin_w + fin_b)))
 
-        out = decide(Tensor(e_in), [Tensor(s) for s in seg],
-                     [Tensor(a) for a in aeg], Tensor(w), head)
+        out = decide(Tensor(e_in), _stack(seg), _stack(aeg), Tensor(w), head)
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
     def test_gate_width_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         head = _head(rng, 5, n_seg=2, n_aeg=2, d_expert=3)
         e_in = Tensor(rng.normal(size=(1, 5)))
-        seg = [Tensor(rng.normal(size=(1, 3)))]
+        seg = Tensor(rng.normal(size=(1, 3)))
         with pytest.raises(DimensionError):
-            decide(e_in, seg, [], None, head)
+            decide(e_in, seg, None, None, head)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         head = _head(rng, 4, n_seg=2, n_aeg=2, d_expert=3)
         e_in = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        seg = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
-               for _ in range(2)]
-        aeg = [Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
-               for _ in range(2)]
+        seg = _stack([rng.uniform(-1, 1, (3, 3)) for _ in range(2)],
+                     requires_grad=True)
+        aeg = _stack([rng.uniform(-1, 1, (3, 3)) for _ in range(2)],
+                     requires_grad=True)
         w = Tensor(rng.uniform(0.05, 0.95, (3, 2)), requires_grad=True)
         proj = rng.normal(size=(3, 1))
 
@@ -98,9 +103,7 @@ class TestDecide:
                                      Tensor(proj)))
 
         backward(build())
-        checks = ([("e_in", e_in), ("w", w)]
-                  + [(f"seg{i}", t) for i, t in enumerate(seg)]
-                  + [(f"aeg{i}", t) for i, t in enumerate(aeg)]
+        checks = ([("e_in", e_in), ("w", w), ("seg", seg), ("aeg", aeg)]
                   + head.gate_mlp.named_parameters("gate")
                   + head.final_mlp.named_parameters("final"))
         for name, t in checks:
@@ -132,55 +135,54 @@ class TestCeLoss:
 
 class TestCosLoss:
     def test_orthogonal_pair_is_zero(self):
-        loss = cos_loss([Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])])
+        loss = cos_loss(_stack([[[1.0, 0.0]], [[0.0, 1.0]]]), 2)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_pair_counts_both_orders(self):
-        v = Tensor([[0.3, -0.7]])
-        loss = cos_loss([v, Tensor(v.data.copy())])
+        v = [[0.3, -0.7]]
+        loss = cos_loss(_stack([v, v]), 2)
         assert loss.item() == pytest.approx(2.0, abs=1e-12)
 
     def test_45_degree_pair(self):
-        loss = cos_loss([Tensor([[1.0, 0.0]]), Tensor([[1.0, 1.0]])])
+        loss = cos_loss(_stack([[[1.0, 0.0]], [[1.0, 1.0]]]), 2)
         assert loss.item() == pytest.approx(2 / math.sqrt(2), abs=1e-12)
         assert loss.item() == pytest.approx(1.414214, abs=1e-6)
 
     def test_zero_norm_pair_contributes_zero(self):
-        loss = cos_loss([Tensor([[0.0, 0.0]]), Tensor([[1.0, 1.0]])])
+        loss = cos_loss(_stack([[[0.0, 0.0]], [[1.0, 1.0]]]), 2)
         assert loss.item() == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         vs = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
-        base = cos_loss(vs).item()
-        scaled = cos_loss([ad.scale(vs[0], 17.0), vs[1],
-                           ad.scale(vs[2], 0.003)]).item()
+        base = cos_loss(ad.concat(vs), 3).item()
+        scaled = cos_loss(ad.concat([ad.scale(vs[0], 17.0), vs[1],
+                                     ad.scale(vs[2], 0.003)]), 3).item()
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_upper_bound_pairs(self):
         rng = np.random.default_rng(6)
         for n in (2, 3, 5):
-            vs = [Tensor(rng.normal(size=(1, 4))) for _ in range(n)]
-            assert cos_loss(vs).item() <= n * (n - 1) + 1e-12
+            vs = [rng.normal(size=(1, 4)) for _ in range(n)]
+            assert cos_loss(_stack(vs), n).item() <= n * (n - 1) + 1e-12
         # Equality iff all outputs are pairwise parallel.
         v = rng.normal(size=(1, 4))
-        parallel = [Tensor(v * c) for c in (1.0, -2.0, 0.5)]
-        assert cos_loss(parallel).item() == pytest.approx(3 * 2, abs=1e-9)
+        parallel = [v * c for c in (1.0, -2.0, 0.5)]
+        assert cos_loss(_stack(parallel), 3).item() == pytest.approx(3 * 2, abs=1e-9)
 
     def test_batch_mean(self):
-        a = Tensor([[1.0, 0.0], [1.0, 0.0]])
-        b = Tensor([[0.0, 1.0], [1.0, 0.0]])
+        a = [[1.0, 0.0], [1.0, 0.0]]
+        b = [[0.0, 1.0], [1.0, 0.0]]
         # Row 0 orthogonal (0), row 1 parallel (2): mean = 1.
-        assert cos_loss([a, b]).item() == pytest.approx(1.0, abs=1e-12)
+        assert cos_loss(_stack([a, b]), 2).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        vs = [Tensor(rng.uniform(0.2, 1.0, (2, 3)), requires_grad=True)
-              for _ in range(3)]
-        backward(cos_loss(vs))
-        for i, t in enumerate(vs):
-            numeric = finite_difference(lambda: cos_loss(vs).item(), t)
-            assert max_rel_error(t.grad, numeric) < 1e-4, f"expert {i}"
+        vs = _stack([rng.uniform(0.2, 1.0, (2, 3)) for _ in range(3)],
+                    requires_grad=True)
+        backward(cos_loss(vs, 3))
+        numeric = finite_difference(lambda: cos_loss(vs, 3).item(), vs)
+        assert max_rel_error(vs.grad, numeric) < 1e-4
 
 
 class TestVarLoss:
@@ -212,7 +214,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(9)
         y = rng.integers(0, 2, size=4).astype(float)
         p = Tensor(rng.uniform(0.1, 0.9, (4, 1)))
-        aeg = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
+        aeg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
         w = Tensor(rng.uniform(0, 1, (4, 2)))
         weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0)
         assert (total_loss(y, p, aeg, w, weights).item()
@@ -226,16 +228,16 @@ class TestTotalLoss:
         weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0)
         y = [1.0]
         p = Tensor([[1.0]])
-        assert total_loss(y, p, [], None, weights).item() < 1e-11
+        assert total_loss(y, p, None, None, weights).item() < 1e-11
 
     def test_weighted_sum_matches_parts(self):
         rng = np.random.default_rng(10)
         y = rng.integers(0, 2, size=5).astype(float)
         p = Tensor(rng.uniform(0.1, 0.9, (5, 1)))
-        aeg = [Tensor(rng.normal(size=(5, 3))) for _ in range(3)]
+        aeg = _stack([rng.normal(size=(5, 3)) for _ in range(3)])
         w = Tensor(rng.uniform(0.1, 0.9, (5, 3)))
         weights = LossWeights(alpha=1.3, beta=0.01, gamma=0.02)
-        expected = (1.3 * ce_loss(y, p).item() + 0.01 * cos_loss(aeg).item()
+        expected = (1.3 * ce_loss(y, p).item() + 0.01 * cos_loss(aeg, 3).item()
                     + 0.02 * var_loss(w).item())
         assert total_loss(y, p, aeg, w, weights).item() == pytest.approx(
             expected, abs=1e-12)
@@ -251,7 +253,8 @@ class TestTotalLoss:
        st.floats(0.1, 5.0))
 @settings(max_examples=100, deadline=None)
 def test_cos_loss_positive_rescaling_invariance(values, c):
-    base = [Tensor([[v, 1.0 - v]]) for v in values]
-    scaled = [ad.scale(t, c) for t in base]
-    assert cos_loss(scaled).item() == pytest.approx(cos_loss(base).item(),
-                                                    abs=1e-9)
+    n = len(values)
+    base = _stack([[[v, 1.0 - v]] for v in values])
+    scaled = ad.scale(base, c)
+    assert cos_loss(scaled, n).item() == pytest.approx(cos_loss(base, n).item(),
+                                                       abs=1e-9)

@@ -127,10 +127,11 @@ class TestComposedPipeline:
             bundle = embed_indices(idx, scene_idx, params.embeddings,
                                    params.schema)
             e_target = ad.add(bundle.e_scene_id, bundle.e_scene_attr)
-            sims = [ad.repeat_rows(params.embeddings.scene_table.lookup(
-                np.array([params.embeddings.scene_vocab[sid]])), 1)
-                for sid in neighbor_ids]
-            san_out = san_forward(bundle.e_user, e_target, sims, params.san_mlp)
+            e_similar = params.embeddings.scene_table.lookup(
+                np.array([params.embeddings.scene_vocab[sid]
+                          for sid in neighbor_ids]))
+            san_out = san_forward(bundle.e_user, e_target, e_similar,
+                                  params.san_mlp)
             scene_idx_map = {f.name: idx[f.name]
                              for f in params.schema.scene_features}
             e_cfr = cfr_forward(san_out.weights, scene_idx_map,
@@ -138,8 +139,8 @@ class TestComposedPipeline:
             e_in = assemble_input(bundle.e_other, bundle.e_user, san_out.vec,
                                   e_target, e_cfr)
             sel = expert_selector(bundle.e_user, san_out.vec, params.aem)
-            aeg_outs = [expert(e_in) for expert in params.aem.aeg]
-            seg_outs = [expert(e_in) for expert in params.aem.seg]
+            aeg_outs = params.aem.aeg(e_in)
+            seg_outs = params.aem.seg(e_in)
             yhat = decide(e_in, seg_outs, aeg_outs, sel.w, params.head)
         assert got == pytest.approx(float(yhat.data[0, 0]), abs=1e-10)
 

@@ -28,7 +28,7 @@ class TestSanForward:
         e_t = Tensor(rng.normal(size=(1, 3)))
         e_s = Tensor(rng.normal(size=(1, 3)))
         mlp = _random_mlp(rng, 4 + 9, (8,))
-        out = san_forward(e_u, e_t, [e_s], mlp)
+        out = san_forward(e_u, e_t, e_s, mlp)
         np.testing.assert_allclose(out.weights.data, [[1.0]], atol=1e-15)
         np.testing.assert_allclose(out.vec.data, e_s.data, atol=1e-15)
 
@@ -37,15 +37,16 @@ class TestSanForward:
         e_u = Tensor(rng.normal(size=(1, 4)))
         e_t = Tensor(rng.normal(size=(1, 3)))
         e_s = Tensor(rng.normal(size=(1, 3)))
-        twin = Tensor(e_s.data.copy())
+        twins = Tensor(np.concatenate([e_s.data, e_s.data]))
         mlp = _random_mlp(rng, 4 + 9, (8,))
-        out = san_forward(e_u, e_t, [e_s, twin], mlp)
+        out = san_forward(e_u, e_t, twins, mlp)
         np.testing.assert_allclose(out.weights.data, [[0.5, 0.5]], atol=1e-12)
         np.testing.assert_allclose(out.vec.data, e_s.data, atol=1e-12)
 
     def test_empty_similar_list_rejected(self):
         with pytest.raises(ValueError):
-            san_forward(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), [],
+            san_forward(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
+                        Tensor(np.zeros((0, 2))),
                         _random_mlp(np.random.default_rng(2), 8, ()))
 
     def test_hand_computed_oracle_one_hidden_unit(self):
@@ -68,8 +69,8 @@ class TestSanForward:
         s_manual = exp / exp.sum()
         vec_manual = s_manual[0] * sims[0] + s_manual[1] * sims[1]
 
-        out = san_forward(Tensor(e_u), Tensor(e_t),
-                          [Tensor(s) for s in sims], mlp)
+        out = san_forward(Tensor(e_u), Tensor(e_t), Tensor(np.concatenate(sims)),
+                          mlp)
         np.testing.assert_allclose(out.weights.data[0], s_manual, atol=1e-12)
         np.testing.assert_allclose(out.vec.data, vec_manual, atol=1e-12)
 
@@ -77,7 +78,7 @@ class TestSanForward:
         rng = np.random.default_rng(3)
         e_u = Tensor(rng.normal(size=(7, 4)))
         e_t = Tensor(rng.normal(size=(7, 3)))
-        sims = [Tensor(rng.normal(size=(7, 3))) for _ in range(4)]
+        sims = Tensor(rng.normal(size=(4, 3)))
         out = san_forward(e_u, e_t, sims, _random_mlp(rng, 4 + 9, (8, 4)))
         np.testing.assert_allclose(out.weights.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out.weights.data > 0) and np.all(out.weights.data < 1)
@@ -86,11 +87,11 @@ class TestSanForward:
         rng = np.random.default_rng(4)
         e_u = Tensor(rng.normal(size=(2, 4)))
         e_t = Tensor(rng.normal(size=(2, 3)))
-        sims = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
+        sims = rng.normal(size=(3, 3))
         mlp = _random_mlp(rng, 4 + 9, (8,))
-        base = san_forward(e_u, e_t, sims, mlp)
+        base = san_forward(e_u, e_t, Tensor(sims), mlp)
         for perm in itertools.permutations(range(3)):
-            out = san_forward(e_u, e_t, [sims[i] for i in perm], mlp)
+            out = san_forward(e_u, e_t, Tensor(sims[list(perm)]), mlp)
             np.testing.assert_allclose(out.weights.data,
                                        base.weights.data[:, list(perm)],
                                        atol=1e-12)
@@ -100,8 +101,7 @@ class TestSanForward:
         rng = np.random.default_rng(5)
         e_u = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         e_t = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
-        sims = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
-                for _ in range(3)]
+        sims = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
         mlp = _random_mlp(rng, 3 + 6, (6,))
         w = rng.normal(size=(2, 2))
 
@@ -110,8 +110,7 @@ class TestSanForward:
             return ad.sum_all(ad.mul(out.vec, Tensor(w)))
 
         backward(build())
-        checks = [("e_u", e_u), ("e_t", e_t)]
-        checks += [(f"sim{i}", s) for i, s in enumerate(sims)]
+        checks = [("e_u", e_u), ("e_t", e_t), ("sims", sims)]
         checks += mlp.named_parameters("mlp")
         for name, t in checks:
             numeric = finite_difference(lambda: build().item(), t)

@@ -2,13 +2,17 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_train_config
 from swan.model import predict_scores
 from swan.serialize import MAGIC, load_model, save_model
+from swan.srg import SceneRelationGraph
 from swan.training import baseline_dnn, train
 
 
@@ -19,7 +23,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(out.params, path, graph=graph)
         assert path.read_bytes()[:8] == MAGIC
-        assert MAGIC == b"SWANMDL2"
+        assert MAGIC == b"SWANMDL3"
 
     def test_round_trip_predictions_identical(self, tmp_path, tiny_data):
         result, graph = tiny_data
@@ -64,6 +68,29 @@ class TestModelFile:
         with pytest.raises(ValueError, match="magic"):
             load_model(path)
 
+    def test_previous_format_rejected(self, tmp_path):
+        # SWANMDL2 files hold one tensor per expert; they are not read.
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"SWANMDL2" + b"\x00" * 64)
+        with pytest.raises(ValueError, match="magic"):
+            load_model(path)
+
+    def test_stacked_expert_manifest(self, tmp_path, tiny_data):
+        result, graph = tiny_data
+        config = tiny_train_config(epochs=1)
+        out = train(result.train, graph, config)
+        path = tmp_path / "model.bin"
+        save_model(out.params, path, graph=graph)
+        data = path.read_bytes()
+        (length,) = struct.unpack(">Q", data[8:16])
+        shapes = {m["name"]: m["shape"]
+                  for m in json.loads(data[16:16 + length])["params"]}
+        n, h, d = config.model.n_aeg, config.model.expert_hidden[0], config.model.expert_dim
+        assert shapes["aeg.layer0.w"][1] == n * h
+        assert shapes["aeg.layer1.w"] == [n * h, d]
+        assert shapes["aeg.layer1.b"] == [n * d]
+        assert not any(name.startswith("aeg.0.") for name in shapes)
+
 
 def _dnn_file(tmp_path, tiny_data):
     out = baseline_dnn(tiny_data[0].train, tiny_train_config(epochs=1))
@@ -98,3 +125,109 @@ class TestMalformedFile:
         with pytest.raises(ValueError,
                            match="model.bin: truncated parameter payload"):
             load_model(path)
+
+    @pytest.mark.parametrize("header", [{}, {"kind": "swan"}, [], "swan", 3,
+                                        None])
+    def test_malformed_header_names_file(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob)
+        with pytest.raises(ValueError, match="model.bin: model header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("params", {"emb.x": [1]}), ("params", [["emb.x", [1]]]),
+        ("params", [{"name": "emb.x", "shape": [-1]}]), ("seed", "0"),
+        ("config", []), ("schema", {}), ("scene_ids", [1, 2]),
+        ("graph", []), ("kind", None)])
+    def test_badly_typed_field_names_file(self, tmp_path, tiny_data, field, value):
+        path, data, end = _dnn_file(tmp_path, tiny_data)
+        header = json.loads(data[16:end])
+        header[field] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob + data[end:])
+        with pytest.raises(ValueError, match="model.bin: "):
+            load_model(path)
+
+    def test_graph_with_unknown_scenes_names_file_and_scenes(self, tmp_path, tiny_data):
+        result, graph = tiny_data
+        out = train(result.train, graph, tiny_train_config(epochs=1))
+        stray = next(iter(graph.profiles.values()))
+        wider = SceneRelationGraph(
+            profiles={**graph.profiles,
+                      "ghost_a": replace(stray, scene_id="ghost_a"),
+                      "ghost_b": replace(stray, scene_id="ghost_b")},
+            edges=graph.edges, key_features=graph.key_features,
+            buckets=graph.buckets, boundaries=graph.boundaries,
+            cc_threshold=graph.cc_threshold)
+        path = tmp_path / "model.bin"
+        save_model(out.params, path, graph=wider)
+        with pytest.raises(ValueError,
+                           match=r"model.bin: the graph has 2 scene\(s\) the model "
+                                 r"does not know: 'ghost_a', 'ghost_b'"):
+            load_model(path)
+
+
+# JSON values; integers stay small, so that no fuzzed size allocates much.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e3, 1e3)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+
+
+def _replace_at(obj, data):
+    """A copy of `obj` with one value somewhere inside replaced by fuzz."""
+    if isinstance(obj, dict) and obj and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(obj)))
+        return {**obj, key: _replace_at(obj[key], data)}
+    if isinstance(obj, list) and obj and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(obj) - 1))
+        return obj[:i] + [_replace_at(obj[i], data)] + obj[i + 1:]
+    return data.draw(_JSON)
+
+
+class TestLoaderFuzz:
+    """load_model raises only ValueError, whatever follows the magic."""
+
+    @pytest.fixture(scope="class")
+    def model_file(self, tmp_path_factory, tiny_data):
+        result, graph = tiny_data
+        out = train(result.train, graph, tiny_train_config(epochs=1))
+        path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+        save_model(out.params, path, graph=graph)
+        data = path.read_bytes()
+        (length,) = struct.unpack(">Q", data[8:16])
+        return path, json.loads(data[16:16 + length]), data[16 + length:]
+
+    @staticmethod
+    def _load(path, header, payload: bytes):
+        blob = json.dumps(header).encode("utf-8", "surrogatepass")
+        path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob + payload)
+        try:
+            load_model(path)
+        except ValueError:
+            pass
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_value_replaced(self, model_file, data):
+        path, header, payload = model_file
+        key = data.draw(st.sampled_from(sorted(header)))
+        self._load(path, {**header, key: _replace_at(header[key], data)}, payload)
+
+    @given(header=_JSON, payload=st.binary(max_size=32))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_header(self, model_file, header, payload):
+        self._load(model_file[0], header, payload)
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_after_magic(self, model_file, tail):
+        path = model_file[0]
+        path.write_bytes(MAGIC + tail)
+        try:
+            load_model(path)
+        except ValueError:
+            pass

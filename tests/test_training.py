@@ -65,6 +65,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="missing from the graph"):
             train(result.train, partial_graph, tiny_train_config())
 
+    def test_graph_scene_missing_from_training_set_rejected(self, tiny_data):
+        # Every graph scene can be retrieved as a neighbour, and a neighbour
+        # needs a trained scene embedding and cross-scene tables.
+        result, graph = tiny_data
+        dropped = graph.scene_ids[:2]
+        subset = Dataset([ex for ex in result.train if ex.scene_id not in dropped],
+                         schema=result.schema)
+        pattern = (r"train: the graph has 2 scene\(s\) the model does not "
+                   rf"know: '{dropped[0]}', '{dropped[1]}'")
+        with pytest.raises(ValueError, match=pattern):
+            train(subset, graph, tiny_train_config(epochs=1))
+
     def test_trained_model_beats_chance_in_sample(self, tiny_data):
         result, graph = tiny_data
         config = tiny_train_config(epochs=6, lr=2e-2)
