@@ -13,8 +13,9 @@ an analytic backward, and state the block layout they expect.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,39 +83,17 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars become constant tensors of the same shape.
-    def __add__(self, other):
-        return add(self, _lift(other, self.shape))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.shape))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(value, shape) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.full(shape, float(value)))
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's gradient.
+
+    Gradients are never written in place: the first one a tensor gets is
+    kept as given, without a copy, and each later one makes a new sum. So
+    one array may be the gradient of several tensors (an `add` hands the
+    same g to both operands), and a view of another tensor's gradient.
+    """
     if t._grad is None:
-        t._grad = np.array(g, dtype=np.float64, copy=True)
+        t._grad = np.asarray(g, dtype=np.float64)
     else:
         t._grad = t._grad + g
 
@@ -223,6 +202,11 @@ def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
             _accumulate(v, (c.data[:, :, None] * g[:, None, :]).reshape(batch, n * d))
 
     return _record((c.data[:, :, None] * vs).sum(axis=1), (c, v), backward_fn)
+
+
+def sum_blocks(v: Tensor, n: int) -> Tensor:
+    """Sum of the n column blocks of v in block order: `mix` by ones."""
+    return mix(Tensor(np.ones((v.shape[0], n))), v, n)
 
 
 def abs_cos_pairs(v: Tensor, n: int) -> Tensor:
@@ -443,22 +427,29 @@ def repeat_cols(x: Tensor, times: int) -> Tensor:
 
 
 def rows(table: Tensor, indices) -> Tensor:
-    """Gather rows of a [V, d] table; backward scatter-adds into the rows."""
+    """Gather rows of a [V, d] table; backward scatter-adds into the rows.
+
+    A flat array of n indices gives [n, d]. A [B, k] index matrix gives
+    [B, k*d]: row b holds the k rows of index row b side by side, so one
+    op looks up a row batch's k embeddings as k column blocks.
+    """
     if table.data.ndim != 2:
         raise DimensionError(f"rows needs a 2-D table, got {table.shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError(f"rows needs a flat index array, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise DimensionError(f"rows needs a 1-D or 2-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"rows: index out of range [0, {table.shape[0]})")
+    d = table.shape[1]
 
     def backward_fn(g: np.ndarray) -> None:
         if table.requires_grad:
             full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
+            np.add.at(full, idx, g.reshape(*idx.shape, d))
             _accumulate(table, full)
 
-    return _record(table.data[idx], (table,), backward_fn)
+    out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
+    return _record(out, (table,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +489,3 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     return {t: t.grad for t in nodes if t.requires_grad and not t._parents}
 
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()

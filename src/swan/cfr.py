@@ -1,9 +1,9 @@
 """Cross-scene Feature Representation.
 
-Each known scene owns a private embedding table set over the scene
-features. For a target scene, the similar scenes' table sets are applied
-to the target's own feature values and mixed with the attention weights,
-supplementing the (possibly cold) target-scene embedding.
+Each known scene owns private embedding rows for the scene features. For
+a target scene, the similar scenes' rows are applied to the target's own
+feature values and mixed with the attention weights, supplementing the
+(possibly cold) target-scene embedding.
 """
 
 from __future__ import annotations
@@ -14,35 +14,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
-from .features import ConfigError, EmbeddingTable
+from .features import EmbeddingSet
 
 
-def cfr_forward(weights: Tensor, scene_feature_idx: Mapping[str, np.ndarray],
-                cfr_tables: Mapping[str, Mapping[str, EmbeddingTable]],
-                similar_ids: Sequence[str]) -> Tensor:
+def cfr_forward(weights: Tensor, feature_idx: Mapping[str, np.ndarray],
+                embeddings: EmbeddingSet, similar_ids: Sequence[str]) -> Tensor:
     """Similarity-weighted per-scene embeddings of the target's features.
 
-    `weights` is [B, I] aligned with `similar_ids`; each id's table set is
-    applied to the target-scene feature indices (summed over the scene
-    features), and the I sums are mixed with the attention weights in one
-    op. The tables stay per scene: one stacked table would make every
-    step's dense embedding gradient grow with the number of scenes.
+    `weights` is [B, I] aligned with `similar_ids`. One gather takes,
+    for every scene feature and similar scene, the scene's private row
+    of the target's code from `embeddings.cfr`; the F feature blocks are
+    summed per scene and the I sums mixed with the attention weights.
     """
     similar_ids = list(similar_ids)
     if weights.shape[-1] != len(similar_ids):
         raise DimensionError(
             f"cfr_forward: {weights.shape[-1]} weights for {len(similar_ids)} scenes")
-    sums = []
-    for sid in similar_ids:
-        if sid not in cfr_tables:
-            raise ConfigError(f"no cross-scene table set for scene {sid!r}")
-        tables = cfr_tables[sid]
-        emb = None
-        for name in sorted(tables):
-            part = tables[name].lookup(scene_feature_idx[name])
-            emb = part if emb is None else ad.add(emb, part)
-        sums.append(emb)
-    return ad.mix(weights, ad.concat(sums), len(sums))
+    rows = embeddings.cfr_rows(feature_idx, similar_ids)         # [B, F*I]
+    per_feature = ad.rows(embeddings.cfr, rows)                   # F blocks of I*d
+    sums = ad.sum_blocks(per_feature, len(embeddings.cfr_offsets))  # I blocks of d
+    return ad.mix(weights, sums, len(similar_ids))
 
 
 def assemble_input(e_other: Tensor, e_user: Tensor, vec_san: Tensor,

@@ -1,4 +1,4 @@
-"""Feature schema, dataset ingestion and embedding tables.
+"""Feature schema, dataset ingestion and the embedding store.
 
 Dataset files are UTF-8 JSON lines with keys `user`, `item`, `scene_id`
 and `label`. Features whose group is `user` are read from the `user`
@@ -56,6 +56,8 @@ class Feature:
     boundaries: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"feature name {self.name!r} is not a string")
         if self.kind not in KINDS:
             raise SchemaError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.group not in GROUPS:
@@ -317,113 +319,120 @@ def write_dataset(examples: Iterable[Example], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# embedding tables
+# embedding store
 
 
-class EmbeddingTable:
-    """Learnable [rows, dim] matrix; the last row is reserved for OOV lookups."""
+def _stacked_offsets(features: Sequence[Feature]) -> tuple[dict[str, int], int]:
+    """Each feature's first row when the features' rows are stacked in
+    order, and the number of rows they take."""
+    offsets, total = {}, 0
+    for f in features:
+        offsets[f.name] = total
+        total += f.num_indices
+    return offsets, total
 
-    def __init__(self, weights: Tensor):
-        self.weights = weights
 
-    @classmethod
-    def create(cls, rng: np.random.Generator, num_rows: int, dim: int,
-               init_scale: float = 0.05) -> "EmbeddingTable":
-        w = rng.uniform(-init_scale, init_scale, size=(num_rows, dim))
-        return cls(Tensor(w, requires_grad=True))
-
-    @property
-    def num_rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    def lookup(self, indices) -> Tensor:
-        return ad.rows(self.weights, np.atleast_1d(indices))
+def _uniform_rows(rng: np.random.Generator, num_rows: int, dim: int) -> Tensor:
+    return Tensor(rng.uniform(-0.05, 0.05, size=(num_rows, dim)), requires_grad=True)
 
 
 class EmbeddingSet:
-    """Shared feature tables plus the scene-identifier table.
+    """Every embedding row of a model, in at most two parameter tensors.
 
-    The scene vocabulary maps known scene ids to rows; unknown scenes hit
-    the reserved last row.
+    `table` is [ΣV + S + 1, d]: the rows of each schema feature in schema
+    order (code c of feature f is row `offsets[f] + c`; a categorical
+    feature's last row is its OOV row), then one row per known scene id
+    in sorted order, then the row that every unknown scene shares. `cfr`,
+    which only the full model has, is [S·V_s, d]: each known scene's
+    private rows for the scene features, code c of scene feature f for
+    the scene with vocabulary index j at row `j·V_s + cfr_offsets[f] + c`.
+    This class is the only code that knows the layout: callers hand it
+    codes and get the row indices to gather with `autodiff.rows`.
     """
 
-    def __init__(self, schema: FeatureSchema, dim: int,
-                 feature_tables: dict[str, EmbeddingTable],
-                 scene_table: EmbeddingTable, scene_vocab: dict[str, int]):
+    def __init__(self, schema: FeatureSchema, table: Tensor,
+                 scene_vocab: dict[str, int], cfr: Tensor | None = None):
         self.schema = schema
-        self.dim = dim
-        self.feature_tables = feature_tables
-        self.scene_table = scene_table
+        self.table = table
+        self.cfr = cfr
         self.scene_vocab = scene_vocab
+        self.offsets, self.scene_offset = _stacked_offsets(schema)
+        self.cfr_offsets, self.cfr_width = _stacked_offsets(schema.scene_features)
 
     @classmethod
     def create(cls, rng: np.random.Generator, schema: FeatureSchema,
-               scene_ids: Sequence[str], dim: int) -> "EmbeddingSet":
-        tables = {f.name: EmbeddingTable.create(rng, f.num_indices, dim) for f in schema}
-        vocab = {sid: i for i, sid in enumerate(sorted(scene_ids))}
-        scene_table = EmbeddingTable.create(rng, len(vocab) + 1, dim)
-        return cls(schema, dim, tables, scene_table, vocab)
+               scene_ids: Sequence[str], dim: int,
+               cfr: bool = False) -> "EmbeddingSet":
+        """Seeded tables, each drawn in one uniform draw of its full size;
+        the cross-scene table, if asked for, after the shared one."""
+        vocab = {sid: i for i, sid in enumerate(sorted(set(scene_ids)))}
+        table = _uniform_rows(rng, _stacked_offsets(schema)[1] + len(vocab) + 1, dim)
+        cfr_rows = len(vocab) * _stacked_offsets(schema.scene_features)[1]
+        cfr_table = _uniform_rows(rng, cfr_rows, dim) if cfr else None
+        return cls(schema, table, vocab, cfr_table)
 
     def scene_index(self, scene_id: str) -> int:
         return self.scene_vocab.get(scene_id, len(self.scene_vocab))
 
-    def table(self, name: str) -> EmbeddingTable:
-        try:
-            return self.feature_tables[name]
-        except KeyError:
-            raise ConfigError(f"no embedding table for feature {name!r}") from None
+    def rows(self, idx: dict[str, np.ndarray], scene_idx: np.ndarray,
+             cols: Sequence[Feature | None]) -> np.ndarray:
+        """[B, len(cols)] row indices into `table` for a batch of B rows.
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"emb.{f.name}", self.feature_tables[f.name].weights)
-               for f in self.schema]
-        out.append(("emb.scene_id", self.scene_table.weights))
+        An entry of `cols` is a schema feature, whose column holds the
+        rows of its codes in `idx`, or None, whose column holds the rows
+        of the scene indices `scene_idx` (from `scene_index`).
+        """
+        out = np.empty((len(scene_idx), len(cols)), dtype=np.int64)
+        for j, feat in enumerate(cols):
+            if feat is None:
+                out[:, j] = self.scene_offset + scene_idx
+            elif feat.name in self.offsets:
+                out[:, j] = self.offsets[feat.name] + idx[feat.name]
+            else:
+                raise ConfigError(f"no embedding rows for feature {feat.name!r}")
         return out
+
+    def scene_rows(self, scene_ids: Sequence[str]) -> np.ndarray:
+        """Row indices into `table` of known scene ids, in order."""
+        return np.array([self.scene_offset + self.scene_vocab[sid]
+                         for sid in scene_ids], dtype=np.int64)
+
+    def cfr_rows(self, idx: dict[str, np.ndarray],
+                 scene_ids: Sequence[str]) -> np.ndarray:
+        """[B, F·I] row indices into `cfr`: column f·I + i holds the rows
+        of scene feature f's codes in the private rows of scene_ids[i]."""
+        unknown = [sid for sid in scene_ids if sid not in self.scene_vocab]
+        if unknown:
+            raise ConfigError(f"no cross-scene rows for scene {unknown[0]!r}")
+        bases = self.cfr_width * np.array([self.scene_vocab[sid] for sid in scene_ids],
+                                          dtype=np.int64)
+        return np.concatenate([(self.cfr_offsets[f.name] + idx[f.name])[:, None] + bases
+                               for f in self.schema.scene_features], axis=1)
 
 
 @dataclass
 class EmbeddingBundle:
     """Grouped embeddings of a row batch of examples."""
 
-    e_user: Tensor
-    e_scene_id: Tensor
-    e_scene_attr: Tensor
-    e_other: Tensor
-
-
-def _concat_features(idx: dict[str, np.ndarray], feats: Sequence[Feature],
-                     tables: EmbeddingSet, batch: int) -> Tensor:
-    if not feats:
-        return Tensor(np.zeros((batch, 0)))
-    return ad.concat([tables.table(f.name).lookup(idx[f.name]) for f in feats])
-
-
-def _sum_features(idx: dict[str, np.ndarray], feats: Sequence[Feature],
-                  tables: EmbeddingSet, batch: int) -> Tensor:
-    if not feats:
-        return Tensor(np.zeros((batch, tables.dim)))
-    parts = [tables.table(f.name).lookup(idx[f.name]) for f in feats]
-    out = parts[0]
-    for p in parts[1:]:
-        out = ad.add(out, p)
-    return out
+    e_user: Tensor    # [B, U*d], the user features side by side
+    e_target: Tensor  # [B, d], scene id plus scene features
+    e_other: Tensor   # [B, O*d], the item and other features side by side
 
 
 def embed_indices(idx: dict[str, np.ndarray], scene_idx: np.ndarray,
                   tables: EmbeddingSet, schema: FeatureSchema) -> EmbeddingBundle:
-    """Batched embedding lookup over pre-encoded index arrays.
+    """Batched embedding lookup over pre-encoded index arrays, one gather
+    per group, its columns in `schema` order.
 
-    The scene-attribute embedding is the sum of the scene-group feature
-    embeddings so that it matches the scene-identifier width.
+    The target-scene embedding sums the scene-feature embeddings and the
+    scene-id embedding, so that it keeps the scene-identifier width.
     """
-    batch = len(scene_idx)
-    return EmbeddingBundle(
-        e_user=_concat_features(idx, schema.user_features, tables, batch),
-        e_scene_id=tables.scene_table.lookup(scene_idx),
-        e_scene_attr=_sum_features(idx, schema.scene_features, tables, batch),
-        e_other=_concat_features(idx, schema.other_features, tables, batch),
-    )
+    def gather(cols):
+        return ad.rows(tables.table, tables.rows(idx, scene_idx, cols))
 
+    target = [*schema.scene_features, None]
+    return EmbeddingBundle(
+        e_user=gather(schema.user_features),
+        e_target=ad.sum_blocks(gather(target), len(target)),
+        e_other=gather(schema.other_features),
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,18 +38,3 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())
 
-
-def check_gradients(loss_fn: Callable[[], float],
-                    tensors: Sequence[tuple[str, Tensor]],
-                    step: float = 1e-5) -> dict[str, float]:
-    """Compare each tensor's accumulated .grad against finite differences.
-
-    Returns the max relative error per tensor name; the caller decides
-    the tolerance.
-    """
-    errors = {}
-    for name, t in tensors:
-        numeric = finite_difference(loss_fn, t, step=step)
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        errors[name] = max_rel_error(analytic, numeric)
-    return errors

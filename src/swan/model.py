@@ -19,9 +19,8 @@ from . import autodiff as ad
 from .aem import AemParams, aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (ConfigError, EmbeddingSet, EmbeddingTable, Example,
-                       FeatureSchema, SchemaError, embed_indices,
-                       encode_example)
+from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
+                       SchemaError, embed_indices, encode_example)
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import SanOutput, san_forward
@@ -109,13 +108,11 @@ class SwanParams:
     kind = "swan"
 
     def __init__(self, config: ModelConfig, schema: FeatureSchema,
-                 embeddings: EmbeddingSet,
-                 cfr_tables: dict[str, dict[str, EmbeddingTable]],
-                 san_mlp: MLP, aem: AemParams, head: HeadParams, seed: int):
+                 embeddings: EmbeddingSet, san_mlp: MLP, aem: AemParams,
+                 head: HeadParams, seed: int):
         self.config = config
         self.schema = schema
         self.embeddings = embeddings
-        self.cfr_tables = cfr_tables
         self.san_mlp = san_mlp
         self.aem = aem
         self.head = head
@@ -126,10 +123,7 @@ class SwanParams:
         return set(self.embeddings.scene_vocab)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self.embeddings.named_parameters())
-        for sid in sorted(self.cfr_tables):
-            for name in sorted(self.cfr_tables[sid]):
-                out.append((f"cfr.{sid}.{name}", self.cfr_tables[sid][name].weights))
+        out = [("emb", self.embeddings.table), ("cfr", self.embeddings.cfr)]
         out.extend(self.san_mlp.named_parameters("san"))
         out.extend(self.aem.prob_mlp.named_parameters("selector.prob"))
         out.extend(self.aem.thre_mlp.named_parameters("selector.thre"))
@@ -147,18 +141,13 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
                      config: ModelConfig, seed: int = 0) -> SwanParams:
     """Seeded initialization of all tables and MLPs.
 
-    Cross-scene table sets are created for every known scene up front,
-    which bounds memory to the observed scenes and keeps initialization
+    Cross-scene rows are created for every known scene up front, which
+    bounds memory to the observed scenes and keeps initialization
     deterministic.
     """
     rng = np.random.default_rng(seed)
     d = config.embed_dim
-    embeddings = EmbeddingSet.create(rng, schema, scene_ids, d)
-    cfr_tables = {
-        sid: {f.name: EmbeddingTable.create(rng, f.num_indices, d)
-              for f in schema.scene_features}
-        for sid in sorted(scene_ids)
-    }
+    embeddings = EmbeddingSet.create(rng, schema, scene_ids, d, cfr=True)
     d_user = len(schema.user_features) * d
     d_other = len(schema.other_features) * d
     d_in = d_other + d_user + 2 * d
@@ -176,8 +165,7 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
         gate_mlp=MLP.create(rng, d_in, (), config.n_seg + config.n_aeg),
         final_mlp=MLP.create(rng, config.expert_dim, config.final_hidden, 1),
     )
-    return SwanParams(config, schema, embeddings, cfr_tables, san_mlp, aem,
-                      head, seed)
+    return SwanParams(config, schema, embeddings, san_mlp, aem, head, seed)
 
 
 class DnnParams:
@@ -198,7 +186,7 @@ class DnnParams:
         return set(self.embeddings.scene_vocab)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self.embeddings.named_parameters())
+        out = [("emb", self.embeddings.table)]
         out.extend(self.tower.named_parameters("tower"))
         return out
 
@@ -302,32 +290,28 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
     the model degrades to scene-attribute-only inputs.
     """
     cfg = params.config
-    schema = params.schema
     d = cfg.embed_dim
     n_rows = len(batch.scene_idx)
-    bundle = embed_indices(batch.feature_idx, batch.scene_idx,
-                           params.embeddings, schema)
-    e_target = ad.add(bundle.e_scene_id, bundle.e_scene_attr)
+    emb = params.embeddings
+    bundle = embed_indices(batch.feature_idx, batch.scene_idx, emb, params.schema)
 
     san_out = None
     if batch.neighbor_ids:
-        vocab = params.embeddings.scene_vocab
-        e_similar = params.embeddings.scene_table.lookup(
-            np.array([vocab[sid] for sid in batch.neighbor_ids]))
-        san_out = san_forward(bundle.e_user, e_target, e_similar, params.san_mlp)
+        e_similar = ad.rows(emb.table, emb.scene_rows(batch.neighbor_ids))
+        san_out = san_forward(bundle.e_user, bundle.e_target, e_similar,
+                              params.san_mlp)
         vec_san = san_out.vec
     else:
         vec_san = Tensor(np.zeros((n_rows, d)))
 
     if cfg.flags.cfr and batch.neighbor_ids:
-        scene_feature_idx = {f.name: batch.feature_idx[f.name]
-                             for f in schema.scene_features}
-        e_cfr = cfr_forward(san_out.weights, scene_feature_idx,
-                            params.cfr_tables, batch.neighbor_ids)
+        e_cfr = cfr_forward(san_out.weights, batch.feature_idx, emb,
+                            batch.neighbor_ids)
     else:
         e_cfr = Tensor(np.zeros((n_rows, d)))
 
-    e_in = assemble_input(bundle.e_other, bundle.e_user, vec_san, e_target, e_cfr)
+    e_in = assemble_input(bundle.e_other, bundle.e_user, vec_san, bundle.e_target,
+                          e_cfr)
 
     if cfg.flags.aem:
         w = expert_selector(bundle.e_user, vec_san, params.aem).w
@@ -342,17 +326,14 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
 
 
 def dnn_forward(params: DnnParams, batch: PreparedBatch) -> Tensor:
-    """Baseline forward: all embeddings concatenated into one tower."""
+    """Baseline forward: every embedding side by side, one gather, into
+    one tower."""
     schema = params.schema
-    bundle = embed_indices(batch.feature_idx, batch.scene_idx,
-                           params.embeddings, schema)
-    parts = [bundle.e_other, bundle.e_user, bundle.e_scene_id]
-    scene_feats = schema.scene_features
-    if scene_feats:
-        attr = ad.concat([params.embeddings.table(f.name).lookup(
-            batch.feature_idx[f.name]) for f in scene_feats])
-        parts.append(attr)
-    return ad.sigmoid(params.tower(ad.concat(parts)))
+    emb = params.embeddings
+    cols = [*schema.other_features, *schema.user_features, None,
+            *schema.scene_features]
+    x = ad.rows(emb.table, emb.rows(batch.feature_idx, batch.scene_idx, cols))
+    return ad.sigmoid(params.tower(x))
 
 
 # ---------------------------------------------------------------------------

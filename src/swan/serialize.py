@@ -1,6 +1,6 @@
 """Versioned binary model files.
 
-Layout: 8-byte magic "SWANMDL3", a big-endian uint64 header length, a
+Layout: 8-byte magic "SWANMDL4", a big-endian uint64 header length, a
 UTF-8 JSON header (kind, config, schema, scene ids, graph, parameter
 manifest), then the raw little-endian float64 parameter buffers in
 manifest order. Serialization is byte-deterministic for identical
@@ -20,7 +20,7 @@ from .model import (DnnParams, ModelConfig, SwanParams, check_graph_scenes,
                     init_dnn_params, init_swan_params)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
-MAGIC = b"SWANMDL3"
+MAGIC = b"SWANMDL4"
 
 
 def save_model(params: SwanParams | DnnParams, path: str,

@@ -9,7 +9,7 @@ fixed reduction order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -269,11 +269,7 @@ def _require_schema(dataset, schema) -> FeatureSchema:
 def baseline_dnn(dataset: Sequence[Example], config: TrainConfig,
                  schema: FeatureSchema | None = None) -> TrainResult:
     """Single-tower baseline on the same embeddings, cross-entropy only."""
-    cfg = TrainConfig(model=config.model, model_kind="dnn", lr=config.lr,
-                      beta1=config.beta1, beta2=config.beta2,
-                      adam_eps=config.adam_eps, batch_size=config.batch_size,
-                      epochs=config.epochs, seed=config.seed, loss=config.loss)
-    return train(dataset, None, cfg, schema=schema)
+    return train(dataset, None, replace(config, model_kind="dnn"), schema=schema)
 
 
 # ---------------------------------------------------------------------------

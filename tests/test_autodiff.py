@@ -101,6 +101,22 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             ad.rows(table, [4])
 
+    def test_rows_index_matrix_lays_rows_side_by_side(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        out = ad.rows(table, [[2, 0], [1, 1]])
+        np.testing.assert_array_equal(out.data, [[6.0, 7.0, 8.0, 0.0, 1.0, 2.0],
+                                                 [3.0, 4.0, 5.0, 3.0, 4.0, 5.0]])
+        assert ad.rows(table, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+        with pytest.raises(ValueError):
+            ad.rows(table, [[0, 4]])
+        with pytest.raises(DimensionError):
+            ad.rows(table, np.zeros((1, 1, 1), dtype=np.int64))
+
+    def test_sum_blocks_adds_blocks_in_order(self):
+        v = np.arange(12.0).reshape(2, 6)
+        out = ad.sum_blocks(Tensor(v), 3)
+        np.testing.assert_array_equal(out.data, (v[:, :2] + v[:, 2:4]) + v[:, 4:])
+
 
 class TestBackward:
     def test_square_gradient(self):
@@ -164,6 +180,18 @@ class TestBackward:
         backward(ad.sum_all(ad.concat([a, b])))
         np.testing.assert_array_equal(a.grad, np.ones(3))
         np.testing.assert_array_equal(b.grad, np.ones(2))
+
+    def test_operands_of_one_add_keep_independent_gradients(self):
+        # Both operands of the inner add first get the one array it hands
+        # down; a then accumulates more, which must not reach b or s.
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        scaled = ad.scale(a, 2.0)
+        s = ad.add(a, b)
+        backward(ad.sum_all(ad.add(scaled, s)))
+        np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(s.grad, np.ones(3))
 
     def test_rows_gradient_hits_only_looked_up_rows(self):
         table = Tensor(np.ones((5, 2)), requires_grad=True)
@@ -242,6 +270,15 @@ class TestFiniteDifferences:
         ]
         build, tensors = cases[seed % len(cases)]
         _fd_check(build, tensors, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_index_matrix(self, seed):
+        # A [B, k] index matrix, repeated rows included, gives [B, k*d].
+        rng = np.random.default_rng(3000 + seed)
+        table = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+        idx = rng.integers(0, 5, size=(4, 3))
+        w = rng.normal(size=(4, 9))
+        _fd_check(lambda: _scalar_loss(ad.rows(table, idx), w), [table], seed)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scalar_chain_ops(self, seed):

@@ -6,16 +6,25 @@ import pytest
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
 from swan.cfr import assemble_input, cfr_forward
-from swan.features import ConfigError, EmbeddingTable
+from swan.features import ConfigError, EmbeddingSet, Feature, FeatureSchema
 
 
 def _tables(rng, scene_ids, feats=("sf0", "sf1"), rows=4, dim=3):
-    return {sid: {f: EmbeddingTable.create(rng, rows, dim) for f in feats}
-            for sid in scene_ids}
+    schema = FeatureSchema([Feature(f, "categorical", "scene", vocab=rows - 1)
+                            for f in feats])
+    return EmbeddingSet.create(rng, schema, scene_ids, dim, cfr=True)
+
+
+def _block(table, tables, sid, f):
+    """Scene `sid`'s private rows of scene feature `f` in an array laid
+    out like `tables.cfr`."""
+    lo = tables.scene_vocab[sid] * tables.cfr_width + tables.cfr_offsets[f]
+    return table[lo:lo + tables.schema[f].num_indices]
 
 
 def _expected_emb(tables, sid, idx):
-    return sum(tables[sid][f].weights.data[idx[f]] for f in sorted(tables[sid]))
+    return sum(_block(tables.cfr.data, tables, sid, f)[idx[f]]
+               for f in sorted(tables.cfr_offsets))
 
 
 class TestCfrForward:
@@ -78,10 +87,22 @@ class TestCfrForward:
         idx = {"sf0": np.array([1]), "sf1": np.array([2])}
         out = cfr_forward(Tensor([[0.4, 0.6]]), idx, tables, ["a", "b"])
         backward(ad.sum_all(out))
+        grad = tables.cfr.grad
         for f in ("sf0", "sf1"):
-            assert np.abs(tables["a"][f].weights.grad).sum() > 0
-            assert np.abs(tables["b"][f].weights.grad).sum() > 0
-            np.testing.assert_array_equal(tables["c"][f].weights.grad, 0.0)
+            assert np.abs(_block(grad, tables, "a", f)).sum() > 0
+            assert np.abs(_block(grad, tables, "b", f)).sum() > 0
+            np.testing.assert_array_equal(_block(grad, tables, "c", f), 0.0)
+
+    def test_rows_follow_the_documented_layout(self):
+        rng = np.random.default_rng(9)
+        tables = _tables(rng, ["b", "a", "c"])
+        idx = {"sf0": np.array([1, 3]), "sf1": np.array([0, 2])}
+        rows = tables.cfr_rows(idx, ["c", "a"])
+        # Column f*I + i: scene feature f (of 4 rows each) of scene ids[i],
+        # whose block starts at its vocabulary index times 8 rows.
+        np.testing.assert_array_equal(rows, [[16 + 1, 0 + 1, 16 + 4, 0 + 4],
+                                             [16 + 3, 0 + 3, 16 + 6, 0 + 6]])
+        assert tables.cfr.shape == (3 * 8, 3)
 
 
 class TestAssembleInput:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swan import autodiff as ad
-from swan.autodiff import backward
+from swan.autodiff import Tensor, backward
 from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
                            FeatureSchema, ParseError, SchemaError,
                            embed_indices, encode_example,
@@ -42,6 +42,14 @@ class TestSchema:
         with pytest.raises(SchemaError):
             FeatureSchema([Feature("x", "categorical", "user", vocab=2),
                            Feature("x", "numeric", "item", boundaries=(1.0,))])
+
+    @pytest.mark.parametrize("name", [None, 3, ["x"]])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(SchemaError, match="is not a string"):
+            Feature(name, "categorical", "user", vocab=2)
+        with pytest.raises(SchemaError, match="is not a string"):
+            FeatureSchema.from_json([{"name": name, "kind": "categorical",
+                                      "group": "scene", "vocab": 2}])
 
     def test_unknown_kind_and_group(self):
         with pytest.raises(SchemaError):
@@ -268,6 +276,12 @@ def _embed_one(example, tables, schema):
     return embed_indices(idx, scene_idx, tables, schema)
 
 
+def _block(table, tables, feat):
+    """Feature `feat`'s rows of an array laid out like `tables.table`."""
+    lo = tables.offsets[feat.name]
+    return table[lo:lo + feat.num_indices]
+
+
 class TestEmbedding:
     def test_user_width_forced_by_schema(self):
         sch = FeatureSchema([Feature("u", "categorical", "user", vocab=3)])
@@ -292,10 +306,13 @@ class TestEmbedding:
         tables = EmbeddingSet.create(rng, schema, ["s1", "s2"], dim=4)
         known = _embed_one(_example(scene="s1"), tables, schema)
         cold = _embed_one(_example(scene="never_seen"), tables, schema)
-        assert not np.array_equal(known.e_scene_id.data, cold.e_scene_id.data)
-        np.testing.assert_array_equal(known.e_scene_attr.data, cold.e_scene_attr.data)
-        np.testing.assert_array_equal(
-            cold.e_scene_id.data[0], tables.scene_table.weights.data[-1])
+        table = tables.table.data
+        attr = _block(table, tables, schema["theme"])[0]
+        assert not np.array_equal(known.e_target.data, cold.e_target.data)
+        # The same scene-attribute row in both, plus each one's id row.
+        np.testing.assert_array_equal(known.e_target.data[0],
+                                      attr + table[tables.scene_offset])
+        np.testing.assert_array_equal(cold.e_target.data[0], attr + table[-1])
 
     def test_embed_is_pure(self, schema):
         rng = np.random.default_rng(3)
@@ -303,8 +320,7 @@ class TestEmbedding:
         one = _embed_one(_example(), tables, schema)
         two = _embed_one(_example(), tables, schema)
         for a, b in ((one.e_user, two.e_user), (one.e_other, two.e_other),
-                     (one.e_scene_id, two.e_scene_id),
-                     (one.e_scene_attr, two.e_scene_attr)):
+                     (one.e_target, two.e_target)):
             assert np.array_equal(a.data, b.data)
 
     def test_gradient_only_in_looked_up_rows(self, schema):
@@ -312,12 +328,12 @@ class TestEmbedding:
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=4)
         ex = _example()
         bundle = _embed_one(ex, tables, schema)
-        loss = ad.sum_all(ad.concat([bundle.e_user, bundle.e_scene_id,
-                                     bundle.e_scene_attr, bundle.e_other]))
+        loss = ad.sum_all(ad.concat([bundle.e_user, bundle.e_target,
+                                     bundle.e_other]))
         backward(loss)
         enc = encode_example(ex, schema)
         for feat in schema:
-            grad = tables.table(feat.name).weights.grad
+            grad = _block(tables.table.grad, tables, feat)
             visited = enc[feat.name]
             for row in range(grad.shape[0]):
                 if row == visited:
@@ -328,7 +344,7 @@ class TestEmbedding:
     def test_missing_table_is_config_error(self, schema):
         rng = np.random.default_rng(5)
         tables = EmbeddingSet.create(rng, schema, ["s1"], dim=4)
-        del tables.feature_tables["brand"]
+        del tables.offsets["brand"]
         with pytest.raises(ConfigError, match="brand"):
             _embed_one(_example(), tables, schema)
 
@@ -341,8 +357,11 @@ class TestEmbedding:
         tables = EmbeddingSet.create(rng, sch12, ["s"], dim=4)
         ex = Example(user={"a": 1, "b": 2}, item={}, scene_id="s", label=0)
         e12 = _embed_one(ex, tables, sch12).e_user.data[0]
-        tables21 = EmbeddingSet(sch21, 4, tables.feature_tables,
-                                tables.scene_table, tables.scene_vocab)
+        # The same rows, laid out in sch21's order.
+        table = tables.table.data
+        table21 = np.concatenate([_block(table, tables, f2), _block(table, tables, f1),
+                                  table[tables.scene_offset:]])
+        tables21 = EmbeddingSet(sch21, Tensor(table21), tables.scene_vocab)
         e21 = _embed_one(ex, tables21, sch21).e_user.data[0]
         np.testing.assert_array_equal(e12[:4], e21[4:])
         np.testing.assert_array_equal(e12[4:], e21[:4])

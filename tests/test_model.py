@@ -16,6 +16,7 @@ from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
                         encode_batch, init_dnn_params, init_swan_params,
                         predict, predict_scores, resolve_neighbors,
                         swan_forward)
+from swan.nn import glorot_uniform
 from swan.san import san_forward
 from swan.srg import build_srg, profile_new_scene, similar_scenes
 
@@ -108,6 +109,48 @@ class TestPredict:
         assert np.all((gates > 0) & (gates < 1))
 
 
+class TestInit:
+    def test_stacked_tables_equal_per_table_draws(self, tiny_data):
+        # The two stacked tables hold, and leave the generator as, the
+        # per-table draws in their old order: one per feature, the scene
+        # ids, then one per known scene and scene feature.
+        result, graph = tiny_data
+        config = tiny_model_config()
+        schema, d = result.schema, config.embed_dim
+        params = init_swan_params(schema, graph.scene_ids, config, seed=3)
+        rng = np.random.default_rng(3)
+
+        def draw(n_rows):
+            return rng.uniform(-0.05, 0.05, size=(n_rows, d))
+
+        table = [draw(f.num_indices) for f in schema]
+        table.append(draw(len(graph.scene_ids) + 1))
+        cfr = [draw(f.num_indices) for _ in sorted(graph.scene_ids)
+               for f in schema.scene_features]
+        emb = params.embeddings
+        np.testing.assert_array_equal(emb.table.data, np.concatenate(table))
+        np.testing.assert_array_equal(emb.cfr.data, np.concatenate(cfr))
+        san_w = params.san_mlp.layers[0].w.data
+        np.testing.assert_array_equal(san_w, glorot_uniform(rng, *san_w.shape))
+        names = [name for name, _ in params.named_parameters()]
+        assert names[:3] == ["emb", "cfr", "san.layer0.w"]
+        assert not any(name.startswith(("emb.", "cfr.")) for name in names)
+
+
+    def test_repeated_scene_ids_count_once(self, tiny_data):
+        # A repeat must not skip a vocabulary index, which would move the
+        # last known scene onto the row that unknown scenes share.
+        result, graph = tiny_data
+        ids = list(graph.scene_ids)
+        once = init_swan_params(result.schema, ids, tiny_model_config(), seed=3)
+        twice = init_swan_params(result.schema, ids[:1] + ids, tiny_model_config(),
+                                 seed=3)
+        assert twice.embeddings.scene_vocab == once.embeddings.scene_vocab
+        assert sorted(once.embeddings.scene_vocab.values()) == list(range(len(ids)))
+        for (name, a), (_, b) in zip(once.named_parameters(), twice.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
 class TestComposedPipeline:
     def test_forward_matches_module_composition(self, tiny_data):
         """predict() must equal the hand-composed module pipeline."""
@@ -122,20 +165,15 @@ class TestComposedPipeline:
         profile = graph.profiles[ex.scene_id]
         neighbor_ids = [sid for sid, _ in similar_scenes(
             graph, profile, k=config.k_neighbors, min_weight=config.min_weight)]
-        idx, scene_idx = encode_batch([ex], params.schema, params.embeddings)
+        emb = params.embeddings
+        idx, scene_idx = encode_batch([ex], params.schema, emb)
         with ad.no_grad():
-            bundle = embed_indices(idx, scene_idx, params.embeddings,
-                                   params.schema)
-            e_target = ad.add(bundle.e_scene_id, bundle.e_scene_attr)
-            e_similar = params.embeddings.scene_table.lookup(
-                np.array([params.embeddings.scene_vocab[sid]
-                          for sid in neighbor_ids]))
+            bundle = embed_indices(idx, scene_idx, emb, params.schema)
+            e_target = bundle.e_target
+            e_similar = ad.rows(emb.table, emb.scene_rows(neighbor_ids))
             san_out = san_forward(bundle.e_user, e_target, e_similar,
                                   params.san_mlp)
-            scene_idx_map = {f.name: idx[f.name]
-                             for f in params.schema.scene_features}
-            e_cfr = cfr_forward(san_out.weights, scene_idx_map,
-                                params.cfr_tables, neighbor_ids)
+            e_cfr = cfr_forward(san_out.weights, idx, emb, neighbor_ids)
             e_in = assemble_input(bundle.e_other, bundle.e_user, san_out.vec,
                                   e_target, e_cfr)
             sel = expert_selector(bundle.e_user, san_out.vec, params.aem)

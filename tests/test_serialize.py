@@ -23,7 +23,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(out.params, path, graph=graph)
         assert path.read_bytes()[:8] == MAGIC
-        assert MAGIC == b"SWANMDL3"
+        assert MAGIC == b"SWANMDL4"
 
     def test_round_trip_predictions_identical(self, tmp_path, tiny_data):
         result, graph = tiny_data
@@ -69,11 +69,13 @@ class TestModelFile:
             load_model(path)
 
     def test_previous_format_rejected(self, tmp_path):
-        # SWANMDL2 files hold one tensor per expert; they are not read.
+        # SWANMDL2 files hold one tensor per expert, SWANMDL3 files one
+        # embedding table per feature and per scene; they are not read.
         path = tmp_path / "old.bin"
-        path.write_bytes(b"SWANMDL2" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_model(path)
+        for magic in (b"SWANMDL2", b"SWANMDL3"):
+            path.write_bytes(magic + b"\x00" * 64)
+            with pytest.raises(ValueError, match="magic"):
+                load_model(path)
 
     def test_stacked_expert_manifest(self, tmp_path, tiny_data):
         result, graph = tiny_data
@@ -90,6 +92,11 @@ class TestModelFile:
         assert shapes["aeg.layer1.w"] == [n * h, d]
         assert shapes["aeg.layer1.b"] == [n * d]
         assert not any(name.startswith("aeg.0.") for name in shapes)
+        schema, d, n_scenes = result.schema, config.model.embed_dim, len(graph.scene_ids)
+        assert shapes["emb"] == [sum(f.num_indices for f in schema) + n_scenes + 1, d]
+        assert shapes["cfr"] == [
+            n_scenes * sum(f.num_indices for f in schema.scene_features), d]
+        assert not any(name.startswith(("emb.", "cfr.")) for name in shapes)
 
 
 def _dnn_file(tmp_path, tiny_data):
@@ -147,6 +154,22 @@ class TestMalformedFile:
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob + data[end:])
         with pytest.raises(ValueError, match="model.bin: "):
+            load_model(path)
+
+    def test_non_string_feature_name_names_file(self, tmp_path, tiny_data):
+        result, graph = tiny_data
+        out = train(result.train, graph, tiny_train_config(epochs=1))
+        path = tmp_path / "model.bin"
+        save_model(out.params, path, graph=graph)
+        data = path.read_bytes()
+        (length,) = struct.unpack(">Q", data[8:16])
+        header = json.loads(data[16:16 + length])
+        header["schema"][-1]["name"] = None
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob
+                         + data[16 + length:])
+        with pytest.raises(ValueError, match="model.bin: bad model header.*"
+                                             "is not a string"):
             load_model(path)
 
     def test_graph_with_unknown_scenes_names_file_and_scenes(self, tmp_path, tiny_data):
