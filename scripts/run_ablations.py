@@ -7,31 +7,22 @@ Usage: python scripts/run_ablations.py [n_seeds] [epochs]
 
 import pathlib
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from swan.datagen import GenConfig, generate
-from swan.head import LossWeights
 from swan.metrics import evaluate
-from swan.model import ComponentFlags, ModelConfig
+from swan.model import ComponentFlags
 from swan.srg import build_srg
-from swan.training import TrainConfig, baseline_dnn, train
+from swan.training import baseline_dnn, train
+from test_acceptance import ABLATIONS, _train_config
 
-MODEL = ModelConfig(embed_dim=8, expert_dim=8, n_aeg=4, n_seg=2, tau=0.02,
-                    k_neighbors=5, san_hidden=(16, 8), expert_hidden=(8,),
-                    selector_hidden=(16, 8), final_hidden=(), dnn_hidden=(16,))
-
-VARIANTS = {
-    "full": ComponentFlags(),
-    "w/o srg": ComponentFlags(srg=False),
-    "w/o aem": ComponentFlags(aem=False),
-    "w/o cfr": ComponentFlags(cfr=False),
-    "w/o loss_var": ComponentFlags(loss_var=False),
-    "w/o loss_cos": ComponentFlags(loss_cos=False),
-}
+VARIANTS = {"full": ComponentFlags(),
+            **{f"w/o {name}": flags for name, flags in ABLATIONS.items()}}
 
 
 def main() -> None:
@@ -43,18 +34,12 @@ def main() -> None:
         graph = build_srg(data.train, data.schema, cc_threshold=0.05,
                           buckets=10)
         for name, flags in VARIANTS.items():
-            cfg = TrainConfig(model=replace(MODEL, flags=flags), epochs=epochs,
-                              batch_size=256, seed=seed, lr=2e-3,
-                              loss=LossWeights(alpha=1.0, beta=1e-3,
-                                               gamma=1e-3))
-            run = train(data.train, graph, cfg)
+            run = train(data.train, graph, _train_config(seed, flags, epochs=epochs))
             report = evaluate(run.params, graph, data.test)
             results[name].append(report.auc_cold_start)
             print(f"seed {seed} {name}: {report.auc_cold_start:.4f}",
                   flush=True)
-        cfg = TrainConfig(model=MODEL, epochs=epochs, batch_size=256,
-                          seed=seed, lr=2e-3)
-        run = baseline_dnn(data.train, cfg)
+        run = baseline_dnn(data.train, _train_config(seed, epochs=epochs))
         report = evaluate(run.params, None, data.test)
         results["dnn baseline"].append(report.auc_cold_start)
         print(f"seed {seed} dnn baseline: {report.auc_cold_start:.4f}",

@@ -219,9 +219,21 @@ def _feature_value(example: Example, feat: Feature):
     return source[feat.name]
 
 
-def encode_example(example: Example, schema: FeatureSchema) -> dict[str, int]:
-    """Encode every schema feature of one example to its table index."""
-    return {f.name: f.encode(_feature_value(example, f)) for f in schema}
+def encode_columns(examples: Sequence[Example],
+                   features: Iterable[Feature]) -> dict[str, np.ndarray]:
+    """Each feature's codes over the examples, as one int64 array per
+    feature name; the only code that turns examples into codes."""
+    return {f.name: np.fromiter((f.encode(_feature_value(ex, f)) for ex in examples),
+                                dtype=np.int64, count=len(examples))
+            for f in features}
+
+
+def group_by_scene(examples: Sequence[Example]) -> dict[str, list[int]]:
+    """Row indices of each scene, scenes by first appearance, rows in order."""
+    groups: dict[str, list[int]] = {}
+    for i, ex in enumerate(examples):
+        groups.setdefault(ex.scene_id, []).append(i)
+    return groups
 
 
 def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,

@@ -83,21 +83,19 @@ def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor | None,
     return ad.sigmoid(params.final_mlp(ad.mix(coeffs, values, n_total)))
 
 
-def ce_loss(labels, predictions: Tensor, n: int | None = None) -> Tensor:
+def ce_loss(labels, predictions: Tensor) -> Tensor:
     """Mean binary cross-entropy; predictions are clamped away from {0, 1}."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     preds = _as_rows(predictions)
     if preds.shape != y.shape:
         preds = ad.reshape(preds, y.shape)
-    if n is None:
-        n = y.shape[0]
     p = ad.clip(preds, _EPS, 1.0 - _EPS)
     y_t = Tensor(y)
     one_minus_y = Tensor(1.0 - y)
     ones = Tensor(np.ones_like(y))
     term = ad.add(ad.mul(y_t, ad.log(p)),
                   ad.mul(one_minus_y, ad.log(ad.sub(ones, p))))
-    return ad.scale(ad.sum_all(term), -1.0 / n)
+    return ad.scale(ad.sum_all(term), -1.0 / y.shape[0])
 
 
 def cos_loss(aeg_outputs: Tensor, n: int) -> Tensor:

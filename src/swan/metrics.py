@@ -14,6 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .features import group_by_scene
+
 
 class UndefinedMetricError(ValueError):
     """The metric is undefined for this input (e.g. single-class labels)."""
@@ -141,9 +143,7 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
     labels = np.array([ex.label for ex in dataset])
     scores = predict_scores(params, graph, dataset)
 
-    by_scene: dict[str, list[int]] = {}
-    for i, ex in enumerate(dataset):
-        by_scene.setdefault(ex.scene_id, []).append(i)
+    by_scene = group_by_scene(dataset)
 
     per_scene: dict[str, float] = {}
     warnings: dict[str, list[str]] = {}

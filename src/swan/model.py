@@ -2,9 +2,9 @@
 
 Two models share the embedding machinery and the autodiff core: the full
 scene-adaptive network and a plain DNN baseline that consumes the scene
-id and attributes as ordinary features. Batches are row matrices; the
-training loop groups examples by scene so one batch shares a single
-similar-scene neighborhood.
+id and attributes as ordinary features. Batches are row matrices;
+`scene_batches`, which training and scoring share, groups rows by scene
+so one batch shares a single similar-scene neighborhood.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .aem import AemParams, aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
 from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
-                       SchemaError, embed_indices, encode_example)
+                       SchemaError, embed_indices, encode_columns, group_by_scene)
 from .head import HeadParams, decide
 from .nn import MLP
-from .san import SanOutput, san_forward
+from .san import san_forward
 from .srg import SceneRelationGraph, profile_new_scene, similar_scenes
 
 
@@ -225,20 +225,15 @@ class SwanForward:
     yhat: Tensor                    # [B, 1]
     w: Tensor                       # [B, N_a] selector gates, ones when ablated
     aeg_outputs: Tensor             # [B, N_a * d_expert], expert i in block i
-    san: SanOutput | None           # None on the empty-neighborhood fallback
     e_in: Tensor
 
 
 def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
                  embeddings: EmbeddingSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    idx = {f.name: np.empty(len(examples), dtype=np.int64) for f in schema}
-    scene_idx = np.empty(len(examples), dtype=np.int64)
-    for i, ex in enumerate(examples):
-        enc = encode_example(ex, schema)
-        for name, code in enc.items():
-            idx[name][i] = code
-        scene_idx[i] = embeddings.scene_index(ex.scene_id)
-    return idx, scene_idx
+    """Every schema feature's codes, and each row's scene index."""
+    scene_idx = np.fromiter((embeddings.scene_index(ex.scene_id) for ex in examples),
+                            dtype=np.int64, count=len(examples))
+    return encode_columns(examples, schema), scene_idx
 
 
 def stable_scene_rng(seed: int, scene_id: str) -> np.random.Generator:
@@ -321,8 +316,7 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
     aeg_outputs = aeg_forward(e_in, w, params.aem.aeg)
     seg_outputs = seg_forward(e_in, params.aem.seg)
     yhat = decide(e_in, seg_outputs, aeg_outputs, w, params.head)
-    return SwanForward(yhat=yhat, w=w, aeg_outputs=aeg_outputs, san=san_out,
-                       e_in=e_in)
+    return SwanForward(yhat=yhat, w=w, aeg_outputs=aeg_outputs, e_in=e_in)
 
 
 def dnn_forward(params: DnnParams, batch: PreparedBatch) -> Tensor:
@@ -350,23 +344,42 @@ def predict(params, graph: SceneRelationGraph | None, example: Example) -> float
     return float(predict_scores(params, graph, [example])[0])
 
 
-def _group_by_scene(dataset: Sequence[Example]) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, ex in enumerate(dataset):
-        groups.setdefault(ex.scene_id, []).append(i)
-    return groups
+def scene_batches(params, graph: SceneRelationGraph | None,
+                  examples: Sequence[Example], idx: dict[str, np.ndarray],
+                  scene_idx: np.ndarray, labels: np.ndarray | None,
+                  batch_size: int):
+    """Per-scene batches of encoded rows, as (row indices, PreparedBatch).
+
+    `idx`, `scene_idx` and `labels` (or None) are aligned with `examples`.
+    Scenes come in sorted order and each scene's rows in example order,
+    cut into chunks of at most `batch_size` rows. The full model with a
+    graph gets each scene's neighbours, retrieved with the scene's stored
+    profile or, for a scene the graph does not hold, a profile built from
+    its rows against the graph's stored bucket boundaries.
+    """
+    for sid, rows in sorted(group_by_scene(examples).items()):
+        neighbors: list[str] = []
+        if params.kind == "swan" and graph is not None:
+            profile = graph.profiles.get(sid)
+            if profile is None:
+                profile = profile_new_scene(graph, sid, [examples[i] for i in rows],
+                                            params.schema)
+            neighbors = resolve_neighbors(graph, sid, profile, params)
+        rows = np.asarray(rows)
+        for lo in range(0, len(rows), batch_size):
+            at = rows[lo:lo + batch_size]
+            yield at, PreparedBatch(
+                scene_id=sid, feature_idx={k: v[at] for k, v in idx.items()},
+                scene_idx=scene_idx[at],
+                labels=None if labels is None else labels[at],
+                neighbor_ids=neighbors)
 
 
-def scene_profile_for(params, graph: SceneRelationGraph, scene_id: str,
-                      examples: Sequence[Example]):
-    if scene_id in graph.profiles:
-        return graph.profiles[scene_id]
-    return profile_new_scene(graph, scene_id, examples, params.schema)
+PREDICT_BATCH = 512
 
 
 def predict_scores(params, graph: SceneRelationGraph | None,
-                   dataset: Sequence[Example], batch_size: int = 512,
-                   collect_gates: bool = False):
+                   dataset: Sequence[Example], collect_gates: bool = False):
     """Scores aligned with the dataset order, computed scene by scene.
 
     Unknown scenes are profiled from their own examples against the
@@ -376,32 +389,19 @@ def predict_scores(params, graph: SceneRelationGraph | None,
     """
     scores = np.empty(len(dataset))
     gates = None
-    groups = _group_by_scene(dataset)
+    idx, scene_idx = encode_batch(dataset, params.schema, params.embeddings)
     with ad.no_grad():
-        for sid in sorted(groups):
-            rows = groups[sid]
-            examples = [dataset[i] for i in rows]
-            neighbors: list[str] = []
-            if params.kind == "swan" and graph is not None:
-                profile = scene_profile_for(params, graph, sid, examples)
-                neighbors = resolve_neighbors(graph, sid, profile, params)
-            for lo in range(0, len(rows), batch_size):
-                chunk = examples[lo:lo + batch_size]
-                idx, scene_idx = encode_batch(chunk, params.schema,
-                                              params.embeddings)
-                batch = PreparedBatch(scene_id=sid, feature_idx=idx,
-                                      scene_idx=scene_idx, labels=None,
-                                      neighbor_ids=neighbors)
-                at = rows[lo:lo + batch_size]
-                if params.kind == "swan":
-                    out = swan_forward(params, batch)
-                    scores[at] = out.yhat.data[:, 0]
-                    if collect_gates and out.w is not None:
-                        if gates is None:
-                            gates = np.empty((len(dataset), out.w.shape[1]))
-                        gates[at] = out.w.data
-                else:
-                    scores[at] = dnn_forward(params, batch).data[:, 0]
+        for at, batch in scene_batches(params, graph, dataset, idx, scene_idx,
+                                       None, PREDICT_BATCH):
+            if params.kind == "swan":
+                out = swan_forward(params, batch)
+                scores[at] = out.yhat.data[:, 0]
+                if collect_gates:
+                    if gates is None:
+                        gates = np.empty((len(dataset), out.w.shape[1]))
+                    gates[at] = out.w.data
+            else:
+                scores[at] = dnn_forward(params, batch).data[:, 0]
     if collect_gates:
         return scores, gates
     return scores

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import Example, FeatureSchema, SchemaError, _feature_value
+from .features import (Example, FeatureSchema, SchemaError, encode_columns,
+                       group_by_scene)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -36,17 +37,6 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((dx * dy).sum() / denom)
 
 
-def _item_matrix(examples: Sequence[Example],
-                 schema: FeatureSchema) -> tuple[list[str], np.ndarray]:
-    """Encoded item-group feature values, one column per feature."""
-    feats = schema.group("item")
-    names = [f.name for f in feats]
-    cols = np.empty((len(examples), len(feats)))
-    for j, feat in enumerate(feats):
-        cols[:, j] = [feat.encode(_feature_value(ex, feat)) for ex in examples]
-    return names, cols
-
-
 def select_key_features(examples: Sequence[Example], labels: Sequence[int],
                         schema: FeatureSchema, cc_threshold: float = 0.05,
                         max_features: int | None = None) -> list[str]:
@@ -57,21 +47,27 @@ def select_key_features(examples: Sequence[Example], labels: Sequence[int],
     descending with ties broken by name; `max_features` optionally caps
     the list after sorting.
     """
-    if len(examples) == 0:
+    return _key_features(encode_columns(examples, schema.group("item")), labels,
+                         len(examples), cc_threshold, max_features)
+
+
+def _key_features(codes: dict[str, np.ndarray], labels: Sequence[int],
+                  n_examples: int, cc_threshold: float,
+                  max_features: int | None) -> list[str]:
+    """select_key_features over the item columns of `n_examples` encoded rows."""
+    if n_examples == 0:
         raise ValueError("select_key_features needs a non-empty dataset")
-    if len(examples) < 2:
+    if n_examples < 2:
         raise ValueError("select_key_features needs at least 2 examples")
     y = np.asarray(labels, dtype=np.float64)
-    if y.shape[0] != len(examples):
+    if y.shape[0] != n_examples:
         raise ValueError("labels must align with examples")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be binary")
-
-    names, cols = _item_matrix(examples, schema)
     scored = []
-    for j, name in enumerate(names):
-        r = pearson(cols[:, j], y)
-        if abs(r) >= cc_threshold and cols[:, j].std() > 0.0:
+    for name, col in codes.items():
+        r = pearson(col, y)
+        if abs(r) >= cc_threshold and col.std() > 0.0:
             scored.append((name, abs(r)))
     scored.sort(key=lambda t: (-t[1], t[0]))
     selected = [name for name, _ in scored]
@@ -85,11 +81,15 @@ def profile_scene(scene_examples: Sequence[Example], key_features: Sequence[str]
     """Raw per-scene aggregates of the key features over the scene's items."""
     if len(scene_examples) == 0:
         raise ValueError("profile_scene needs at least one item")
+    codes = encode_columns(scene_examples, [schema[name] for name in key_features])
+    return _aggregates(codes)
+
+
+def _aggregates(codes: dict[str, np.ndarray]) -> dict[tuple[str, str], float]:
+    """Per-feature aggregates of code columns, in column order."""
     out: dict[tuple[str, str], float] = {}
-    for name in key_features:
-        feat = schema[name]
-        values = np.array([feat.encode(_feature_value(ex, feat))
-                           for ex in scene_examples], dtype=np.float64)
+    for name, col in codes.items():
+        values = col.astype(np.float64)
         out[(name, "mean")] = float(values.mean())
         out[(name, "var")] = float(values.var())  # population variance
         out[(name, "max")] = float(values.max())
@@ -265,15 +265,18 @@ def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
 def build_srg(examples: Sequence[Example], schema: FeatureSchema,
               cc_threshold: float = 0.05, buckets: int = 10,
               max_features: int | None = None) -> SceneRelationGraph:
-    """Full three-step construction from a labeled training dataset."""
-    labels = [ex.label for ex in examples]
-    key = select_key_features(examples, labels, schema, cc_threshold, max_features)
+    """Full three-step construction from a labeled training dataset.
+
+    The item columns are encoded once; key-feature selection and every
+    scene's profile read them.
+    """
+    codes = encode_columns(examples, schema.group("item"))
+    key = _key_features(codes, [ex.label for ex in examples], len(examples),
+                        cc_threshold, max_features)
     if not key:
         raise ValueError(f"no feature reaches |r| >= {cc_threshold}; lower the threshold")
-    by_scene: dict[str, list[Example]] = {}
-    for ex in examples:
-        by_scene.setdefault(ex.scene_id, []).append(ex)
-    raw = {sid: profile_scene(items, key, schema) for sid, items in by_scene.items()}
+    raw = {sid: _aggregates({name: codes[name][rows] for name in key})
+           for sid, rows in group_by_scene(examples).items()}
     profiles, edges = categorize(raw, buckets)
     graph = build_graph(profiles)
     graph.key_features = tuple(key)

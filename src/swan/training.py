@@ -20,8 +20,8 @@ from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
                     _known_keys, check_graph_scenes, dnn_forward, encode_batch,
-                    init_dnn_params, init_swan_params, resolve_neighbors,
-                    swan_forward)
+                    init_dnn_params, init_swan_params, predict_scores,
+                    scene_batches, swan_forward)
 from .srg import SceneRelationGraph, build_srg
 
 
@@ -155,35 +155,6 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def _scene_batches(dataset: Sequence[Example], schema: FeatureSchema,
-                   params, graph: SceneRelationGraph | None,
-                   batch_size: int) -> list[PreparedBatch]:
-    """Encode the dataset once and cut per-scene example lists into batches."""
-    groups: dict[str, list[Example]] = {}
-    for ex in dataset:
-        groups.setdefault(ex.scene_id, []).append(ex)
-    batches = []
-    for sid in sorted(groups):
-        examples = groups[sid]
-        neighbors: list[str] = []
-        if params.kind == "swan":
-            if sid not in graph.profiles:
-                raise ValueError(f"training scene {sid!r} missing from the graph; "
-                                 "build the graph from the same training data")
-            neighbors = resolve_neighbors(graph, sid, graph.profiles[sid], params)
-        idx, scene_idx = encode_batch(examples, schema, params.embeddings)
-        labels = np.array([ex.label for ex in examples], dtype=np.float64)
-        for lo in range(0, len(examples), batch_size):
-            hi = min(lo + batch_size, len(examples))
-            batches.append(PreparedBatch(
-                scene_id=sid,
-                feature_idx={k: v[lo:hi] for k, v in idx.items()},
-                scene_idx=scene_idx[lo:hi],
-                labels=labels[lo:hi],
-                neighbor_ids=neighbors))
-    return batches
-
-
 def _batch_loss(params, batch: PreparedBatch, weights: LossWeights) -> Tensor:
     if params.kind == "swan":
         flags = params.config.flags
@@ -207,8 +178,9 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     non-finite. The feature schema normally travels with the dataset
     (load_dataset and the generator attach it); pass it explicitly for
     hand-built example lists. The full model's graph must hold only
-    scenes of the dataset (ValueError naming the others), and every
-    scene of the dataset (ValueError at the first one missing).
+    scenes of the dataset and every scene of the dataset; either check
+    raises a ValueError naming the scenes at fault before any parameter
+    is initialised.
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
@@ -219,19 +191,23 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     schema = _require_schema(dataset, schema)
     if config.model_kind == "swan":
         check_graph_scenes(graph, scene_ids, "train")
+        missing = [sid for sid in scene_ids if sid not in graph.profiles]
+        if missing:
+            raise ValueError(
+                f"training scene(s) {', '.join(map(repr, missing))} missing from "
+                "the graph; build the graph from the same training data")
         params = init_swan_params(schema, scene_ids, config.model, config.seed)
     else:
         params = init_dnn_params(schema, scene_ids, config.model, config.seed)
 
     rng = np.random.default_rng(config.seed)
-    batches = _scene_batches(_shuffled(dataset, rng), schema, params, graph,
-                             config.batch_size)
+    batches = _shuffled_batches(dataset, schema, params, graph, rng,
+                                config.batch_size)
     opt = Adam(params.parameters(), lr=config.lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
 
     epoch_losses: list[float] = []
     order = np.arange(len(batches))
-    n_examples = sum(len(b.scene_idx) for b in batches)
     for epoch in range(config.epochs):
         rng.shuffle(order)
         total = 0.0
@@ -249,13 +225,29 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
                 opt.step()
             opt.zero_grad()
             del loss  # free this batch's graph before the next one is built
-        epoch_losses.append(total / n_examples)
+        epoch_losses.append(total / len(dataset))
     return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
-def _shuffled(dataset: Sequence[Example], rng: np.random.Generator) -> list[Example]:
-    order = rng.permutation(len(dataset))
-    return [dataset[i] for i in order]
+def _shuffled_batches(dataset: Sequence[Example], schema: FeatureSchema,
+                      params, graph: SceneRelationGraph | None,
+                      rng: np.random.Generator,
+                      batch_size: int) -> list[PreparedBatch]:
+    """Per-scene batches of the dataset, each scene's rows in shuffled order.
+
+    Rows are encoded in dataset order and shuffled as codes: encoding walks
+    every example once per feature, which is slower over a list whose
+    objects lie in random memory order. The codes are shuffled a column at
+    a time, so at most one unshuffled column is alive next to them.
+    """
+    idx, scene_idx = encode_batch(dataset, schema, params.embeddings)
+    labels = np.array([ex.label for ex in dataset], dtype=np.float64)
+    perm = rng.permutation(len(dataset))
+    for name in idx:
+        idx[name] = idx[name][perm]
+    return [batch for _, batch in scene_batches(
+        params, graph, [dataset[i] for i in perm], idx, scene_idx[perm],
+        labels[perm], batch_size)]
 
 
 def _require_schema(dataset, schema) -> FeatureSchema:
@@ -318,8 +310,6 @@ def run_sweep(param: str, values: Sequence[float], train_set: Sequence[Example],
     """
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; one of {SWEEPABLE}")
-    from .model import predict_scores
-
     results = []
     for value in values:
         cfg = _config_with(config, param, value)

@@ -11,7 +11,7 @@ from swan import autodiff as ad
 from swan.autodiff import Tensor, backward
 from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
                            FeatureSchema, ParseError, SchemaError,
-                           embed_indices, encode_example,
+                           embed_indices, encode_columns,
                            fit_numeric_boundaries, load_dataset, write_dataset)
 from swan.model import encode_batch
 
@@ -189,9 +189,9 @@ class TestDatasetIO:
                        _example(item={"brand": False, "hour": True})], path)
         loaded = load_dataset(path, schema)
         assert loaded.oov_count == 3
-        enc = encode_example(loaded[1], schema)
-        assert enc["brand"] == schema["brand"].oov_index
-        assert enc["hour"] == schema["hour"].oov_index
+        enc = encode_columns([loaded[1]], schema)
+        assert enc["brand"][0] == schema["brand"].oov_index
+        assert enc["hour"][0] == schema["hour"].oov_index
 
     def test_oov_counted(self, tmp_path, schema):
         path = tmp_path / "data.jsonl"
@@ -331,10 +331,10 @@ class TestEmbedding:
         loss = ad.sum_all(ad.concat([bundle.e_user, bundle.e_target,
                                      bundle.e_other]))
         backward(loss)
-        enc = encode_example(ex, schema)
+        enc = encode_columns([ex], schema)
         for feat in schema:
             grad = _block(tables.table.grad, tables, feat)
-            visited = enc[feat.name]
+            visited = enc[feat.name][0]
             for row in range(grad.shape[0]):
                 if row == visited:
                     assert np.abs(grad[row]).sum() > 0

@@ -8,6 +8,7 @@ from swan.autodiff import Tensor
 from swan.features import ConfigError, Dataset, Example
 from swan.metrics import evaluate
 from swan.model import predict_scores
+from swan import training
 from swan.srg import build_srg
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
                            run_sweep, train)
@@ -62,6 +63,27 @@ class TestTrain:
                        schema=result.schema)
         partial_graph = build_srg(half, result.schema, cc_threshold=0.05,
                                   buckets=4)
+        missing = sorted({ex.scene_id for ex in result.train}
+                         - set(partial_graph.profiles))
+        assert len(missing) == 3
+        with pytest.raises(ValueError, match="missing from the graph") as err:
+            train(result.train, partial_graph, tiny_train_config())
+        for sid in missing:
+            assert repr(sid) in str(err.value)
+        for sid in partial_graph.profiles:
+            assert repr(sid) not in str(err.value)
+
+    def test_scene_missing_from_graph_rejected_before_init(self, tiny_data,
+                                                           monkeypatch):
+        result, _ = tiny_data
+        half = Dataset(result.train[: len(result.train) // 2],
+                       schema=result.schema)
+        partial_graph = build_srg(half, result.schema, cc_threshold=0.05,
+                                  buckets=4)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("parameters initialised before the check")
+        monkeypatch.setattr(training, "init_swan_params", no_init)
         with pytest.raises(ValueError, match="missing from the graph"):
             train(result.train, partial_graph, tiny_train_config())
 
