@@ -4,9 +4,9 @@ Tensors are 0-, 1- or 2-dimensional. Every op records the inputs and a
 backward closure on the output tensor; `backward` replays the records in
 reverse insertion order, which is a valid topological order because an op
 can only consume tensors created before it. There is no implicit
-broadcasting: shape adaptation is explicit via `reshape`, `repeat_rows`
-and `repeat_cols`. The fused ops (`affine`, `block_matmul`, `mix` and
-`abs_cos_pairs`) each replace a chain of narrow ops with one record and
+broadcasting: shape adaptation is explicit via `reshape` and
+`repeat_cols`. The fused ops (`affine`, `mix`, `abs_cos_pairs`, `bce` and
+`neg_row_variance`) each replace a chain of narrow ops with one record and
 an analytic backward, and state the block layout they expect.
 """
 
@@ -132,40 +132,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data @ b.data, (a, b), backward_fn)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w plus the bias vector b on every row: one op for a Linear layer."""
+def affine(x: Tensor, w: Tensor, b: Tensor, n: int = 1) -> Tensor:
+    """n Linear layers in one op: block i of the output is x_i @ w_i + b_i.
+
+    x is [B, n*k], made of n column blocks x_i of width k; w is [n*k, m],
+    made of n row blocks w_i of height k; b is [n*m], made of n blocks
+    b_i. The output is [B, n*m], the n results side by side. With n = 1
+    it is one Linear layer, x @ w + b; with n > 1 it is the expert-axis
+    layer of n stacked MLPs past their first layer.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError(
             f"affine needs a 2-D input and weight and a 1-D bias, got "
             f"{x.shape}, {w.shape} and {b.shape}")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    if (n < 1 or x.shape[1] % n or x.shape[1] != w.shape[0]
+            or b.shape[0] != n * w.shape[1]):
         raise DimensionError(
-            f"affine: shapes disagree, got {x.shape}, {w.shape} and {b.shape}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _record(x.data @ w.data + b.data, (x, w, b), backward_fn)
-
-
-def block_matmul(x: Tensor, w: Tensor, n: int) -> Tensor:
-    """n independent products in one op: block i of the output is x_i @ w_i.
-
-    x is [B, n*k], made of n column blocks x_i of width k; w is [n*k, m],
-    made of n row blocks w_i of height k. The output is [B, n*m], the
-    products side by side. This is the expert-axis matmul of n stacked
-    MLPs past their first layer.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise DimensionError(f"block_matmul needs 2-D operands, got {x.shape} and {w.shape}")
-    if n < 1 or x.shape[1] % n or x.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"block_matmul: {x.shape} and {w.shape} are not {n} matching blocks")
+            f"affine: {x.shape}, {w.shape} and {b.shape} are not {n} matching blocks")
     batch, k, m = x.shape[0], x.shape[1] // n, w.shape[1]
     xs = x.data.reshape(batch, n, k).transpose(1, 0, 2)  # [n, B, k]
     ws = w.data.reshape(n, k, m)
@@ -177,9 +160,11 @@ def block_matmul(x: Tensor, w: Tensor, n: int) -> Tensor:
             _accumulate(x, gx.transpose(1, 0, 2).reshape(batch, n * k))
         if w.requires_grad:
             _accumulate(w, np.matmul(xs.transpose(0, 2, 1), gs).reshape(n * k, m))
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
 
-    out = np.matmul(xs, ws).transpose(1, 0, 2).reshape(batch, n * m)
-    return _record(out, (x, w), backward_fn)
+    out = np.matmul(xs, ws).transpose(1, 0, 2).reshape(batch, n * m) + b.data
+    return _record(out, (x, w, b), backward_fn)
 
 
 def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
@@ -241,6 +226,54 @@ def abs_cos_pairs(v: Tensor, n: int) -> Tensor:
             _accumulate(v, float(g) * gv.reshape(batch, n * d))
 
     return _record(np.asarray(np.abs(cos[:, upper]).sum()), (v,), backward_fn)
+
+
+def bce(p: Tensor, y, eps: float) -> Tensor:
+    """Mean binary cross-entropy of probabilities p against targets y.
+
+    y holds one 0/1 target per element of p. p is clamped into
+    [eps, 1 - eps] before the logs, and its gradient passes only where p
+    lies strictly inside that range. The result is a 0-d scalar.
+    """
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    if p.data.size != y.shape[0]:
+        raise DimensionError(f"bce: {p.shape} predictions for {y.shape[0]} targets")
+    raw = p.data.reshape(y.shape)
+    q = np.clip(raw, eps, 1.0 - eps)
+    term = y * np.log(q) + (1.0 - y) * np.log(1.0 - q)
+    scale = -1.0 / y.shape[0]
+
+    def backward_fn(g: np.ndarray) -> None:
+        if p.requires_grad:
+            gt = np.full_like(term, float(g * scale))
+            gq = -((gt * (1.0 - y)) / (1.0 - q)) + (gt * y) / q
+            inside = (raw > eps) & (raw < 1.0 - eps)
+            _accumulate(p, (gq * inside).reshape(p.shape))
+
+    return _record(np.asarray(term.sum()) * scale, (p,), backward_fn)
+
+
+def neg_row_variance(w: Tensor) -> Tensor:
+    """Minus the mean over rows of each row's population variance.
+
+    w is [B, n]; the result is a 0-d scalar. Row sums are products with a
+    ones column, so they round as a matrix product does.
+    """
+    if w.data.ndim != 2 or w.shape[1] < 1:
+        raise DimensionError(f"neg_row_variance needs a [B, n] matrix, got {w.shape}")
+    batch, n = w.shape
+    ones = np.ones((n, 1))
+    dev = w.data - (w.data @ ones) * (1.0 / n)
+    row_var = ((dev * dev) @ ones) * (1.0 / n)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if w.requires_grad:
+            g_sq = np.full_like(row_var, float(g * (-1.0 / batch))) * (1.0 / n)
+            g_dev = g_sq * dev + g_sq * dev
+            g_mean = (-g_dev).sum(axis=1, keepdims=True) * (1.0 / n)
+            _accumulate(w, g_dev + g_mean)
+
+    return _record(np.asarray(row_var.sum()) * (-1.0 / batch), (w,), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -347,24 +380,6 @@ def softmax(x: Tensor) -> Tensor:
     return _record(s, (x,), backward_fn)
 
 
-def log(x: Tensor) -> Tensor:
-    """Natural log; the caller is responsible for keeping inputs positive."""
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g / x.data)
-
-    return _record(np.log(x.data), (x,), backward_fn)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes only strictly inside."""
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * ((x.data > lo) & (x.data < hi)))
-
-    return _record(np.clip(x.data, lo, hi), (x,), backward_fn)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -392,24 +407,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
             _accumulate(x, g.reshape(x.shape))
 
     return _record(x.data.reshape(shape), (x,), backward_fn)
-
-
-def repeat_rows(x: Tensor, times: int) -> Tensor:
-    """Explicitly broadcast a vector (or 1-row matrix) to `times` rows."""
-    if times < 1:
-        raise ValueError("repeat_rows needs times >= 1")
-    if x.data.ndim == 1:
-        base = x.data[None, :]
-    elif x.data.ndim == 2 and x.shape[0] == 1:
-        base = x.data
-    else:
-        raise DimensionError(f"repeat_rows needs a vector or a 1-row matrix, got {x.shape}")
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g.sum(axis=0).reshape(x.shape))
-
-    return _record(np.broadcast_to(base, (times, base.shape[1])), (x,), backward_fn)
 
 
 def repeat_cols(x: Tensor, times: int) -> Tensor:

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import Dataset, Example, Feature, FeatureSchema, fit_numeric_boundaries
+from .features import (Dataset, Example, Feature, FeatureSchema, _known_keys,
+                       fit_numeric_boundaries)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
-        kwargs = dict(obj)
+        kwargs = _known_keys(cls, obj)
         if kwargs.get("quality_profile") is not None:
             kwargs["quality_profile"] = tuple(kwargs["quality_profile"])
         return cls(**kwargs)

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +36,15 @@ class SchemaError(ValueError):
 
 class ConfigError(ValueError):
     """Model configuration is inconsistent with the schema."""
+
+
+def _known_keys(cls, obj: dict) -> dict:
+    """A copy of `obj`; keys that are not fields of `cls` raise ConfigError
+    naming them."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+    return dict(obj)
 
 
 @dataclass(frozen=True)
@@ -202,6 +211,11 @@ class Example:
     label: int
 
 
+def is_click_label(label) -> bool:
+    """True for a label of 0 or 1, of any numeric type; a boolean is not one."""
+    return not isinstance(label, (bool, np.bool_)) and label in (0, 1)
+
+
 class Dataset(list):
     """A list of Examples that remembers its schema and the OOV count from load."""
 
@@ -295,7 +309,7 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
             if not isinstance(obj["user"], dict) or not isinstance(obj["item"], dict):
                 raise ParseError(f"{path}:{lineno}: 'user' and 'item' must be objects")
             label = obj["label"]
-            if label not in (0, 1) or isinstance(label, bool):
+            if not is_click_label(label):
                 raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
             for name in obj["user"]:
                 if name not in known_user:

@@ -85,17 +85,7 @@ def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor | None,
 
 def ce_loss(labels, predictions: Tensor) -> Tensor:
     """Mean binary cross-entropy; predictions are clamped away from {0, 1}."""
-    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    preds = _as_rows(predictions)
-    if preds.shape != y.shape:
-        preds = ad.reshape(preds, y.shape)
-    p = ad.clip(preds, _EPS, 1.0 - _EPS)
-    y_t = Tensor(y)
-    one_minus_y = Tensor(1.0 - y)
-    ones = Tensor(np.ones_like(y))
-    term = ad.add(ad.mul(y_t, ad.log(p)),
-                  ad.mul(one_minus_y, ad.log(ad.sub(ones, p))))
-    return ad.scale(ad.sum_all(term), -1.0 / y.shape[0])
+    return ad.bce(predictions, labels, _EPS)
 
 
 def cos_loss(aeg_outputs: Tensor, n: int) -> Tensor:
@@ -124,16 +114,11 @@ def var_loss(w: Tensor) -> Tensor:
     anyway.
     """
     w2 = _as_rows(w)
-    batch, n = w2.shape
-    if n < 1:
+    if w2.shape[1] < 1:
         raise ValueError("var_loss needs at least one gate")
     if np.all(w2.data == w2.data.flat[0]):
         return Tensor(np.asarray(0.0))
-    ones_col = Tensor(np.ones((n, 1)))
-    mean = ad.repeat_cols(ad.scale(ad.matmul(w2, ones_col), 1.0 / n), n)
-    dev = ad.sub(w2, mean)
-    row_var = ad.scale(ad.matmul(ad.mul(dev, dev), ones_col), 1.0 / n)
-    return ad.scale(ad.sum_all(row_var), -1.0 / batch)
+    return ad.neg_row_variance(w2)
 
 
 def total_loss(labels, predictions: Tensor, aeg_outputs: Tensor | None,

@@ -19,20 +19,12 @@ from . import autodiff as ad
 from .aem import AemParams, aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
-                       SchemaError, embed_indices, encode_columns, group_by_scene)
+from .features import (EmbeddingSet, Example, FeatureSchema, SchemaError,
+                       _known_keys, embed_indices, encode_columns, group_by_scene)
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import san_forward
 from .srg import SceneRelationGraph, profile_new_scene, similar_scenes
-
-
-def _known_keys(cls, obj: dict) -> dict:
-    """A copy of `obj`; unknown keys raise ConfigError naming them."""
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}")
-    return dict(obj)
 
 
 @dataclass(frozen=True)

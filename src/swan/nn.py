@@ -16,7 +16,7 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Linear:
-    """Affine map x @ w + b for row-batched inputs."""
+    """Weight and bias of one affine layer x @ w + b; `MLP` applies it."""
 
     def __init__(self, w: Tensor, b: Tensor):
         self.w = w
@@ -28,9 +28,6 @@ class Linear:
         b = Tensor(np.zeros(out_dim), requires_grad=True)
         return cls(w, b)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.affine(x, self.w, self.b)
-
 
 class MLP:
     """Stack of Linear layers with ReLU between them and a linear output.
@@ -38,8 +35,8 @@ class MLP:
     With n > 1 it is n same-shaped MLPs over one input, run as one wide
     MLP (the stacked-expert layout): layer 0 is [in, n*h] with the n
     first layers side by side, every later layer is [n*h_in, h_out] with
-    the n layers as row blocks, applied with `block_matmul`. The output
-    is [B, n*out_dim], MLP i's output in column block i.
+    the n layers as row blocks, applied with `affine` over n blocks. The
+    output is [B, n*out_dim], MLP i's output in column block i.
     """
 
     def __init__(self, layers: list[Linear], n: int = 1):
@@ -70,11 +67,7 @@ class MLP:
 
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
-            if i == 0 or self.n == 1:
-                x = layer(x)
-            else:
-                x = ad.add(ad.block_matmul(x, layer.w, self.n),
-                           ad.repeat_rows(layer.b, x.shape[0]))
+            x = ad.affine(x, layer.w, layer.b, 1 if i == 0 else self.n)
             if i < len(self.layers) - 1:
                 x = ad.relu(x)
         return x

@@ -15,11 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .features import Example, FeatureSchema
+from .features import Example, FeatureSchema, _known_keys, is_click_label
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
-                    _known_keys, check_graph_scenes, dnn_forward, encode_batch,
+                    check_graph_scenes, dnn_forward, encode_batch,
                     init_dnn_params, init_swan_params, predict_scores,
                     scene_batches, swan_forward)
 from .srg import SceneRelationGraph, build_srg
@@ -177,13 +177,19 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     Aborts with the offending batch index if the loss ever goes
     non-finite. The feature schema normally travels with the dataset
     (load_dataset and the generator attach it); pass it explicitly for
-    hand-built example lists. The full model's graph must hold only
-    scenes of the dataset and every scene of the dataset; either check
-    raises a ValueError naming the scenes at fault before any parameter
-    is initialised.
+    hand-built example lists. Every label must be 0 or 1 (not a
+    boolean), and the full model's graph must hold only scenes of the
+    dataset and every scene of the dataset; each check raises a
+    ValueError naming the first bad row or the scenes at fault before any
+    parameter is initialised.
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
+    bad = next((i for i, ex in enumerate(dataset) if not is_click_label(ex.label)),
+               None)
+    if bad is not None:
+        raise ValueError(f"example {bad} (scene {dataset[bad].scene_id!r}): label "
+                         f"must be 0 or 1, got {dataset[bad].label!r}")
     if config.model_kind == "swan" and graph is None:
         raise ValueError("the full model needs a scene relation graph")
 

@@ -81,11 +81,7 @@ class TestForwardValues:
         np.testing.assert_allclose(s1, s2, atol=1e-9)
         np.testing.assert_allclose(s1.sum(axis=-1), 1.0, atol=1e-9)
 
-    def test_repeat_rows_and_cols(self):
-        v = Tensor([1.0, 2.0, 3.0])
-        m = ad.repeat_rows(v, 4)
-        assert m.shape == (4, 3)
-        np.testing.assert_array_equal(m.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
+    def test_repeat_cols(self):
         wide = ad.repeat_cols(Tensor(np.full((4, 1), 2.0)), 5)
         assert wide.shape == (4, 5)
         np.testing.assert_array_equal(wide.data, np.full((4, 5), 2.0))
@@ -254,16 +250,13 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("seed", range(20))
     def test_shape_ops_random_trials(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        v = Tensor(rng.uniform(-2, 2, 4), requires_grad=True)
         col = Tensor(rng.uniform(-2, 2, (3, 1)), requires_grad=True)
         m = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
         table = Tensor(rng.uniform(-2, 2, (6, 3)), requires_grad=True)
         idx = rng.integers(0, 6, size=4)
-        w34 = rng.normal(size=(3, 4))
         w35 = rng.normal(size=(3, 5))
         w43 = rng.normal(size=(4, 3))
         cases = [
-            (lambda: _scalar_loss(ad.repeat_rows(v, 3), w34), [v]),
             (lambda: _scalar_loss(ad.repeat_cols(col, 5), w35), [col]),
             (lambda: _scalar_loss(ad.reshape(m, (4, 3)), w43), [m]),
             (lambda: _scalar_loss(ad.rows(table, idx), w43), [table]),
@@ -285,13 +278,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(2000 + seed)
         x = Tensor(rng.uniform(0.5, 2.0, (2, 3)), requires_grad=True)
         w = rng.normal(size=(2, 3))
-        for build in (
-            lambda: _scalar_loss(ad.log(x), w),
-            lambda: _scalar_loss(ad.scale(x, -1.7), w),
-            lambda: _scalar_loss(ad.clip(x, 0.6, 1.9), w),
-        ):
-            x.zero_grad()
-            _fd_check(build, [x], seed)
+        _fd_check(lambda: _scalar_loss(ad.scale(x, -1.7), w), [x], seed)
 
 
 def _blocks(x: np.ndarray, n: int) -> list[np.ndarray]:
@@ -311,7 +298,7 @@ def _abs_cos_pairs_loop(v: np.ndarray, n: int) -> float:
 
 
 class TestFusedOps:
-    """The four fused ops against loops of narrow ops and against finite differences."""
+    """The fused ops against loops of narrow ops and against finite differences."""
 
     def test_affine_is_matmul_plus_bias(self):
         rng = np.random.default_rng(50)
@@ -319,27 +306,69 @@ class TestFusedOps:
         out = ad.affine(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_array_equal(out.data, x @ w + b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_affine_is_blockwise_products_plus_bias(self, n):
+        rng = np.random.default_rng(51 + n)
+        x, w = rng.normal(size=(4, n * 3)), rng.normal(size=(n * 3, 2))
+        b = rng.normal(size=n * 2)
+        out = ad.affine(Tensor(x), Tensor(w), Tensor(b), n)
+        expected = np.concatenate([xi @ wi + bi for xi, wi, bi in
+                                   zip(_blocks(x, n), np.split(w, n, axis=0),
+                                       np.split(b, n))], axis=1)
+        assert out.shape == (4, n * 2)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-15)
+
     def test_affine_shape_errors(self):
         with pytest.raises(DimensionError):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
         with pytest.raises(DimensionError):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+        # blocks: a width not split into n, a weight of the wrong height,
+        # a bias of m where n*m is due, and no blocks at all
+        with pytest.raises(DimensionError, match="not 2 matching blocks"):
+            ad.affine(Tensor(np.ones((2, 5))), Tensor(np.ones((5, 2))), Tensor(np.ones(4)), 2)
+        with pytest.raises(DimensionError, match="not 2 matching blocks"):
+            ad.affine(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), Tensor(np.ones(4)), 2)
+        with pytest.raises(DimensionError, match="not 2 matching blocks"):
+            ad.affine(Tensor(np.ones((2, 6))), Tensor(np.ones((6, 2))), Tensor(np.ones(2)), 2)
+        with pytest.raises(DimensionError, match="not 0 matching blocks"):
+            ad.affine(Tensor(np.ones((2, 6))), Tensor(np.ones((6, 2))), Tensor(np.ones(0)), 0)
+        with pytest.raises(DimensionError, match="1-D bias"):
+            ad.affine(Tensor(np.ones((2, 6))), Tensor(np.ones((6, 2))),
+                      Tensor(np.ones((1, 4))), 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_block_matmul_is_blockwise_products(self, n):
-        rng = np.random.default_rng(51 + n)
-        x, w = rng.normal(size=(4, n * 3)), rng.normal(size=(n * 3, 2))
-        out = ad.block_matmul(Tensor(x), Tensor(w), n)
-        expected = np.concatenate([xi @ wi for xi, wi in
-                                   zip(_blocks(x, n), np.split(w, n, axis=0))], axis=1)
-        assert out.shape == (4, n * 2)
-        np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-15)
+    def test_bce_clamps_and_averages(self):
+        eps = 1e-12
+        p = np.array([0.9, 0.2, 0.0, 1.0])
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        q = np.clip(p, eps, 1.0 - eps)
+        expected = -np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))
+        out = ad.bce(Tensor(p), y, eps)
+        assert out.shape == ()
+        assert out.item() == pytest.approx(expected, rel=1e-15)
+        assert out.item() == pytest.approx(
+            (-np.log(0.9) - np.log(0.8) - np.log(eps) - np.log(1.0 - (1.0 - eps))) / 4,
+            rel=1e-12)
 
-    def test_block_matmul_shape_errors(self):
+    def test_bce_shape_errors(self):
+        with pytest.raises(DimensionError, match="3 targets"):
+            ad.bce(Tensor(np.full((2, 1), 0.5)), [1, 0, 1], 1e-12)
+        with pytest.raises(DimensionError, match="1 targets"):
+            ad.bce(Tensor(np.full((1, 2), 0.5)), [1], 1e-12)
+
+    def test_neg_row_variance_is_minus_mean_row_variance(self):
+        rng = np.random.default_rng(58)
+        w = rng.uniform(0, 1, (5, 4))
+        out = ad.neg_row_variance(Tensor(w))
+        assert out.shape == ()
+        assert out.item() == pytest.approx(-w.var(axis=1).mean(), rel=1e-13)
+        assert ad.neg_row_variance(Tensor([[0.0, 1.0]])).item() == -0.25
+
+    def test_neg_row_variance_shape_errors(self):
         with pytest.raises(DimensionError):
-            ad.block_matmul(Tensor(np.ones((2, 5))), Tensor(np.ones((5, 2))), 2)
+            ad.neg_row_variance(Tensor([0.1, 0.9]))
         with pytest.raises(DimensionError):
-            ad.block_matmul(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2)
+            ad.neg_row_variance(Tensor(np.ones((3, 0))))
 
     def test_mix_is_weighted_block_sum(self):
         rng = np.random.default_rng(55)
@@ -378,15 +407,23 @@ class TestFusedOps:
         x = Tensor(rng.uniform(-2, 2, (batch, n * k)), requires_grad=True)
         w = Tensor(rng.uniform(-2, 2, (n * k, m)), requires_grad=True)
         b = Tensor(rng.uniform(-2, 2, m), requires_grad=True)
+        b_block = Tensor(rng.uniform(-2, 2, n * m), requires_grad=True)
         w_aff = Tensor(rng.uniform(-2, 2, (n * k, m)), requires_grad=True)
         c = Tensor(rng.uniform(-2, 2, (batch, n)), requires_grad=True)
+        # probabilities clear of the clamp, so the loss is smooth around them
+        p = Tensor(rng.uniform(0.05, 0.95, (batch, n)), requires_grad=True)
+        y = rng.integers(0, 2, size=batch * n)
+        gates = Tensor(rng.uniform(0, 1, (batch, n)), requires_grad=True)
         p_aff, p_block, p_mix = (rng.normal(size=(batch, m)),
                                  rng.normal(size=(batch, n * m)),
                                  rng.normal(size=(batch, k)))
         cases = [
             (lambda: _scalar_loss(ad.affine(x, w_aff, b), p_aff), [x, w_aff, b]),
-            (lambda: _scalar_loss(ad.block_matmul(x, w, n), p_block), [x, w]),
+            (lambda: _scalar_loss(ad.affine(x, w, b_block, n), p_block),
+             [x, w, b_block]),
             (lambda: _scalar_loss(ad.mix(c, x, n), p_mix), [c, x]),
+            (lambda: ad.bce(p, y, 1e-12), [p]),
+            (lambda: ad.neg_row_variance(gates), [gates]),
         ]
         for build, tensors in cases:
             for t in tensors:
@@ -404,3 +441,175 @@ class TestFusedOps:
         _fd_check(lambda: ad.abs_cos_pairs(v, n), [v], seed)
         np.testing.assert_array_equal(v.grad[0, :d], 0.0)
         np.testing.assert_array_equal(v.grad[2], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the narrow ops the fused ones replaced, as they were
+
+
+def _log(x):
+    def backward_fn(g):
+        if x.requires_grad:
+            ad._accumulate(x, g / x.data)
+
+    return ad._record(np.log(x.data), (x,), backward_fn)
+
+
+def _clip(x, lo, hi):
+    def backward_fn(g):
+        if x.requires_grad:
+            ad._accumulate(x, g * ((x.data > lo) & (x.data < hi)))
+
+    return ad._record(np.clip(x.data, lo, hi), (x,), backward_fn)
+
+
+def _repeat_rows(x, times):
+    def backward_fn(g):
+        if x.requires_grad:
+            ad._accumulate(x, g.sum(axis=0).reshape(x.shape))
+
+    return ad._record(np.broadcast_to(x.data[None, :], (times, x.shape[0])),
+                      (x,), backward_fn)
+
+
+def _block_matmul(x, w, n):
+    batch, k, m = x.shape[0], x.shape[1] // n, w.shape[1]
+    xs = x.data.reshape(batch, n, k).transpose(1, 0, 2)
+    ws = w.data.reshape(n, k, m)
+
+    def backward_fn(g):
+        gs = g.reshape(batch, n, m).transpose(1, 0, 2)
+        if x.requires_grad:
+            gx = np.matmul(gs, ws.transpose(0, 2, 1))
+            ad._accumulate(x, gx.transpose(1, 0, 2).reshape(batch, n * k))
+        if w.requires_grad:
+            ad._accumulate(w, np.matmul(xs.transpose(0, 2, 1), gs).reshape(n * k, m))
+
+    out = np.matmul(xs, ws).transpose(1, 0, 2).reshape(batch, n * m)
+    return ad._record(out, (x, w), backward_fn)
+
+
+def _plain_affine(x, w, b):
+    """The one-layer affine: what layer 0 of every MLP ran."""
+    def backward_fn(g):
+        if x.requires_grad:
+            ad._accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            ad._accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            ad._accumulate(b, g.sum(axis=0))
+
+    return ad._record(x.data @ w.data + b.data, (x, w, b), backward_fn)
+
+
+def _block_affine_chain(x, w, b, n):
+    """A stacked layer past the first: block_matmul, repeat_rows and add."""
+    return ad.add(_block_matmul(x, w, n), _repeat_rows(b, x.shape[0]))
+
+
+def _ce_chain(labels, predictions, eps):
+    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    preds = (predictions if predictions.shape == y.shape
+             else ad.reshape(predictions, y.shape))
+    p = _clip(preds, eps, 1.0 - eps)
+    term = ad.add(ad.mul(Tensor(y), _log(p)),
+                  ad.mul(Tensor(1.0 - y),
+                         _log(ad.sub(Tensor(np.ones_like(y)), p))))
+    return ad.scale(ad.sum_all(term), -1.0 / y.shape[0])
+
+
+def _var_chain(w):
+    batch, n = w.shape
+    ones_col = Tensor(np.ones((n, 1)))
+    mean = ad.repeat_cols(ad.scale(ad.matmul(w, ones_col), 1.0 / n), n)
+    dev = ad.sub(w, mean)
+    row_var = ad.scale(ad.matmul(ad.mul(dev, dev), ones_col), 1.0 / n)
+    return ad.scale(ad.sum_all(row_var), -1.0 / batch)
+
+
+def _value_and_grads(build, leaves):
+    for t in leaves:
+        t.zero_grad()
+    out = build()
+    backward(out)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+class TestFusedMatchRemovedChains:
+    """Each fused op gives the bits of the chain of narrow ops it replaced,
+    forward and backward, as it sits in the model: behind a ReLU for a
+    stacked layer, scaled for a loss term."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_affine_matches_block_matmul_repeat_rows_add(self, n, seed):
+        rng = np.random.default_rng(5000 + seed)
+        batch, k, m = int(rng.integers(1, 40)), int(rng.integers(1, 20)), 16
+        h = Tensor(rng.normal(size=(batch, n * k)), requires_grad=True)
+        w = Tensor(rng.normal(size=(n * k, m)), requires_grad=True)
+        b = Tensor(rng.normal(size=n * m), requires_grad=True)
+        proj = rng.normal(size=(batch, n * m))
+        leaves = [h, w, b]
+        fused = _value_and_grads(
+            lambda: _scalar_loss(ad.affine(ad.relu(h), w, b, n), proj), leaves)
+        chain = _value_and_grads(
+            lambda: _scalar_loss(_block_affine_chain(ad.relu(h), w, b, n), proj),
+            leaves)
+        assert fused == chain
+        if n == 1:
+            plain = _value_and_grads(
+                lambda: _scalar_loss(_plain_affine(ad.relu(h), w, b), proj), leaves)
+            assert fused == plain
+
+    @pytest.mark.parametrize("case", ["inside", "edges", "at-eps", "row", "flat"])
+    def test_bce_matches_clip_log_chain(self, case):
+        eps = 1e-12
+        rng = np.random.default_rng(6000)
+        p = rng.uniform(0, 1, (23, 1))
+        if case == "edges":
+            p[::3] = 0.0
+            p[1::3] = 1.0
+        elif case == "at-eps":
+            p[:4] = [[eps], [1.0 - eps], [eps / 2], [1.0 - eps / 4]]
+        elif case == "row":
+            p = p.reshape(1, -1)
+        elif case == "flat":
+            p = p.ravel()
+        y = rng.integers(0, 2, size=23).astype(float)
+        pred = Tensor(p, requires_grad=True)
+        fused = _value_and_grads(lambda: ad.scale(ad.bce(pred, y, eps), 1.7), [pred])
+        chain = _value_and_grads(lambda: ad.scale(_ce_chain(y, pred, eps), 1.7), [pred])
+        assert fused == chain
+        if case == "edges":
+            np.testing.assert_array_equal(pred.grad[::3], 0.0)
+            np.testing.assert_array_equal(pred.grad[1::3], 0.0)
+
+    @pytest.mark.parametrize("case", ["random", "saturated", "mixed", "one-row",
+                                      "one-gate"])
+    def test_neg_row_variance_matches_ones_column_chain(self, case):
+        rng = np.random.default_rng(7000)
+        w = rng.uniform(0, 1, (17, 6))
+        if case == "saturated":
+            w = rng.integers(0, 2, size=(17, 6)).astype(float)
+        elif case == "mixed":
+            w[::2] = rng.integers(0, 2, size=(9, 6))
+            w[1] = 0.25
+            w[3, 2] = 1.0 - 1e-17
+        elif case == "one-row":
+            w = w[:1]
+        elif case == "one-gate":
+            w = w[:, :1]
+        gates = Tensor(w, requires_grad=True)
+        assert (_value_and_grads(lambda: ad.scale(ad.neg_row_variance(gates), 1.7),
+                                 [gates])
+                == _value_and_grads(lambda: ad.scale(_var_chain(gates), 1.7), [gates]))
+        # As in the model, the gates feed other ops before the loss term,
+        # so their other gradients arrive after the term's. They are kept
+        # small here so that they do not round the term's bits away.
+        proj = 1e-6 * rng.normal(size=w.shape)
+        fused = _value_and_grads(
+            lambda: ad.add(_scalar_loss(gates, proj), ad.neg_row_variance(gates)),
+            [gates])
+        chain = _value_and_grads(
+            lambda: ad.add(_scalar_loss(gates, proj), _var_chain(gates)), [gates])
+        assert fused == chain

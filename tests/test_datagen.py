@@ -5,7 +5,7 @@ import pytest
 
 from swan.datagen import (GenConfig, GroundTruth, choose_k, generate, kmeans,
                           silhouette)
-from swan.features import write_dataset, load_dataset
+from swan.features import ConfigError, load_dataset, write_dataset
 
 
 def small_config(**overrides):
@@ -87,6 +87,13 @@ class TestGenerate:
         result.truth.save(path)
         again = GroundTruth.load(path)
         assert again.to_json() == result.truth.to_json()
+
+    def test_unknown_config_keys_named(self):
+        obj = small_config().to_json()
+        obj["trian_scenes"] = 3
+        obj["noise"] = 0.2
+        with pytest.raises(ConfigError, match=r"\['noise', 'trian_scenes'\]"):
+            GenConfig.from_json(obj)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

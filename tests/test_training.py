@@ -1,5 +1,7 @@
 """Tests for the training loop, baseline, evaluation and sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,39 @@ class TestTrain:
         monkeypatch.setattr(training, "init_swan_params", no_init)
         with pytest.raises(ValueError, match="missing from the graph"):
             train(result.train, partial_graph, tiny_train_config())
+
+    @pytest.mark.parametrize("kind", ["swan", "dnn"])
+    @pytest.mark.parametrize("label", [2, -1, True, False, 0.5, None, "1"])
+    def test_non_binary_label_rejected_before_init(self, tiny_data, monkeypatch,
+                                                   kind, label):
+        # The rule load_dataset applies to label fields: 0 or 1, no booleans.
+        result, graph = tiny_data
+        rows = [Example(ex.user, ex.item, ex.scene_id, ex.label)
+                for ex in result.train]
+        rows[5].label = label
+        rows[9].label = 3
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("parameters initialised before the check")
+        monkeypatch.setattr(training, "init_swan_params", no_init)
+        monkeypatch.setattr(training, "init_dnn_params", no_init)
+        with pytest.raises(ValueError, match=rf"example 5 \(scene "
+                           rf"'{rows[5].scene_id}'\): label must be 0 or 1, "
+                           rf"got {re.escape(repr(label))}$"):
+            train(rows, graph, tiny_train_config(model_kind=kind),
+                  schema=result.schema)
+
+    def test_numeric_zero_one_labels_accepted(self, tiny_data):
+        result, graph = tiny_data
+        as_float = [Example(ex.user, ex.item, ex.scene_id, float(ex.label))
+                    for ex in result.train]
+        as_numpy = [Example(ex.user, ex.item, ex.scene_id, np.int64(ex.label))
+                    for ex in result.train]
+        config = tiny_train_config(epochs=1)
+        expected = train(result.train, graph, config).epoch_losses
+        for rows in (as_float, as_numpy):
+            assert train(rows, graph, config,
+                         schema=result.schema).epoch_losses == expected
 
     def test_graph_scene_missing_from_training_set_rejected(self, tiny_data):
         # Every graph scene can be retrieved as a neighbour, and a neighbour
