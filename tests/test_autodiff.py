@@ -323,8 +323,10 @@ class TestFusedOps:
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
         with pytest.raises(DimensionError):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
-        # blocks: a width not split into n, a weight of the wrong height,
-        # a bias of m where n*m is due, and no blocks at all
+
+    def test_block_matmul_shape_errors(self):
+        """The blockwise form, affine(..., n > 1): a width not split into n, a
+        weight of the wrong height, a bias of m where n*m is due, no blocks."""
         with pytest.raises(DimensionError, match="not 2 matching blocks"):
             ad.affine(Tensor(np.ones((2, 5))), Tensor(np.ones((5, 2))), Tensor(np.ones(4)), 2)
         with pytest.raises(DimensionError, match="not 2 matching blocks"):
