@@ -15,7 +15,8 @@ import json
 import sys
 
 from .datagen import GenConfig, generate
-from .features import FeatureSchema, fit_numeric_boundaries, load_dataset, write_dataset
+from .features import (ConfigError, FeatureSchema, fit_numeric_boundaries,
+                       load_dataset, write_dataset)
 from .metrics import EvalReport, evaluate
 from .serialize import load_model, save_model
 from .srg import build_srg, load_graph, save_graph
@@ -42,7 +43,6 @@ def _cmd_srg_build(args) -> int:
     needs_fit = any(f.kind == "numeric" and f.boundaries is None for f in schema)
     if needs_fit:
         schema = fit_numeric_boundaries(examples, schema, buckets=args.buckets)
-        examples = load_dataset(args.data, schema)
     graph = build_srg(examples, schema, cc_threshold=args.cc_threshold,
                       buckets=args.buckets, max_features=args.max_features)
     save_graph(graph, args.out)
@@ -55,8 +55,8 @@ def _cmd_train(args) -> int:
     config = TrainConfig.load(args.config)
     schema = FeatureSchema.load(args.schema)
     if any(f.kind == "numeric" and f.boundaries is None for f in schema):
-        raise SystemExit("schema has unfitted numeric features; "
-                         "run srg build or datagen first")
+        raise ConfigError("schema has unfitted numeric features; "
+                          "run srg build or datagen first")
     dataset = load_dataset(args.train, schema)
     graph = load_graph(args.graph) if args.graph else None
     result = train(dataset, graph, config)
@@ -155,8 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input (ValueError, which covers ParseError,
+    SchemaError and ConfigError) and file errors print one line to stderr
+    and return 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"swan: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -263,7 +263,7 @@ def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
     ids = [sid for sid, _ in ranked]
     if not cfg.flags.srg and ids:
         rng = stable_scene_rng(params.seed, scene_id)
-        pool = sorted(graph.profiles)
+        pool = graph.scene_ids
         ids = [str(s) for s in rng.choice(pool, size=min(len(ids), len(pool)),
                                           replace=False)]
     return ids

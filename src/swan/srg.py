@@ -8,7 +8,7 @@ column into equal-frequency categories over all scenes jointly. The edge
 weight between two scenes is the number of profile slots holding the
 same category. Bucket boundaries are kept on the graph so a scene never
 seen at build time can still be profiled and matched (the cold-start
-entry point).
+entry point) through the same aggregate and categorize code as the build.
 """
 
 from __future__ import annotations
@@ -76,92 +76,61 @@ def _key_features(codes: dict[str, np.ndarray], labels: Sequence[int],
     return selected
 
 
-def profile_scene(scene_examples: Sequence[Example], key_features: Sequence[str],
-                  schema: FeatureSchema) -> dict[tuple[str, str], float]:
-    """Raw per-scene aggregates of the key features over the scene's items."""
-    if len(scene_examples) == 0:
-        raise ValueError("profile_scene needs at least one item")
-    codes = encode_columns(scene_examples, [schema[name] for name in key_features])
-    return _aggregates(codes)
-
-
-def _aggregates(codes: dict[str, np.ndarray]) -> dict[tuple[str, str], float]:
-    """Per-feature aggregates of code columns, in column order."""
-    out: dict[tuple[str, str], float] = {}
-    for name, col in codes.items():
-        values = col.astype(np.float64)
-        out[(name, "mean")] = float(values.mean())
-        out[(name, "var")] = float(values.var())  # population variance
-        out[(name, "max")] = float(values.max())
-        out[(name, "min")] = float(values.min())
-    return out
-
-
 @dataclass(frozen=True)
 class SceneProfile:
-    """Categorized aggregate vector for one scene.
-
-    Slots are (key feature, aggregate kind, category index) triples with
-    an identical layout for every scene in a graph.
-    """
+    """Categorized aggregate vector for one scene: (key feature, aggregate
+    kind, category index) slots, in one layout for every scene in a graph."""
 
     scene_id: str
     slots: tuple[tuple[str, str, int], ...]
 
-    @property
-    def layout(self) -> tuple[tuple[str, str], ...]:
-        return tuple((name, agg) for name, agg, _ in self.slots)
 
-    @property
-    def categories(self) -> tuple[int, ...]:
-        return tuple(cat for _, _, cat in self.slots)
+def aggregates(codes: dict[str, np.ndarray], groups: Sequence) -> np.ndarray:
+    """[groups, slots] aggregates of code columns over row groups.
+
+    Slots run column by column, with AGGREGATES in order within each
+    column. Each value is a 1-D reduction over one (group, column) slice,
+    so it rounds the same whatever the other groups hold.
+    """
+    out = np.empty((len(groups), len(codes) * len(AGGREGATES)))
+    for g, rows in enumerate(groups):
+        if len(rows) == 0:
+            raise ValueError("a scene profile needs at least one item")
+        stats = []
+        for col in codes.values():
+            values = col[rows].astype(np.float64)
+            # population variance
+            stats += [values.mean(), values.var(), values.max(), values.min()]
+        out[g] = stats
+    return out
 
 
-def _slot_columns(raw_by_scene: dict[str, dict[tuple[str, str], float]],
-                  ) -> list[tuple[str, str]]:
-    """Canonical slot order: the first scene's (feature, aggregate) order."""
-    first = raw_by_scene[sorted(raw_by_scene)[0]]
-    columns = list(first)
-    layout = set(columns)
-    for sid in sorted(raw_by_scene):
-        if set(raw_by_scene[sid]) != layout:
-            raise SchemaError("scenes disagree on their (feature, aggregate) slots")
-    return columns
-
-
-def bucket_boundaries(raw_by_scene: dict[str, dict[tuple[str, str], float]],
-                      buckets: int) -> dict[tuple[str, str], tuple[float, ...]]:
-    """Equal-frequency bucket edges per aggregate column, over all scenes."""
+def bucket_boundaries(raw: np.ndarray, buckets: int) -> list[tuple[float, ...]]:
+    """Equal-frequency bucket edges of each aggregate column, over all scenes."""
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
-    if not raw_by_scene:
-        raise ValueError("categorize needs at least one scene")
-    edges: dict[tuple[str, str], tuple[float, ...]] = {}
-    for col in _slot_columns(raw_by_scene):
-        values = np.sort([raw_by_scene[sid][col] for sid in sorted(raw_by_scene)])
-        qs = np.quantile(values, np.arange(1, buckets) / buckets)
-        edges[col] = tuple(np.unique(qs))
-    return edges
+    if len(raw) == 0:
+        raise ValueError("bucket_boundaries needs at least one scene")
+    qs = np.arange(1, buckets) / buckets
+    return [tuple(np.unique(np.quantile(np.sort(col), qs))) for col in raw.T]
 
 
-def _categorize_value(value: float, edges: tuple[float, ...]) -> int:
+def categorize(raw: np.ndarray, boundaries: Sequence[Sequence[float]]) -> np.ndarray:
+    """[scenes, slots] categories of aggregates, one edge list per column."""
     # side="left" keeps a degenerate column (all values equal) in category 0.
-    return int(np.searchsorted(edges, value, side="left"))
+    return np.stack([np.searchsorted(edges, col, side="left")
+                     for edges, col in zip(boundaries, raw.T)], axis=1)
 
 
-def categorize(raw_by_scene: dict[str, dict[tuple[str, str], float]],
-               buckets: int) -> tuple[dict[str, SceneProfile],
-                                      dict[tuple[str, str], tuple[float, ...]]]:
-    """Bucket every aggregate column jointly; returns profiles and boundaries."""
-    edges = bucket_boundaries(raw_by_scene, buckets)
-    columns = _slot_columns(raw_by_scene)
-    profiles = {}
-    for sid in sorted(raw_by_scene):
-        slots = tuple((name, agg, _categorize_value(raw_by_scene[sid][(name, agg)],
-                                                    edges[(name, agg)]))
-                      for name, agg in columns)
-        profiles[sid] = SceneProfile(scene_id=sid, slots=slots)
-    return profiles, edges
+def _layout(key_features: Sequence[str]) -> list[tuple[str, str]]:
+    return [(name, agg) for name in key_features for agg in AGGREGATES]
+
+
+def _profiles(scene_ids: Sequence[str], layout: list[tuple[str, str]],
+              raw: np.ndarray, boundaries: list) -> list[SceneProfile]:
+    """One profile per aggregate row, categorized under `boundaries`."""
+    return [SceneProfile(sid, tuple((*slot, cat) for slot, cat in zip(layout, row)))
+            for sid, row in zip(scene_ids, categorize(raw, boundaries).tolist())]
 
 
 @dataclass
@@ -169,8 +138,11 @@ class SceneRelationGraph:
     """Weighted undirected graph over scene profiles.
 
     Edge weight counts the profile slots with identical categories; zero
-    weights are not stored. The build metadata (key features, bucket
-    edges) travels with the graph so new scenes can be profiled against it.
+    weights are not stored. Construction checks that the profiles share
+    one slot `layout` and keeps them as `categories`, an [S, slots] int
+    matrix whose rows follow the sorted `scene_ids`. The build metadata
+    (key features, bucket edges) travels with the graph so new scenes can
+    be profiled against it.
     """
 
     profiles: dict[str, SceneProfile]
@@ -180,29 +152,21 @@ class SceneRelationGraph:
     boundaries: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
     cc_threshold: float = 0.0
 
-    @property
-    def scene_ids(self) -> list[str]:
-        return sorted(self.profiles)
+    def __post_init__(self) -> None:
+        self.scene_ids = sorted(self.profiles)
+        layouts = {tuple((name, agg) for name, agg, _ in p.slots)
+                   for p in self.profiles.values()}
+        if len(layouts) > 1:
+            raise SchemaError("profiles have inconsistent slot layouts")
+        self.layout = layouts.pop() if layouts else ()
+        self.categories = np.array(
+            [[cat for _, _, cat in self.profiles[sid].slots] for sid in self.scene_ids],
+            dtype=np.int64).reshape(len(self.scene_ids), len(self.layout))
 
     def weight(self, a: str, b: str) -> int:
         if a == b:
-            return profile_weight(self.profiles[a], self.profiles[b])
+            return len(self.profiles[a].slots)
         return self.edges.get((min(a, b), max(a, b)), 0)
-
-
-def profile_weight(a: SceneProfile, b: SceneProfile) -> int:
-    if a.layout != b.layout:
-        raise SchemaError("profiles have different slot layouts")
-    return _shared_slots(a, b)
-
-
-def _shared_slots(a: SceneProfile, b: SceneProfile) -> int:
-    """Edge weight of two profiles whose layouts the caller has checked.
-
-    With equal layouts, two slots are equal exactly when their
-    categories are.
-    """
-    return sum(1 for x, y in zip(a.slots, b.slots) if x == y)
 
 
 def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
@@ -212,18 +176,14 @@ def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
         profiles = list(profiles.values())
     if not profiles:
         raise ValueError("build_graph needs at least one profile")
-    layouts = {p.layout for p in profiles}
-    if len(layouts) != 1:
-        raise SchemaError("profiles have inconsistent slot layouts")
-    by_id = {p.scene_id: p for p in sorted(profiles, key=lambda p: p.scene_id)}
-    ids = sorted(by_id)
-    edges: dict[tuple[str, str], int] = {}
+    graph = SceneRelationGraph(
+        profiles={p.scene_id: p for p in sorted(profiles, key=lambda p: p.scene_id)},
+        edges={})
+    ids, cats = graph.scene_ids, graph.categories
     for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            w = _shared_slots(by_id[a], by_id[b])
-            if w > 0:
-                edges[(a, b)] = w
-    return SceneRelationGraph(profiles=by_id, edges=edges)
+        shared = (cats[i + 1:] == cats[i]).sum(1).tolist()
+        graph.edges.update(((a, b), w) for b, w in zip(ids[i + 1:], shared) if w)
+    return graph
 
 
 def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
@@ -234,19 +194,17 @@ def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
     scene id; scenes below `min_weight` are pruned, so fewer than k
     results may come back.
     """
-    if not graph.profiles:
+    if not graph.scene_ids:
         raise ValueError("similar_scenes needs a non-empty graph")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if next(iter(graph.profiles.values())).layout != target.layout:
+    if tuple((name, agg) for name, agg, _ in target.slots) != graph.layout:
         raise SchemaError("target profile's slot layout differs from the graph's")
-    weighted = []
-    for sid in graph.scene_ids:
-        w = _shared_slots(graph.profiles[sid], target)
-        if w >= min_weight:
-            weighted.append((sid, w))
-    weighted.sort(key=lambda t: (-t[1], t[0]))
-    return weighted[:k]
+    shared = (graph.categories == [cat for _, _, cat in target.slots]).sum(1)
+    # The rows follow the sorted ids, so a stable sort breaks ties by id.
+    order = np.argsort(-shared, kind="stable")[:k]
+    return [(graph.scene_ids[i], int(shared[i])) for i in order
+            if shared[i] >= min_weight]
 
 
 def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
@@ -255,11 +213,10 @@ def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
     """Profile an unseen scene with the graph's stored bucket boundaries."""
     if not graph.boundaries:
         raise ValueError("graph carries no bucket boundaries; rebuild with build_srg")
-    raw = profile_scene(scene_examples, graph.key_features, schema)
-    slots = tuple((name, agg, _categorize_value(raw[(name, agg)],
-                                                graph.boundaries[(name, agg)]))
-                  for name in graph.key_features for agg in AGGREGATES)
-    return SceneProfile(scene_id=scene_id, slots=slots)
+    layout = _layout(graph.key_features)
+    codes = encode_columns(scene_examples, [schema[name] for name in graph.key_features])
+    raw = aggregates(codes, [np.arange(len(scene_examples))])
+    return _profiles([scene_id], layout, raw, [graph.boundaries[s] for s in layout])[0]
 
 
 def build_srg(examples: Sequence[Example], schema: FeatureSchema,
@@ -275,13 +232,15 @@ def build_srg(examples: Sequence[Example], schema: FeatureSchema,
                         cc_threshold, max_features)
     if not key:
         raise ValueError(f"no feature reaches |r| >= {cc_threshold}; lower the threshold")
-    raw = {sid: _aggregates({name: codes[name][rows] for name in key})
-           for sid, rows in group_by_scene(examples).items()}
-    profiles, edges = categorize(raw, buckets)
-    graph = build_graph(profiles)
+    groups = group_by_scene(examples)
+    ids = sorted(groups)
+    raw = aggregates({name: codes[name] for name in key}, [groups[sid] for sid in ids])
+    layout = _layout(key)
+    boundaries = bucket_boundaries(raw, buckets)
+    graph = build_graph(_profiles(ids, layout, raw, boundaries))
     graph.key_features = tuple(key)
     graph.buckets = buckets
-    graph.boundaries = edges
+    graph.boundaries = dict(zip(layout, boundaries))
     graph.cc_threshold = cc_threshold
     return graph
 
@@ -306,23 +265,22 @@ def graph_to_json(graph: SceneRelationGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SceneRelationGraph:
+    """The graph `graph_to_json` wrote; SchemaError when its edges are not
+    the ones its profiles give."""
     if not all(isinstance(node["scene_id"], str) for node in obj["nodes"]):
         raise SchemaError("graph scene ids must be strings")
-    profiles = {node["scene_id"]: SceneProfile(
+    graph = build_graph([SceneProfile(
         scene_id=node["scene_id"],
         slots=tuple((name, agg, int(cat)) for name, agg, cat in node["profile"]))
-        for node in obj["nodes"]}
-    if len({p.layout for p in profiles.values()}) > 1:
-        raise SchemaError("graph profiles have inconsistent slot layouts")
-    return SceneRelationGraph(
-        profiles=profiles,
-        edges={(a, b): int(w) for a, b, w in obj["edges"]},
-        key_features=tuple(obj["key_features"]),
-        buckets=int(obj["buckets"]),
-        boundaries={(e["feature"], e["aggregate"]): tuple(e["edges"])
-                    for e in obj["boundaries"]},
-        cc_threshold=float(obj["cc_threshold"]),
-    )
+        for node in obj["nodes"]])
+    if {(a, b): int(w) for a, b, w in obj["edges"]} != graph.edges:
+        raise SchemaError("graph edges differ from the ones its profiles give")
+    graph.key_features = tuple(obj["key_features"])
+    graph.buckets = int(obj["buckets"])
+    graph.boundaries = {(e["feature"], e["aggregate"]): tuple(e["edges"])
+                        for e in obj["boundaries"]}
+    graph.cc_threshold = float(obj["cc_threshold"])
+    return graph
 
 
 def save_graph(graph: SceneRelationGraph, path: str) -> None:
@@ -332,5 +290,10 @@ def save_graph(graph: SceneRelationGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> SceneRelationGraph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+    """The graph in a graph.json file; SchemaError naming the file when the
+    file is not one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return graph_from_json(json.load(fh))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: bad graph file: {exc!r}") from None

@@ -104,3 +104,17 @@ def test_dnn_train_through_cli(workspace, tmp_path):
                  "--test", str(workspace / "test.jsonl"),
                  "--report", str(report)]) == 0
     assert 0.0 <= json.loads(report.read_text())["auc_all"] <= 1.0
+
+
+def test_bad_config_is_one_line_error(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"trian_scenes": 3}))
+    assert main(["datagen", "--config", str(gen),
+                 "--out-train", str(tmp_path / "train.jsonl"),
+                 "--out-test", str(tmp_path / "test.jsonl"),
+                 "--out-truth", str(tmp_path / "truth.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("swan: error: ")
+    assert len(err.splitlines()) == 1
+    assert "trian_scenes" in err
+    assert "Traceback" not in err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import tiny_train_config
 from swan.model import predict_scores
 from swan.serialize import MAGIC, load_model, save_model
-from swan.srg import SceneRelationGraph
+from swan.srg import SceneRelationGraph, build_graph
 from swan.training import baseline_dnn, train
 
 
@@ -176,11 +176,12 @@ class TestMalformedFile:
         result, graph = tiny_data
         out = train(result.train, graph, tiny_train_config(epochs=1))
         stray = next(iter(graph.profiles.values()))
+        ghosts = build_graph([*graph.profiles.values(),
+                              replace(stray, scene_id="ghost_a"),
+                              replace(stray, scene_id="ghost_b")])
         wider = SceneRelationGraph(
-            profiles={**graph.profiles,
-                      "ghost_a": replace(stray, scene_id="ghost_a"),
-                      "ghost_b": replace(stray, scene_id="ghost_b")},
-            edges=graph.edges, key_features=graph.key_features,
+            profiles=ghosts.profiles, edges=ghosts.edges,
+            key_features=graph.key_features,
             buckets=graph.buckets, boundaries=graph.boundaries,
             cc_threshold=graph.cc_threshold)
         path = tmp_path / "model.bin"

@@ -1,15 +1,17 @@
 """Tests for the scene relation graph construction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swan.features import Example, Feature, FeatureSchema, SchemaError
-from swan.srg import (SceneProfile, build_graph, build_srg, categorize,
-                      graph_from_json, graph_to_json, pearson,
-                      profile_new_scene, profile_scene, select_key_features,
-                      similar_scenes)
+from swan.features import Example, Feature, FeatureSchema, SchemaError, group_by_scene
+from swan.srg import (AGGREGATES, SceneProfile, aggregates, bucket_boundaries,
+                      build_graph, build_srg, categorize, graph_from_json,
+                      graph_to_json, load_graph, pearson, profile_new_scene,
+                      select_key_features, similar_scenes)
 
 
 def _item_schema(n_features, vocab=12):
@@ -112,64 +114,93 @@ class TestKeyFeatureSelection:
         assert selected[0] == "f0"
 
 
+def _aggregates(values):
+    """One scene's aggregates of one code column, keyed by aggregate kind."""
+    raw = aggregates({"f0": np.array(values)}, [np.arange(len(values))])
+    return dict(zip(AGGREGATES, raw[0]))
+
+
 class TestProfiling:
     def test_aggregates_direct(self):
-        schema = _item_schema(1)
-        examples = _examples_from_matrix(np.array([[1], [3]]), [0, 0])
-        raw = profile_scene(examples, ["f0"], schema)
-        assert raw[("f0", "mean")] == 2.0
-        assert raw[("f0", "var")] == 1.0
-        assert raw[("f0", "max")] == 3.0
-        assert raw[("f0", "min")] == 1.0
+        raw = _aggregates([1, 3])
+        assert raw == {"mean": 2.0, "var": 1.0, "max": 3.0, "min": 1.0}
 
     def test_single_item_scene(self):
-        schema = _item_schema(1)
-        examples = _examples_from_matrix(np.array([[7]]), [0])
-        raw = profile_scene(examples, ["f0"], schema)
-        assert raw[("f0", "mean")] == 7.0
-        assert raw[("f0", "var")] == 0.0
-        assert raw[("f0", "max")] == raw[("f0", "min")] == 7.0
+        raw = _aggregates([7])
+        assert raw == {"mean": 7.0, "var": 0.0, "max": 7.0, "min": 7.0}
 
     def test_population_variance(self):
-        schema = _item_schema(1)
-        examples = _examples_from_matrix(np.array([[2], [4], [6], [8]]), [0] * 4)
-        raw = profile_scene(examples, ["f0"], schema)
-        assert raw[("f0", "mean")] == 5.0
-        assert raw[("f0", "var")] == 5.0
-        assert raw[("f0", "max")] == 8.0
-        assert raw[("f0", "min")] == 2.0
+        raw = _aggregates([2, 4, 6, 8])
+        assert raw == {"mean": 5.0, "var": 5.0, "max": 8.0, "min": 2.0}
 
     def test_empty_scene_rejected(self):
         with pytest.raises(ValueError):
-            profile_scene([], ["f0"], _item_schema(1))
+            aggregates({"f0": np.array([1, 2])}, [np.arange(2), np.arange(0)])
+
+    def test_slots_run_feature_by_feature(self):
+        codes = {"b": np.array([1, 3, 5]), "a": np.array([0, 0, 6])}
+        raw = aggregates(codes, [[0, 1], [2]])
+        assert raw.tolist() == [[2.0, 1.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                                [5.0, 0.0, 5.0, 5.0, 6.0, 0.0, 6.0, 6.0]]
+
+
+def _categories(values, buckets):
+    """Categories of one aggregate column bucketed over its own scenes."""
+    raw = np.array(values, dtype=np.float64)[:, None]
+    return categorize(raw, bucket_boundaries(raw, buckets))[:, 0].tolist()
 
 
 class TestCategorize:
     def test_two_scenes_two_buckets(self):
-        raw = {"a": {("f", "mean"): 1.0}, "b": {("f", "mean"): 5.0}}
-        profiles, _ = categorize(raw, buckets=2)
-        assert profiles["a"].categories == (0,)
-        assert profiles["b"].categories == (1,)
+        assert _categories([1.0, 5.0], buckets=2) == [0, 1]
 
     def test_degenerate_column_all_zero(self):
-        raw = {s: {("f", "mean"): 4.2} for s in "abcd"}
-        profiles, _ = categorize(raw, buckets=10)
-        assert all(profiles[s].categories == (0,) for s in "abcd")
+        assert _categories([4.2] * 4, buckets=10) == [0] * 4
 
     def test_ten_scenes_five_buckets(self):
-        raw = {f"s{i:02d}": {("f", "mean"): float(i + 1)} for i in range(10)}
-        profiles, _ = categorize(raw, buckets=5)
-        cats = [profiles[f"s{i:02d}"].categories[0] for i in range(10)]
+        cats = _categories([float(i + 1) for i in range(10)], buckets=5)
         assert cats == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_bad_bucket_count(self):
         with pytest.raises(ValueError):
-            categorize({"a": {("f", "mean"): 1.0}}, buckets=0)
+            bucket_boundaries(np.array([[1.0]]), buckets=0)
 
 
 def _profile(sid, cats, names=None):
     names = names or [f"k{i}" for i in range(len(cats))]
     return SceneProfile(sid, tuple((n, "mean", c) for n, c in zip(names, cats)))
+
+
+def _shared(a, b):
+    return sum(1 for x, y in zip(a.slots, b.slots) if x == y)
+
+
+def _pair_loop_edges(profiles):
+    """The edges of a scan over every scene pair, in sorted id order."""
+    by_id = {p.scene_id: p for p in profiles}
+    ids = sorted(by_id)
+    edges = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            w = _shared(by_id[a], by_id[b])
+            if w > 0:
+                edges[(a, b)] = w
+    return edges
+
+
+def _profile_scan(profiles, target, k, min_weight):
+    """Neighbours of a scan over every profile: weight down, then id up."""
+    weighted = [(p.scene_id, _shared(p, target)) for p in profiles]
+    weighted = [(sid, w) for sid, w in weighted if w >= min_weight]
+    weighted.sort(key=lambda t: (-t[1], t[0]))
+    return weighted[:k]
+
+
+def _random_profiles(rng, n_scenes, n_slots, n_cats):
+    """Profiles over a random category matrix, ids in shuffled order."""
+    cats = rng.integers(0, n_cats, size=(n_scenes, n_slots))
+    ids = [f"s{i}" for i in rng.permutation(n_scenes)]
+    return [_profile(sid, tuple(int(c) for c in row)) for sid, row in zip(ids, cats)]
 
 
 class TestGraph:
@@ -211,6 +242,34 @@ class TestGraph:
         assert again.profiles["a"].slots == g.profiles["a"].slots
         assert again.boundaries == g.boundaries
 
+    def test_edges_match_pair_loop(self):
+        rng = np.random.default_rng(9)
+        for n_scenes, n_slots, n_cats in [(1, 3, 2), (2, 1, 2), (12, 4, 3),
+                                          (40, 8, 2), (40, 20, 10), (25, 0, 1)]:
+            profiles = _random_profiles(rng, n_scenes, n_slots, n_cats)
+            g = build_graph(profiles)
+            assert g.edges == _pair_loop_edges(profiles)
+            assert all(type(w) is int for w in g.edges.values())
+            assert g.categories.shape == (n_scenes, n_slots)
+
+    def test_json_edges_contradicting_profiles_rejected(self):
+        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
+                                         _profile("b", (0, 2))]))
+        for edges in ([["a", "b", 1], ["a", "zzz", 5]], [["a", "b", 2]], []):
+            with pytest.raises(SchemaError, match="edges"):
+                graph_from_json({**obj, "edges": edges})
+
+    @pytest.mark.parametrize("broken", [{"nodes": None}, {"nodes": 3},
+                                        {"edges": None}, {"buckets": None}])
+    def test_load_graph_names_file(self, tmp_path, broken):
+        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        obj = {**graph_to_json(g), **broken}
+        obj = {k: v for k, v in obj.items() if v is not None}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="graph.json: bad graph file"):
+            load_graph(str(path))
+
     def test_json_inconsistent_layout_rejected(self):
         obj = graph_to_json(build_graph([_profile("a", (0, 1)),
                                          _profile("b", (0, 2))]))
@@ -250,6 +309,19 @@ class TestSimilarScenes:
         with pytest.raises(SchemaError, match="layout"):
             similar_scenes(g, _profile("q", (0, 1), names=["k0", "other"]))
 
+    def test_match_profile_scan(self):
+        rng = np.random.default_rng(10)
+        for n_scenes, n_slots, n_cats in [(1, 3, 2), (9, 4, 2), (30, 6, 3), (60, 12, 8)]:
+            profiles = _random_profiles(rng, n_scenes, n_slots, n_cats)
+            g = build_graph(profiles)
+            for _ in range(20):
+                target = _profile("q", tuple(int(c) for c in
+                                             rng.integers(0, n_cats, size=n_slots)))
+                k = int(rng.integers(1, n_scenes + 3))
+                min_weight = int(rng.integers(0, n_slots + 2))
+                assert (similar_scenes(g, target, k=k, min_weight=min_weight)
+                        == _profile_scan(profiles, target, k, min_weight))
+
     @given(st.permutations(range(6)))
     @settings(max_examples=30, deadline=None)
     def test_stable_under_input_permutation(self, order):
@@ -286,3 +358,10 @@ class TestEndToEnd:
         ranked = similar_scenes(graph, profile, k=3)
         assert ranked, "a same-cluster neighbor should clear the threshold"
         assert int(ranked[0][0][1]) % 2 == 1  # odd scenes share the high cluster
+
+    def test_training_scene_profiles_as_stored(self, tiny_data):
+        result, graph = tiny_data
+        for sid, rows in group_by_scene(result.train).items():
+            profile = profile_new_scene(graph, sid, [result.train[i] for i in rows],
+                                        result.schema)
+            assert profile == graph.profiles[sid]
