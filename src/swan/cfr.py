@@ -8,7 +8,7 @@ feature values and mixed with the attention weights, supplementing the
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -18,22 +18,24 @@ from .features import EmbeddingSet
 
 
 def cfr_forward(weights: Tensor, feature_idx: Mapping[str, np.ndarray],
-                embeddings: EmbeddingSet, similar_ids: Sequence[str]) -> Tensor:
+                embeddings: EmbeddingSet, neighbors: np.ndarray) -> Tensor:
     """Similarity-weighted per-scene embeddings of the target's features.
 
-    `weights` is [B, I] aligned with `similar_ids`. One gather takes,
-    for every scene feature and similar scene, the scene's private row
-    of the target's code from `embeddings.cfr`; the F feature blocks are
-    summed per scene and the I sums mixed with the attention weights.
+    `neighbors` is the [B, I] matrix of each row's similar scenes, as
+    scene vocabulary indices, and `weights` is [B, I] aligned with it.
+    One gather takes, for every scene feature and similar scene, the
+    scene's private row of the target's code from `embeddings.cfr`; the
+    F feature blocks are summed per scene and the I sums mixed with the
+    attention weights.
     """
-    similar_ids = list(similar_ids)
-    if weights.shape[-1] != len(similar_ids):
-        raise DimensionError(
-            f"cfr_forward: {weights.shape[-1]} weights for {len(similar_ids)} scenes")
-    rows = embeddings.cfr_rows(feature_idx, similar_ids)         # [B, F*I]
+    if weights.shape != neighbors.shape:
+        raise DimensionError(f"cfr_forward: {weights.shape} weights for "
+                             f"{neighbors.shape} neighbours")
+    n_similar = neighbors.shape[1]
+    rows = embeddings.cfr_rows(feature_idx, neighbors)            # [B, F*I]
     per_feature = ad.rows(embeddings.cfr, rows)                   # F blocks of I*d
     sums = ad.sum_blocks(per_feature, len(embeddings.cfr_offsets))  # I blocks of d
-    return ad.mix(weights, sums, len(similar_ids))
+    return ad.mix(weights, sums, n_similar)
 
 
 def assemble_input(e_other: Tensor, e_user: Tensor, vec_san: Tensor,

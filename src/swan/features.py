@@ -140,6 +140,12 @@ class Feature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Feature":
+        """The feature a schema entry describes; SchemaError naming the
+        entry when it lacks `name`, `kind` or `group`."""
+        missing = [key for key in ("name", "kind", "group") if key not in obj]
+        if missing:
+            raise SchemaError(f"schema entry {obj!r} lacks "
+                              f"{', '.join(map(repr, missing))}")
         return cls(name=obj["name"], kind=obj["kind"], group=obj["group"],
                    vocab=obj.get("vocab"),
                    boundaries=tuple(obj["boundaries"]) if "boundaries" in obj else None)
@@ -418,20 +424,29 @@ class EmbeddingSet:
                 raise ConfigError(f"no embedding rows for feature {feat.name!r}")
         return out
 
-    def scene_rows(self, scene_ids: Sequence[str]) -> np.ndarray:
-        """Row indices into `table` of known scene ids, in order."""
-        return np.array([self.scene_offset + self.scene_vocab[sid]
-                         for sid in scene_ids], dtype=np.int64)
-
-    def cfr_rows(self, idx: dict[str, np.ndarray],
-                 scene_ids: Sequence[str]) -> np.ndarray:
-        """[B, F·I] row indices into `cfr`: column f·I + i holds the rows
-        of scene feature f's codes in the private rows of scene_ids[i]."""
+    def scene_indices(self, scene_ids: Sequence[str]) -> np.ndarray:
+        """Vocabulary indices of known scene ids, in order; ConfigError
+        naming the first unknown one."""
         unknown = [sid for sid in scene_ids if sid not in self.scene_vocab]
         if unknown:
-            raise ConfigError(f"no cross-scene rows for scene {unknown[0]!r}")
-        bases = self.cfr_width * np.array([self.scene_vocab[sid] for sid in scene_ids],
-                                          dtype=np.int64)
+            raise ConfigError(f"no scene rows for scene {unknown[0]!r}")
+        return np.array([self.scene_vocab[sid] for sid in scene_ids], dtype=np.int64)
+
+    def scene_rows(self, scenes: np.ndarray) -> np.ndarray:
+        """Row indices into `table` of an array of scene vocabulary indices,
+        in its shape."""
+        return self.scene_offset + scenes
+
+    def cfr_rows(self, idx: dict[str, np.ndarray],
+                 neighbors: np.ndarray) -> np.ndarray:
+        """[B, F·I] row indices into `cfr` for a [B, I] matrix of known
+        scenes' vocabulary indices, a row of it per batch row: column f·I + i
+        holds the row of scene feature f's code in the private rows of
+        scene neighbors[:, i]."""
+        bad = neighbors[(neighbors < 0) | (neighbors >= len(self.scene_vocab))]
+        if bad.size:
+            raise ConfigError(f"no cross-scene rows for scene index {bad[0]}")
+        bases = self.cfr_width * neighbors
         return np.concatenate([(self.cfr_offsets[f.name] + idx[f.name])[:, None] + bases
                                for f in self.schema.scene_features], axis=1)
 

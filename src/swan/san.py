@@ -34,20 +34,22 @@ def san_forward(e_user: Tensor, e_target: Tensor, e_similar: Tensor,
     product; weights are the softmax of the scores across the similar
     scenes and the output vector is the weight-mixed similar-scene
     embedding. `e_user` and `e_target` are row batches; `e_similar` is
-    the [I, d_scene] matrix of the similar-scene embeddings, shared by
-    every row (a batch holds one scene). All B*I (row, scene) pairs are
-    scored in one MLP call.
+    [B, I*d_scene], row b holding the embeddings of row b's I similar
+    scenes side by side, so rows of one batch may attend over different
+    scenes. All B*I (row, scene) pairs are scored in one MLP call.
     """
-    if e_similar.data.ndim != 2 or e_similar.shape[0] == 0:
-        raise ValueError("san_forward needs at least one similar scene")
-    batch, n_similar = e_target.shape[0], e_similar.shape[0]
+    batch, d = e_target.shape
+    if (e_similar.data.ndim != 2 or e_similar.shape[0] != batch
+            or e_similar.shape[1] == 0 or e_similar.shape[1] % d):
+        raise ValueError(f"san_forward needs [{batch}, I*{d}] similar-scene "
+                         f"embeddings with I >= 1, got {e_similar.shape}")
+    n_similar = e_similar.shape[1] // d
     # Pair (b, i) is row b * I + i.
     row_of = np.repeat(np.arange(batch), n_similar)
-    scene_of = np.tile(np.arange(n_similar), batch)
     e_t = ad.rows(e_target, row_of)
-    e_s = ad.rows(e_similar, scene_of)
+    e_s = ad.reshape(e_similar, (batch * n_similar, d))
     features = ad.concat([ad.rows(e_user, row_of), e_t,
                           ad.sub(e_t, e_s), ad.mul(e_t, e_s)])
     scores = ad.reshape(score_mlp(features), (batch, n_similar))
     weights = ad.softmax(scores)  # [B, I]
-    return SanOutput(weights=weights, vec=ad.matmul(weights, e_similar))
+    return SanOutput(weights=weights, vec=ad.mix(weights, e_similar, n_similar))

@@ -207,16 +207,32 @@ def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
             if shared[i] >= min_weight]
 
 
+def profile_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
+                   codes: dict[str, np.ndarray], groups: Sequence) -> list[SceneProfile]:
+    """Profiles of scenes from encoded rows, with the graph's stored bucket
+    boundaries.
+
+    `codes` holds a code column per feature, the graph's key features
+    among them, and `groups[i]` the rows of `scene_ids[i]` in it. The
+    scenes do not have to be graph nodes.
+    """
+    if not graph.boundaries:
+        raise ValueError("graph carries no bucket boundaries; rebuild with build_srg")
+    missing = [name for name in graph.key_features if name not in codes]
+    if missing:
+        raise SchemaError(f"unknown feature name {missing[0]!r}")
+    layout = _layout(graph.key_features)
+    raw = aggregates({name: codes[name] for name in graph.key_features}, groups)
+    return _profiles(scene_ids, layout, raw, [graph.boundaries[s] for s in layout])
+
+
 def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
                       scene_examples: Sequence[Example],
                       schema: FeatureSchema) -> SceneProfile:
     """Profile an unseen scene with the graph's stored bucket boundaries."""
-    if not graph.boundaries:
-        raise ValueError("graph carries no bucket boundaries; rebuild with build_srg")
-    layout = _layout(graph.key_features)
     codes = encode_columns(scene_examples, [schema[name] for name in graph.key_features])
-    raw = aggregates(codes, [np.arange(len(scene_examples))])
-    return _profiles([scene_id], layout, raw, [graph.boundaries[s] for s in layout])[0]
+    return profile_scenes(graph, [scene_id], codes,
+                          [np.arange(len(scene_examples))])[0]
 
 
 def build_srg(examples: Sequence[Example], schema: FeatureSchema,

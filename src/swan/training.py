@@ -9,13 +9,15 @@ fixed reduction order.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .features import Example, FeatureSchema, _known_keys, is_click_label
+from .features import (ConfigError, Example, FeatureSchema, _known_keys,
+                       is_click_label)
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
@@ -41,6 +43,14 @@ class TrainConfig:
     loss: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        for names, kind, what in (
+                (("batch_size", "epochs", "seed"), numbers.Integral, "an integer"),
+                (("lr", "beta1", "beta2", "adam_eps"), numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(
+                        f"TrainConfig {name} must be {what}, got {value!r}")
         if self.lr < 0.0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("rates and sizes must be positive")
         if self.model_kind not in ("swan", "dnn"):
@@ -222,9 +232,11 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
             loss = _batch_loss(params, batch, config.loss)
             value = loss.item()
             if not np.isfinite(value):
+                # A training batch holds one scene, and scene vocabulary
+                # indices follow the sorted scene ids.
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} batch {step} "
-                    f"(scene {batch.scene_id!r})")
+                    f"(scene {scene_ids[batch.scene_idx[0]]!r})")
             total += value * len(batch.scene_idx)
             if config.lr > 0.0:
                 backward(loss)

@@ -133,10 +133,11 @@ class TestCriterion1:
         examples = [ex for ex in data.train if ex.scene_id == sid][:4]
         idx, scene_idx = encode_batch(examples, data.schema, params.embeddings)
         labels = np.array([float(ex.label) for ex in examples])
+        ids = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         batch = PreparedBatch(
-            scene_id=sid, feature_idx=idx, scene_idx=scene_idx, labels=labels,
-            neighbor_ids=resolve_neighbors(graph, sid, graph.profiles[sid],
-                                           params))
+            feature_idx=idx, scene_idx=scene_idx, labels=labels,
+            neighbors=np.tile(params.embeddings.scene_indices(ids),
+                              (len(examples), 1)))
         weights = LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3)
 
         def build():

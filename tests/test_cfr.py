@@ -7,6 +7,7 @@ from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
 from swan.cfr import assemble_input, cfr_forward
 from swan.features import ConfigError, EmbeddingSet, Feature, FeatureSchema
+from swan.gradcheck import finite_difference, max_rel_error
 
 
 def _tables(rng, scene_ids, feats=("sf0", "sf1"), rows=4, dim=3):
@@ -22,6 +23,12 @@ def _block(table, tables, sid, f):
     return table[lo:lo + tables.schema[f].num_indices]
 
 
+def _nbrs(tables, ids, rows=1):
+    """Scene ids shared by `rows` rows, as the [rows, I] vocabulary-index
+    matrix cfr_forward takes."""
+    return np.tile(tables.scene_indices(ids), (rows, 1))
+
+
 def _expected_emb(tables, sid, idx):
     return sum(_block(tables.cfr.data, tables, sid, f)[idx[f]]
                for f in sorted(tables.cfr_offsets))
@@ -32,7 +39,7 @@ class TestCfrForward:
         rng = np.random.default_rng(0)
         tables = _tables(rng, ["a"])
         idx = {"sf0": np.array([1]), "sf1": np.array([2])}
-        out = cfr_forward(Tensor([[1.0]]), idx, tables, ["a"])
+        out = cfr_forward(Tensor([[1.0]]), idx, tables, _nbrs(tables, ["a"]))
         np.testing.assert_allclose(out.data, _expected_emb(tables, "a", idx),
                                    atol=1e-15)
 
@@ -40,7 +47,8 @@ class TestCfrForward:
         rng = np.random.default_rng(1)
         tables = _tables(rng, ["a", "b"])
         idx = {"sf0": np.array([0]), "sf1": np.array([3])}
-        out = cfr_forward(Tensor([[0.5, 0.5]]), idx, tables, ["a", "b"])
+        out = cfr_forward(Tensor([[0.5, 0.5]]), idx, tables,
+                          _nbrs(tables, ["a", "b"]))
         expected = 0.5 * (_expected_emb(tables, "a", idx)
                           + _expected_emb(tables, "b", idx))
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
@@ -49,7 +57,8 @@ class TestCfrForward:
         rng = np.random.default_rng(2)
         tables = _tables(rng, ["a", "b"])
         idx = {"sf0": np.array([2]), "sf1": np.array([1])}
-        out = cfr_forward(Tensor([[0.3, 0.7]]), idx, tables, ["a", "b"])
+        out = cfr_forward(Tensor([[0.3, 0.7]]), idx, tables,
+                          _nbrs(tables, ["a", "b"]))
         expected = (0.3 * _expected_emb(tables, "a", idx)
                     + 0.7 * _expected_emb(tables, "b", idx))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -59,20 +68,24 @@ class TestCfrForward:
         tables = _tables(rng, ["a"])
         idx = {"sf0": np.array([0]), "sf1": np.array([0])}
         with pytest.raises(ConfigError, match="ghost"):
-            cfr_forward(Tensor([[1.0]]), idx, tables, ["ghost"])
+            tables.scene_indices(["ghost"])
+        # The row every unknown scene shares has no cross-scene rows.
+        ghost = np.array([[tables.scene_index("ghost")]])
+        with pytest.raises(ConfigError, match="scene index 1"):
+            cfr_forward(Tensor([[1.0]]), idx, tables, ghost)
 
     def test_weight_count_mismatch(self):
         rng = np.random.default_rng(4)
         tables = _tables(rng, ["a", "b"])
         idx = {"sf0": np.array([0]), "sf1": np.array([0])}
         with pytest.raises(DimensionError):
-            cfr_forward(Tensor([[1.0]]), idx, tables, ["a", "b"])
+            cfr_forward(Tensor([[1.0]]), idx, tables, _nbrs(tables, ["a", "b"]))
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(5)
         tables = _tables(rng, ["a", "b", "c"])
         idx = {"sf0": np.array([1, 3]), "sf1": np.array([0, 2])}
-        ids = ["a", "b", "c"]
+        ids = _nbrs(tables, ["a", "b", "c"], rows=2)
         s1 = rng.random((2, 3))
         s2 = rng.random((2, 3))
         alpha, beta = 0.6, -1.3
@@ -85,7 +98,8 @@ class TestCfrForward:
         rng = np.random.default_rng(6)
         tables = _tables(rng, ["a", "b", "c"])
         idx = {"sf0": np.array([1]), "sf1": np.array([2])}
-        out = cfr_forward(Tensor([[0.4, 0.6]]), idx, tables, ["a", "b"])
+        out = cfr_forward(Tensor([[0.4, 0.6]]), idx, tables,
+                          _nbrs(tables, ["a", "b"]))
         backward(ad.sum_all(out))
         grad = tables.cfr.grad
         for f in ("sf0", "sf1"):
@@ -97,12 +111,41 @@ class TestCfrForward:
         rng = np.random.default_rng(9)
         tables = _tables(rng, ["b", "a", "c"])
         idx = {"sf0": np.array([1, 3]), "sf1": np.array([0, 2])}
-        rows = tables.cfr_rows(idx, ["c", "a"])
+        rows = tables.cfr_rows(idx, _nbrs(tables, ["c", "a"], rows=2))
         # Column f*I + i: scene feature f (of 4 rows each) of scene ids[i],
         # whose block starts at its vocabulary index times 8 rows.
         np.testing.assert_array_equal(rows, [[16 + 1, 0 + 1, 16 + 4, 0 + 4],
                                              [16 + 3, 0 + 3, 16 + 6, 0 + 6]])
         assert tables.cfr.shape == (3 * 8, 3)
+
+    def test_rows_mix_their_own_scenes(self):
+        rng = np.random.default_rng(10)
+        tables = _tables(rng, ["a", "b", "c"])
+        idx = {"sf0": np.array([1, 3]), "sf1": np.array([0, 2])}
+        weights = rng.random((2, 2))
+        nbrs = np.array([[0, 1], [2, 0]])
+        out = cfr_forward(Tensor(weights), idx, tables, nbrs)
+        for b, ids in enumerate([["a", "b"], ["c", "a"]]):
+            row = {f: v[b:b + 1] for f, v in idx.items()}
+            expected = sum(weights[b, i] * _expected_emb(tables, sid, row)
+                           for i, sid in enumerate(ids))
+            np.testing.assert_allclose(out.data[b:b + 1], expected, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        tables = _tables(rng, ["a", "b", "c"])
+        idx = {"sf0": np.array([1, 3]), "sf1": np.array([0, 2])}
+        weights = Tensor(rng.random((2, 2)), requires_grad=True)
+        nbrs = np.array([[0, 1], [2, 0]])
+        probe = Tensor(rng.normal(size=(2, 3)))
+
+        def build():
+            return ad.sum_all(ad.mul(cfr_forward(weights, idx, tables, nbrs), probe))
+
+        backward(build())
+        for name, t in (("weights", weights), ("cfr", tables.cfr)):
+            numeric = finite_difference(lambda: build().item(), t)
+            assert max_rel_error(t.grad, numeric) < 1e-6, name
 
 
 class TestAssembleInput:

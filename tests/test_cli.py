@@ -118,3 +118,23 @@ def test_bad_config_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "trian_scenes" in err
     assert "Traceback" not in err
+
+    # A schema entry without a name, and a wrongly typed training field.
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"kind": "categorical", "group": "item",
+                                   "vocab": 3}]))
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"model": {}, "epochs": "x"}))
+    for argv, needle in (
+            (["srg", "build", "--data", str(tmp_path / "train.jsonl"),
+              "--schema", str(schema), "--out", str(tmp_path / "g.json")],
+             "'name'"),
+            (["train", "--train", str(tmp_path / "train.jsonl"),
+              "--schema", str(schema), "--config", str(train_cfg),
+              "--out", str(tmp_path / "m.bin")], "epochs")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("swan: error: ")
+        assert len(err.splitlines()) == 1
+        assert needle in err
+        assert "Traceback" not in err

@@ -51,6 +51,17 @@ class TestSchema:
             FeatureSchema.from_json([{"name": name, "kind": "categorical",
                                       "group": "scene", "vocab": 2}])
 
+    @pytest.mark.parametrize("entry, missing", [
+        ({"kind": "categorical", "group": "item", "vocab": 3}, "'name'"),
+        ({"name": "x", "group": "item", "vocab": 3}, "'kind'"),
+        ({"name": "x", "kind": "categorical", "vocab": 3}, "'group'"),
+        ({"vocab": 3}, "'name', 'kind', 'group'")])
+    def test_entry_missing_key_named(self, entry, missing):
+        with pytest.raises(SchemaError) as info:
+            FeatureSchema.from_json([entry])
+        assert missing in str(info.value)
+        assert repr(entry) in str(info.value)
+
     def test_unknown_kind_and_group(self):
         with pytest.raises(SchemaError):
             Feature("x", "ordinal", "user", vocab=2)

@@ -40,10 +40,11 @@ def _batch(params, graph, examples, labels=True):
     profile = (graph.profiles[sid] if sid in graph.profiles
                else profile_new_scene(graph, sid, examples, params.schema))
     idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
+    ids = resolve_neighbors(graph, sid, profile, params)
     return PreparedBatch(
-        scene_id=sid, feature_idx=idx, scene_idx=scene_idx,
+        feature_idx=idx, scene_idx=scene_idx,
         labels=np.array([float(ex.label) for ex in examples]) if labels else None,
-        neighbor_ids=resolve_neighbors(graph, sid, profile, params))
+        neighbors=np.tile(params.embeddings.scene_indices(ids), (len(examples), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,10 @@ def _block(emb, feat):
     return emb.table.data[lo:lo + feat.num_indices]
 
 
-def _cfr_block(emb, sid, feat):
-    """Scene `sid`'s private rows of scene feature `feat`."""
-    lo = emb.scene_vocab[sid] * emb.cfr_width + emb.cfr_offsets[feat.name]
+def _cfr_block(emb, scene, feat):
+    """The private rows of scene feature `feat` of the scene with
+    vocabulary index `scene`."""
+    lo = scene * emb.cfr_width + emb.cfr_offsets[feat.name]
     return emb.cfr.data[lo:lo + feat.num_indices]
 
 
@@ -117,9 +119,8 @@ def _reference(params, batch):
     rows = e_target.shape[0]
     vec = np.zeros_like(e_target)
     e_cfr = np.zeros_like(e_target)
-    if batch.neighbor_ids:
-        sims = [np.repeat(scene_table[emb.scene_vocab[sid]][None, :], rows, axis=0)
-                for sid in batch.neighbor_ids]
+    if batch.neighbors.size:
+        sims = [scene_table[col] for col in batch.neighbors.T]
         scores = [_mlp(np.concatenate([e_user, e_target, e_target - e_s,
                                        e_target * e_s], axis=1),
                        _layers(params.san_mlp)) for e_s in sims]
@@ -127,9 +128,11 @@ def _reference(params, batch):
         vec = sum(weights[:, i:i + 1] * e_s for i, e_s in enumerate(sims))
         if cfg.flags.cfr:
             e_cfr = sum(
-                weights[:, i:i + 1] * sum(_cfr_block(emb, sid, f)[idx[f.name]]
-                                          for f in schema.scene_features)
-                for i, sid in enumerate(batch.neighbor_ids))
+                weights[:, i:i + 1] * sum(
+                    np.stack([_cfr_block(emb, scene, f)[code]
+                              for scene, code in zip(col, idx[f.name])])
+                    for f in schema.scene_features)
+                for i, col in enumerate(batch.neighbors.T))
     e_in = np.concatenate([e_other, e_user, vec, e_target + e_cfr], axis=1)
     if cfg.flags.aem:
         with ad.no_grad():
@@ -176,7 +179,7 @@ class TestParityWithLoops:
         cold = [ex for ex in gen.test if ex.scene_id == cold_sid][:7]
         for examples in (known, cold):
             batch = _batch(params, graph, examples)
-            assert batch.neighbor_ids
+            assert batch.neighbors.size
             yhat, loss = _fused(params, batch)
             ref_yhat, ref_loss = _reference(params, batch)
             np.testing.assert_allclose(yhat, ref_yhat, rtol=1e-12, atol=0.0)
@@ -188,7 +191,7 @@ class TestParityWithLoops:
         config = replace(CONFIGS[name], min_weight=10 ** 6)
         params = init_swan_params(gen.schema, graph.scene_ids, config, seed=4)
         batch = _batch(params, graph, gen.test[:5])
-        assert batch.neighbor_ids == []
+        assert batch.neighbors.shape == (5, 0)
         yhat, loss = _fused(params, batch)
         ref_yhat, ref_loss = _reference(params, batch)
         np.testing.assert_allclose(yhat, ref_yhat, rtol=1e-12, atol=0.0)
@@ -230,7 +233,7 @@ class TestOpCounts:
         params = init_swan_params(gen.schema, graph.scene_ids, CONFIGS[name], seed=6)
         examples = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[0]]
         batch = _batch(params, graph, examples)
-        assert len(batch.neighbor_ids) == CONFIGS[name].k_neighbors
+        assert batch.neighbors.shape[1] == CONFIGS[name].k_neighbors
         op_counter[0] = 0
         out = swan_forward(params, batch)
         loss = total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, WEIGHTS)
@@ -244,7 +247,7 @@ class TestOpCounts:
         params = init_swan_params(gen.schema, graph.scene_ids, config, seed=7)
         cold_sid = gen.test[0].scene_id
         request = [ex for ex in gen.test if ex.scene_id == cold_sid][:10]
-        assert len(_batch(params, graph, request, labels=False).neighbor_ids) \
+        assert _batch(params, graph, request, labels=False).neighbors.shape[1] \
             == config.k_neighbors
         op_counter[0] = 0
         predict_scores(params, graph, request)

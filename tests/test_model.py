@@ -27,10 +27,10 @@ def _batch(params, graph, examples):
     profile = (graph.profiles[sid] if sid in graph.profiles
                else profile_new_scene(graph, sid, examples, params.schema))
     idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
-    return PreparedBatch(scene_id=sid, feature_idx=idx, scene_idx=scene_idx,
-                         labels=None,
-                         neighbor_ids=resolve_neighbors(graph, sid, profile,
-                                                        params))
+    ids = resolve_neighbors(graph, sid, profile, params)
+    return PreparedBatch(feature_idx=idx, scene_idx=scene_idx, labels=None,
+                         neighbors=np.tile(params.embeddings.scene_indices(ids),
+                                           (len(examples), 1)))
 
 
 def _zero_all(params):
@@ -60,7 +60,7 @@ class TestPredict:
         params = init_swan_params(result.schema, graph.scene_ids, config, seed=1)
         ex = result.test[0]
         batch = _batch(params, graph, [ex])
-        assert batch.neighbor_ids == []
+        assert batch.neighbors.shape == (1, 0)
         value = predict(params, graph, ex)
         assert 0.0 < value < 1.0
 
@@ -167,13 +167,14 @@ class TestComposedPipeline:
             graph, profile, k=config.k_neighbors, min_weight=config.min_weight)]
         emb = params.embeddings
         idx, scene_idx = encode_batch([ex], params.schema, emb)
+        neighbors = emb.scene_indices(neighbor_ids)[None, :]  # one row
         with ad.no_grad():
             bundle = embed_indices(idx, scene_idx, emb, params.schema)
             e_target = bundle.e_target
-            e_similar = ad.rows(emb.table, emb.scene_rows(neighbor_ids))
+            e_similar = ad.rows(emb.table, emb.scene_rows(neighbors))
             san_out = san_forward(bundle.e_user, e_target, e_similar,
                                   params.san_mlp)
-            e_cfr = cfr_forward(san_out.weights, idx, emb, neighbor_ids)
+            e_cfr = cfr_forward(san_out.weights, idx, emb, neighbors)
             e_in = assemble_input(bundle.e_other, bundle.e_user, san_out.vec,
                                   e_target, e_cfr)
             sel = expert_selector(bundle.e_user, san_out.vec, params.aem)

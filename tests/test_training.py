@@ -143,6 +143,26 @@ class TestTrain:
         from swan.metrics import auc
         assert auc(labels, scores) > 0.8
 
+    def test_non_finite_loss_names_the_scene(self, tiny_data, monkeypatch):
+        result, graph = tiny_data
+        seen = []
+        forward = training.swan_forward
+
+        def spy(params, batch):
+            seen.append(batch)
+            return forward(params, batch)
+
+        monkeypatch.setattr(training, "swan_forward", spy)
+        monkeypatch.setattr(training, "total_loss",
+                            lambda *args: Tensor(np.array(np.nan)))
+        with pytest.raises(RuntimeError,
+                           match=r"non-finite loss at epoch 0 batch 0") as info:
+            train(result.train, graph, tiny_train_config())
+        scenes = sorted({ex.scene_id for ex in result.train})
+        first = seen[0].scene_idx
+        assert np.all(first == first[0])
+        assert str(info.value).endswith(f"(scene {scenes[first[0]]!r})")
+
 
 class TestBaseline:
     def test_outputs_in_unit_interval(self, tiny_data):
@@ -315,6 +335,20 @@ class TestTrainConfigJson:
         obj["model"]["hard_gate_inference"] = False
         with pytest.raises(ConfigError, match="hard_gate_inference"):
             TrainConfig.from_json(obj)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", "x"), ("epochs", True), ("epochs", 2.0),
+        ("batch_size", "32"), ("batch_size", None), ("seed", False),
+        ("seed", 1.5), ("lr", "0.01"), ("lr", True), ("beta1", None),
+        ("beta2", [0.999]), ("adam_eps", "1e-8")])
+    def test_wrongly_typed_field_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"TrainConfig {name} must be"):
+            TrainConfig.from_json({"model": {}, name: value})
+
+    def test_numpy_numbers_accepted(self):
+        config = TrainConfig(epochs=np.int64(3), seed=np.int32(2),
+                             lr=np.float64(0.01), beta1=1)
+        assert config.epochs == 3 and config.beta1 == 1
 
 
 class TestEvaluate:
