@@ -46,7 +46,7 @@ def _cmd_srg_build(args) -> int:
     graph = build_srg(examples, schema, cc_threshold=args.cc_threshold,
                       buckets=args.buckets, max_features=args.max_features)
     save_graph(graph, args.out)
-    print(f"graph: {len(graph.profiles)} scenes, {len(graph.edges)} edges, "
+    print(f"graph: {len(graph.scene_ids)} scenes, {len(graph.layout)} slots, "
           f"{len(graph.key_features)} key features")
     return 0
 

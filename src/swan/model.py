@@ -248,7 +248,7 @@ def check_graph_scenes(graph: SceneRelationGraph, known_scenes,
     needs the model's scene embedding and cross-scene tables. `source`
     starts the message (the file or the call being checked).
     """
-    unknown = sorted(set(graph.profiles) - set(known_scenes))
+    unknown = sorted(set(graph.scene_ids) - set(known_scenes))
     if unknown:
         shown = ", ".join(repr(s) for s in unknown[:5])
         if len(unknown) > 5:
@@ -351,15 +351,15 @@ def scene_neighbors(params, graph: SceneRelationGraph | None,
     """Each scene's similar scenes, as scene vocabulary indices.
 
     `groups` holds each scene's rows of the code columns `idx`. The full
-    model with a graph retrieves a scene's neighbours with its stored
-    profile or, for the scenes the graph does not hold, with profiles
-    built in one pass from their rows' codes against the graph's stored
-    bucket boundaries. Otherwise no scene has any.
+    model with a graph retrieves a graph scene's neighbours with the
+    profile of its matrix row or, for the scenes the graph does not hold,
+    with profiles built in one pass from their rows' codes against the
+    graph's stored bucket boundaries. Otherwise no scene has any.
     """
     if params.kind != "swan" or graph is None:
         return {sid: np.zeros(0, dtype=np.int64) for sid in groups}
-    cold = [sid for sid in groups if sid not in graph.profiles]
-    profiles = dict(graph.profiles)
+    profiles = {sid: graph.profile(sid) for sid in groups}
+    cold = [sid for sid, profile in profiles.items() if profile is None]
     if cold:
         profiles.update(zip(cold, profile_scenes(graph, cold, idx,
                                                  [groups[sid] for sid in cold])))

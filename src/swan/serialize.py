@@ -1,6 +1,6 @@
 """Versioned binary model files.
 
-Layout: 8-byte magic "SWANMDL4", a big-endian uint64 header length, a
+Layout: 8-byte magic "SWANMDL5", a big-endian uint64 header length, a
 UTF-8 JSON header (kind, config, schema, scene ids, graph, parameter
 manifest), then the raw little-endian float64 parameter buffers in
 manifest order. Serialization is byte-deterministic for identical
@@ -20,7 +20,7 @@ from .model import (DnnParams, ModelConfig, SwanParams, check_graph_scenes,
                     init_dnn_params, init_swan_params)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
-MAGIC = b"SWANMDL4"
+MAGIC = b"SWANMDL5"
 
 
 def save_model(params: SwanParams | DnnParams, path: str,
@@ -81,7 +81,7 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
         data = fh.read()
     magic = data[:len(MAGIC)]
     if magic != MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
+        raise ValueError(f"{path}: not a model file of this format (bad magic {magic!r})")
     start = len(MAGIC) + 8
     end = start
     if len(data) >= start:

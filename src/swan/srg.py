@@ -4,17 +4,19 @@ identical-feature edge weights.
 Construction runs in three steps: select item features by absolute
 Pearson correlation with the click label, aggregate each key feature per
 scene (mean, population variance, max, min), then bucket every aggregate
-column into equal-frequency categories over all scenes jointly. The edge
-weight between two scenes is the number of profile slots holding the
-same category. Bucket boundaries are kept on the graph so a scene never
-seen at build time can still be profiled and matched (the cold-start
-entry point) through the same aggregate and categorize code as the build.
+column into equal-frequency categories over all scenes jointly. The graph
+is that [scenes, slots] category matrix; an edge weight, the number of
+slots where two rows agree, is computed when asked for. Bucket boundaries
+are kept so a scene never seen at build time can be profiled and matched
+(the cold-start entry point) by the same aggregate and categorize code.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -122,68 +124,84 @@ def categorize(raw: np.ndarray, boundaries: Sequence[Sequence[float]]) -> np.nda
                      for edges, col in zip(boundaries, raw.T)], axis=1)
 
 
-def _layout(key_features: Sequence[str]) -> list[tuple[str, str]]:
-    return [(name, agg) for name in key_features for agg in AGGREGATES]
+def _layout(key_features: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    return tuple((name, agg) for name in key_features for agg in AGGREGATES)
 
 
-def _profiles(scene_ids: Sequence[str], layout: list[tuple[str, str]],
-              raw: np.ndarray, boundaries: list) -> list[SceneProfile]:
-    """One profile per aggregate row, categorized under `boundaries`."""
+def _profiles(scene_ids: Sequence[str], layout: Sequence[tuple[str, str]],
+              categories: np.ndarray) -> list[SceneProfile]:
+    """One profile per row of a [scenes, slots] category matrix."""
     return [SceneProfile(sid, tuple((*slot, cat) for slot, cat in zip(layout, row)))
-            for sid, row in zip(scene_ids, categorize(raw, boundaries).tolist())]
+            for sid, row in zip(scene_ids, categories.tolist())]
 
 
-@dataclass
+@dataclass(eq=False)
 class SceneRelationGraph:
-    """Weighted undirected graph over scene profiles.
+    """Weighted undirected graph over scenes, stored as its category matrix.
 
-    Edge weight counts the profile slots with identical categories; zero
-    weights are not stored. Construction checks that the profiles share
-    one slot `layout` and keeps them as `categories`, an [S, slots] int
-    matrix whose rows follow the sorted `scene_ids`. The build metadata
-    (key features, bucket edges) travels with the graph so new scenes can
-    be profiled against it.
+    Row i of the [S, slots] int matrix `categories` is the profile of
+    `scene_ids[i]` (sorted, unique) over the slots of `layout`, (key
+    feature, aggregate) pairs. An edge weight is the number of slots two
+    rows agree on; `edges` and `profiles` are views built when first read.
+    The build metadata (key features, one bucket-edge tuple per slot)
+    travels with the graph so new scenes can be profiled against it.
     """
 
-    profiles: dict[str, SceneProfile]
-    edges: dict[tuple[str, str], int]
+    scene_ids: list[str]
+    layout: tuple[tuple[str, str], ...]
+    categories: np.ndarray
     key_features: tuple[str, ...] = ()
     buckets: int = 0
-    boundaries: dict[tuple[str, str], tuple[float, ...]] = field(default_factory=dict)
+    boundaries: list[tuple[float, ...]] = field(default_factory=list)
     cc_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        self.scene_ids = sorted(self.profiles)
-        layouts = {tuple((name, agg) for name, agg, _ in p.slots)
-                   for p in self.profiles.values()}
-        if len(layouts) > 1:
-            raise SchemaError("profiles have inconsistent slot layouts")
-        self.layout = layouts.pop() if layouts else ()
-        self.categories = np.array(
-            [[cat for _, _, cat in self.profiles[sid].slots] for sid in self.scene_ids],
-            dtype=np.int64).reshape(len(self.scene_ids), len(self.layout))
+        ids = self.scene_ids
+        if not (isinstance(ids, list) and all(isinstance(s, str) for s in ids)
+                and all(a < b for a, b in zip(ids, ids[1:]))):
+            raise SchemaError("graph scene ids must be unique strings in sorted order")
+        self.categories = np.asarray(self.categories, dtype=np.int64)
+        if self.categories.shape != (len(ids), len(self.layout)):
+            raise SchemaError(f"graph categories have shape {self.categories.shape}, "
+                              f"not {len(ids)} scenes x {len(self.layout)} slots")
+
+    def profile(self, scene_id: str) -> SceneProfile | None:
+        """A graph scene's profile from its matrix row; None for another scene."""
+        i = bisect_left(self.scene_ids, scene_id)
+        if self.scene_ids[i:i + 1] != [scene_id]:
+            return None
+        return _profiles([scene_id], self.layout, self.categories[i:i + 1])[0]
 
     def weight(self, a: str, b: str) -> int:
-        if a == b:
-            return len(self.profiles[a].slots)
-        return self.edges.get((min(a, b), max(a, b)), 0)
+        cats, ids = self.categories, self.scene_ids
+        return int((cats[ids.index(a)] == cats[ids.index(b)]).sum())
+
+    @cached_property
+    def profiles(self) -> dict[str, SceneProfile]:
+        return {sid: self.profile(sid) for sid in self.scene_ids}
+
+    @cached_property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """Every scene pair whose profiles share at least one slot."""
+        ids, cats, edges = self.scene_ids, self.categories, {}
+        for i, a in enumerate(ids):
+            shared = (cats[i + 1:] == cats[i]).sum(1).tolist()
+            edges.update(((a, b), w) for b, w in zip(ids[i + 1:], shared) if w)
+        return edges
 
 
 def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
                 ) -> SceneRelationGraph:
-    """Connect every scene pair whose profiles share at least one slot."""
-    if isinstance(profiles, dict):
-        profiles = list(profiles.values())
+    """The graph of scene profiles that share one slot layout."""
+    profiles = sorted(profiles.values() if isinstance(profiles, dict) else profiles,
+                      key=lambda p: p.scene_id)
     if not profiles:
         raise ValueError("build_graph needs at least one profile")
-    graph = SceneRelationGraph(
-        profiles={p.scene_id: p for p in sorted(profiles, key=lambda p: p.scene_id)},
-        edges={})
-    ids, cats = graph.scene_ids, graph.categories
-    for i, a in enumerate(ids):
-        shared = (cats[i + 1:] == cats[i]).sum(1).tolist()
-        graph.edges.update(((a, b), w) for b, w in zip(ids[i + 1:], shared) if w)
-    return graph
+    layouts = {tuple((name, agg) for name, agg, _ in p.slots) for p in profiles}
+    if len(layouts) > 1:
+        raise SchemaError("profiles have inconsistent slot layouts")
+    return SceneRelationGraph([p.scene_id for p in profiles], layouts.pop(),
+                              [[cat for _, _, cat in p.slots] for p in profiles])
 
 
 def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
@@ -221,9 +239,8 @@ def profile_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
     missing = [name for name in graph.key_features if name not in codes]
     if missing:
         raise SchemaError(f"unknown feature name {missing[0]!r}")
-    layout = _layout(graph.key_features)
     raw = aggregates({name: codes[name] for name in graph.key_features}, groups)
-    return _profiles(scene_ids, layout, raw, [graph.boundaries[s] for s in layout])
+    return _profiles(scene_ids, graph.layout, categorize(raw, graph.boundaries))
 
 
 def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
@@ -253,12 +270,10 @@ def build_srg(examples: Sequence[Example], schema: FeatureSchema,
     raw = aggregates({name: codes[name] for name in key}, [groups[sid] for sid in ids])
     layout = _layout(key)
     boundaries = bucket_boundaries(raw, buckets)
-    graph = build_graph(_profiles(ids, layout, raw, boundaries))
-    graph.key_features = tuple(key)
-    graph.buckets = buckets
-    graph.boundaries = dict(zip(layout, boundaries))
-    graph.cc_threshold = cc_threshold
-    return graph
+    return SceneRelationGraph(ids, layout, categorize(raw, boundaries),
+                              key_features=tuple(key), buckets=buckets,
+                              boundaries=boundaries,
+                              cc_threshold=cc_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -267,35 +282,38 @@ def build_srg(examples: Sequence[Example], schema: FeatureSchema,
 
 def graph_to_json(graph: SceneRelationGraph) -> dict:
     return {
-        "aggregates": list(AGGREGATES),
-        "boundaries": [{"feature": name, "aggregate": agg, "edges": list(edges)}
-                       for (name, agg), edges in sorted(graph.boundaries.items())],
+        "boundaries": [list(edges) for edges in graph.boundaries],
         "buckets": graph.buckets,
+        "categories": graph.categories.tolist(),
         "cc_threshold": graph.cc_threshold,
-        "edges": [[a, b, w] for (a, b), w in sorted(graph.edges.items())],
         "key_features": list(graph.key_features),
-        "nodes": [{"profile": [list(slot) for slot in graph.profiles[sid].slots],
-                   "scene_id": sid}
-                  for sid in graph.scene_ids],
+        "layout": [list(slot) for slot in graph.layout],
+        "scene_ids": list(graph.scene_ids),
     }
 
 
 def graph_from_json(obj: dict) -> SceneRelationGraph:
-    """The graph `graph_to_json` wrote; SchemaError when its edges are not
-    the ones its profiles give."""
-    if not all(isinstance(node["scene_id"], str) for node in obj["nodes"]):
-        raise SchemaError("graph scene ids must be strings")
-    graph = build_graph([SceneProfile(
-        scene_id=node["scene_id"],
-        slots=tuple((name, agg, int(cat)) for name, agg, cat in node["profile"]))
-        for node in obj["nodes"]])
-    if {(a, b): int(w) for a, b, w in obj["edges"]} != graph.edges:
-        raise SchemaError("graph edges differ from the ones its profiles give")
-    graph.key_features = tuple(obj["key_features"])
-    graph.buckets = int(obj["buckets"])
-    graph.boundaries = {(e["feature"], e["aggregate"]): tuple(e["edges"])
-                        for e in obj["boundaries"]}
-    graph.cc_threshold = float(obj["cc_threshold"])
+    """The graph `graph_to_json` wrote; SchemaError when the file is of the
+    old node-and-edge format, its matrix is not one non-negative int per
+    scene and slot, or its bucket boundaries do not cover its layout."""
+    if "nodes" in obj or "edges" in obj:
+        raise SchemaError("old graph format (nodes and edges); rebuild it with srg build")
+    layout = tuple(tuple(slot) for slot in obj["layout"])
+    if not all(len(slot) == 2 and all(isinstance(x, str) for x in slot)
+               for slot in layout):
+        raise SchemaError("graph layout slots must be [key feature, aggregate] pairs")
+    cats = obj["categories"]
+    if not (isinstance(cats, list) and all(
+            isinstance(row, list) and len(row) == len(layout)
+            and all(type(c) is int and c >= 0 for c in row) for row in cats)):
+        raise SchemaError("graph categories must be one non-negative int per layout slot")
+    bounds = [tuple(edges) for edges in obj["boundaries"]]
+    graph = SceneRelationGraph(
+        obj["scene_ids"], layout, cats, key_features=tuple(obj["key_features"]),
+        buckets=int(obj["buckets"]), boundaries=bounds,
+        cc_threshold=float(obj["cc_threshold"]))
+    if bounds and (layout != _layout(graph.key_features) or len(bounds) != len(layout)):
+        raise SchemaError("graph bucket boundaries must be one per key feature x aggregate")
     return graph
 
 

@@ -207,7 +207,7 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     schema = _require_schema(dataset, schema)
     if config.model_kind == "swan":
         check_graph_scenes(graph, scene_ids, "train")
-        missing = [sid for sid in scene_ids if sid not in graph.profiles]
+        missing = sorted(set(scene_ids) - set(graph.scene_ids))
         if missing:
             raise ValueError(
                 f"training scene(s) {', '.join(map(repr, missing))} missing from "

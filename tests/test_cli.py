@@ -1,6 +1,7 @@
 """End-to-end CLI tests over the documented subcommands."""
 
 import json
+import struct
 
 import pytest
 
@@ -43,11 +44,12 @@ def test_datagen_outputs_exist(workspace):
 
 def test_graph_json_stable_key_order(workspace):
     graph = json.loads((workspace / "graph.json").read_text())
-    assert set(graph) == {"aggregates", "boundaries", "buckets", "cc_threshold",
-                          "edges", "key_features", "nodes"}
-    scene_ids = [n["scene_id"] for n in graph["nodes"]]
+    assert set(graph) == {"boundaries", "buckets", "categories", "cc_threshold",
+                          "key_features", "layout", "scene_ids"}
+    scene_ids = graph["scene_ids"]
     assert scene_ids == sorted(scene_ids)
-    assert graph["edges"] == sorted(graph["edges"])
+    assert len(graph["categories"]) == len(scene_ids)
+    assert len(graph["boundaries"]) == len(graph["layout"])
 
 
 def test_eval_writes_report_with_documented_keys(workspace):
@@ -137,4 +139,37 @@ def test_bad_config_is_one_line_error(tmp_path, capsys):
         assert err.startswith("swan: error: ")
         assert len(err.splitlines()) == 1
         assert needle in err
+        assert "Traceback" not in err
+
+
+def test_boundaries_not_covering_layout_is_one_line_error(workspace, tmp_path, capsys):
+    """A graph, alone or inside a model, that lacks one slot's bucket
+    boundaries is refused at load, not when a cold scene is profiled."""
+    graph = json.loads((workspace / "graph.json").read_text())
+    graph["boundaries"] = graph["boundaries"][1:]
+    bad_graph = tmp_path / "graph.json"
+    bad_graph.write_text(json.dumps(graph))
+
+    data = (workspace / "model.bin").read_bytes()
+    (length,) = struct.unpack(">Q", data[8:16])
+    header = json.loads(data[16:16 + length])
+    header["graph"]["boundaries"] = header["graph"]["boundaries"][1:]
+    blob = json.dumps(header).encode("utf-8")
+    bad_model = tmp_path / "model.bin"
+    bad_model.write_bytes(data[:8] + struct.pack(">Q", len(blob)) + blob
+                          + data[16 + length:])
+
+    for argv, path in (
+            (["train", "--train", str(workspace / "train.jsonl"),
+              "--schema", str(workspace / "schema.json"),
+              "--graph", str(bad_graph), "--config", str(workspace / "train.json"),
+              "--out", str(tmp_path / "m.bin")], bad_graph),
+            (["eval", "--model", str(bad_model),
+              "--test", str(workspace / "test.jsonl"),
+              "--report", str(tmp_path / "report.json")], bad_model)):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"swan: error: {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "boundaries" in err
         assert "Traceback" not in err

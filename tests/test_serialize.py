@@ -2,7 +2,6 @@
 
 import json
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import tiny_train_config
 from swan.model import predict_scores
 from swan.serialize import MAGIC, load_model, save_model
-from swan.srg import SceneRelationGraph, build_graph
+from swan.srg import SceneRelationGraph
 from swan.training import baseline_dnn, train
 
 
@@ -23,7 +22,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(out.params, path, graph=graph)
         assert path.read_bytes()[:8] == MAGIC
-        assert MAGIC == b"SWANMDL4"
+        assert MAGIC == b"SWANMDL5"
 
     def test_round_trip_predictions_identical(self, tmp_path, tiny_data):
         result, graph = tiny_data
@@ -70,11 +69,13 @@ class TestModelFile:
 
     def test_previous_format_rejected(self, tmp_path):
         # SWANMDL2 files hold one tensor per expert, SWANMDL3 files one
-        # embedding table per feature and per scene; they are not read.
+        # embedding table per feature and per scene, SWANMDL4 files a graph
+        # with an edge list and per-scene slot triples; they are not read.
         path = tmp_path / "old.bin"
-        for magic in (b"SWANMDL2", b"SWANMDL3"):
+        for magic in (b"SWANMDL2", b"SWANMDL3", b"SWANMDL4"):
             path.write_bytes(magic + b"\x00" * 64)
-            with pytest.raises(ValueError, match="magic"):
+            with pytest.raises(ValueError, match="old.bin: not a model file of "
+                                                 "this format.*magic"):
                 load_model(path)
 
     def test_stacked_expert_manifest(self, tmp_path, tiny_data):
@@ -175,12 +176,9 @@ class TestMalformedFile:
     def test_graph_with_unknown_scenes_names_file_and_scenes(self, tmp_path, tiny_data):
         result, graph = tiny_data
         out = train(result.train, graph, tiny_train_config(epochs=1))
-        stray = next(iter(graph.profiles.values()))
-        ghosts = build_graph([*graph.profiles.values(),
-                              replace(stray, scene_id="ghost_a"),
-                              replace(stray, scene_id="ghost_b")])
         wider = SceneRelationGraph(
-            profiles=ghosts.profiles, edges=ghosts.edges,
+            ["ghost_a", "ghost_b", *graph.scene_ids], graph.layout,
+            np.concatenate([graph.categories[:2], graph.categories]),
             key_features=graph.key_features,
             buckets=graph.buckets, boundaries=graph.boundaries,
             cc_threshold=graph.cc_threshold)

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_gen_config, tiny_train_config
+from swan.datagen import generate
 from swan.features import Example, Feature, FeatureSchema, SchemaError, group_by_scene
-from swan.srg import (AGGREGATES, SceneProfile, aggregates, bucket_boundaries,
-                      build_graph, build_srg, categorize, graph_from_json,
-                      graph_to_json, load_graph, pearson, profile_new_scene,
-                      select_key_features, similar_scenes)
+from swan.srg import (AGGREGATES, SceneProfile, SceneRelationGraph, aggregates,
+                      bucket_boundaries, build_graph, build_srg, categorize,
+                      graph_from_json, graph_to_json, load_graph, pearson,
+                      profile_new_scene, select_key_features, similar_scenes)
+from swan.metrics import evaluate
+from swan.model import predict_scores
+from swan.serialize import load_model, save_model
+from swan.training import train
 
 
 def _item_schema(n_features, vocab=12):
@@ -196,6 +202,19 @@ def _profile_scan(profiles, target, k, min_weight):
     return weighted[:k]
 
 
+def _graph_with_boundaries():
+    """Two scenes over key features k0 and k1, with the build metadata."""
+    layout = [(name, agg) for name in ("k0", "k1") for agg in AGGREGATES]
+    g = build_graph([
+        SceneProfile("a", tuple((*slot, i % 3) for i, slot in enumerate(layout))),
+        SceneProfile("b", tuple((*slot, 1) for slot in layout))])
+    g.key_features = ("k0", "k1")
+    g.buckets = 3
+    g.boundaries = [(0.5, 1.5 + i) for i in range(len(layout))]
+    g.cc_threshold = 0.05
+    return g
+
+
 def _random_profiles(rng, n_scenes, n_slots, n_cats):
     """Profiles over a random category matrix, ids in shuffled order."""
     cats = rng.integers(0, n_cats, size=(n_scenes, n_slots))
@@ -232,15 +251,15 @@ class TestGraph:
                 assert g.weight(f"s{i}", f"s{j}") == g.weight(f"s{j}", f"s{i}")
 
     def test_json_round_trip(self):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
-        g.key_features = ("k0", "k1")
-        g.buckets = 3
-        g.boundaries = {("k0", "mean"): (0.5,), ("k1", "mean"): (1.5, 2.5)}
-        g.cc_threshold = 0.05
+        g = _graph_with_boundaries()
         again = graph_from_json(graph_to_json(g))
+        assert again.scene_ids == g.scene_ids and again.layout == g.layout
+        np.testing.assert_array_equal(again.categories, g.categories)
         assert again.edges == g.edges
         assert again.profiles["a"].slots == g.profiles["a"].slots
         assert again.boundaries == g.boundaries
+        assert (again.key_features, again.buckets, again.cc_threshold) == \
+            (g.key_features, g.buckets, g.cc_threshold)
 
     def test_edges_match_pair_loop(self):
         rng = np.random.default_rng(9)
@@ -252,15 +271,8 @@ class TestGraph:
             assert all(type(w) is int for w in g.edges.values())
             assert g.categories.shape == (n_scenes, n_slots)
 
-    def test_json_edges_contradicting_profiles_rejected(self):
-        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
-                                         _profile("b", (0, 2))]))
-        for edges in ([["a", "b", 1], ["a", "zzz", 5]], [["a", "b", 2]], []):
-            with pytest.raises(SchemaError, match="edges"):
-                graph_from_json({**obj, "edges": edges})
-
-    @pytest.mark.parametrize("broken", [{"nodes": None}, {"nodes": 3},
-                                        {"edges": None}, {"buckets": None}])
+    @pytest.mark.parametrize("broken", [{"scene_ids": None}, {"categories": 3},
+                                        {"layout": None}, {"buckets": None}])
     def test_load_graph_names_file(self, tmp_path, broken):
         g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
         obj = {**graph_to_json(g), **broken}
@@ -273,9 +285,65 @@ class TestGraph:
     def test_json_inconsistent_layout_rejected(self):
         obj = graph_to_json(build_graph([_profile("a", (0, 1)),
                                          _profile("b", (0, 2))]))
-        obj["nodes"][1]["profile"] = [["k0", "mean", 0], ["k9", "max", 2]]
+        obj["categories"][1] = [0, 2, 5]
         with pytest.raises(SchemaError, match="layout"):
             graph_from_json(obj)
+
+    @pytest.mark.parametrize("change", [
+        {"categories": [[0, 1], [0, True]]},      # a boolean category
+        {"categories": [[0, 1], [0, 2.0]]},       # a float category
+        {"categories": [[0, 1], [0, "2"]]},       # a string category
+        {"categories": [[0, 1], [0, -1]]},        # a negative category
+        {"categories": [[0, 1], [0]]},            # a ragged matrix
+        {"categories": [[0, 1, 2], [0, 2, 3]]},   # rows wider than the layout
+        {"categories": [[0, 1]]},                 # fewer rows than scenes
+        {"categories": [[0, 1], [0, 2], [1, 1]]},  # more rows than scenes
+        {"categories": [0, 1]},                   # rows that are not lists
+        {"scene_ids": ["b", "a"]},                # not in sorted order
+        {"scene_ids": ["a", "a"]},                # not unique
+        {"scene_ids": ["a", 2]},                  # not a string
+        {"scene_ids": "ab"},                      # not a list
+        {"layout": [["k0", "mean"], ["k1"]]},     # a slot that is not a pair
+    ])
+    def test_loose_matrix_rejected(self, change):
+        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
+                                         _profile("b", (0, 2))]))
+        with pytest.raises(SchemaError):
+            graph_from_json({**obj, **change})
+
+    @pytest.mark.parametrize("change", [
+        {"key_features": ["k1", "k0"]},           # layout in another order
+        {"key_features": ["k0"]},                 # a layout slot without a key feature
+        {"boundaries": "drop one"},               # a slot without boundaries
+        {"boundaries": "one more"},               # more entries than slots
+    ])
+    def test_boundaries_not_covering_layout_rejected(self, change):
+        obj = graph_to_json(_graph_with_boundaries())
+        if change.get("boundaries") == "drop one":
+            change = {"boundaries": obj["boundaries"][1:]}
+        elif change.get("boundaries") == "one more":
+            change = {"boundaries": [*obj["boundaries"], obj["boundaries"][0]]}
+        with pytest.raises(SchemaError, match="boundaries"):
+            graph_from_json({**obj, **change})
+
+    def test_old_graph_file_rejected(self, tmp_path):
+        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        old = {"aggregates": list(AGGREGATES), "boundaries": [], "buckets": 0,
+               "cc_threshold": 0.0, "edges": [["a", "b", 1]], "key_features": [],
+               "nodes": [{"profile": [list(slot) for slot in g.profiles[sid].slots],
+                          "scene_id": sid} for sid in g.scene_ids]}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(SchemaError, match="graph.json: .*old graph format"):
+            load_graph(str(path))
+
+    def test_views_built_when_read(self):
+        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        assert "edges" not in vars(g) and "profiles" not in vars(g)
+        assert g.edges == {("a", "b"): 1}
+        assert g.profiles["b"] == _profile("b", (0, 2)) == g.profile("b")
+        assert g.profile("c") is None
+        assert "edges" in vars(g) and "profiles" in vars(g)
 
 
 class TestSimilarScenes:
@@ -299,7 +367,7 @@ class TestSimilarScenes:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             similar_scenes(
-                build_graph([_profile("a", (0,))]).__class__({}, {}),
+                SceneRelationGraph([], (), np.zeros((0, 0), dtype=np.int64)),
                 _profile("q", (0,)))
 
     def test_target_layout_mismatch_rejected(self):
@@ -365,3 +433,20 @@ class TestEndToEnd:
             profile = profile_new_scene(graph, sid, [result.train[i] for i in rows],
                                         result.schema)
             assert profile == graph.profiles[sid]
+
+    def test_pipeline_leaves_views_unbuilt(self, tmp_path):
+        # Training, scoring and model files read the matrix, never the
+        # edge or profile views.
+        result = generate(tiny_gen_config())
+        graph = build_srg(result.train, result.schema, cc_threshold=0.05, buckets=4)
+        params = train(result.train, graph, tiny_train_config(epochs=1)).params
+        evaluate(params, graph, result.test)
+        cold = [ex for ex in result.test if ex.scene_id not in graph.scene_ids][:5]
+        assert cold
+        predict_scores(params, graph, cold + result.train[:5])
+        path = tmp_path / "model.bin"
+        save_model(params, path, graph)
+        loaded_params, loaded = load_model(path)
+        predict_scores(loaded_params, loaded, cold + result.train[:5])
+        for g in (graph, loaded):
+            assert "edges" not in vars(g) and "profiles" not in vars(g)
