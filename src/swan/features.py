@@ -13,6 +13,8 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,8 +129,15 @@ class Feature:
             raise SchemaError(f"numeric feature {self.name!r}: non-finite value {value!r}")
         return x
 
-    def is_oov(self, value) -> bool:
-        return self.kind == "categorical" and self.encode(value) == self.oov_index
+    @cached_property
+    def _edges(self) -> np.ndarray | None:
+        """The fitted boundaries as a float64 array, or None when they are
+        not fitted or not sorted (NaN included), where `np.searchsorted`
+        would not give `bisect_right`'s buckets."""
+        if self.boundaries is None:
+            return None
+        edges = np.array(self.boundaries, dtype=np.float64)
+        return edges if (edges[1:] >= edges[:-1]).all() else None
 
     def to_json(self) -> dict:
         out = {"name": self.name, "kind": self.kind, "group": self.group}
@@ -242,10 +251,52 @@ def _feature_value(example: Example, feat: Feature):
 def encode_columns(examples: Sequence[Example],
                    features: Iterable[Feature]) -> dict[str, np.ndarray]:
     """Each feature's codes over the examples, as one int64 array per
-    feature name; the only code that turns examples into codes."""
-    return {f.name: np.fromiter((f.encode(_feature_value(ex, f)) for ex in examples),
+    feature name; the only code that turns examples into codes.
+
+    A column is encoded in one numpy pass when every value is a Python
+    int (categorical) or every value is an int or float and their sum is
+    finite (numeric with sorted boundaries). Any other column (booleans,
+    other types, a missing value, ints past int64 or past the float
+    range, NaN or ±inf) goes through `Feature.encode` value by value in
+    row order, so the codes and the first error raised are those of
+    `Feature.encode` either way.
+    """
+    sources: dict[str, list[dict]] = {}
+    out = {}
+    for f in features:
+        group = "user" if f.group == "user" else "item"
+        if group not in sources:
+            sources[group] = list(map(attrgetter(group), examples))
+        codes = _column_codes(f, sources[group])
+        if codes is None:
+            codes = np.fromiter((f.encode(_feature_value(ex, f)) for ex in examples),
                                 dtype=np.int64, count=len(examples))
-            for f in features}
+        out[f.name] = codes
+    return out
+
+
+def _column_codes(feat: Feature, sources: list[dict]) -> np.ndarray | None:
+    """`feat`'s codes over its value dicts in one numpy pass, or None when
+    the column needs `Feature.encode` per value."""
+    try:
+        values = list(map(itemgetter(feat.name), sources))
+        types = set(map(type, values))
+        if feat.kind == "categorical":
+            if types <= {int} and type(feat.vocab) is int:
+                codes = np.array(values, dtype=np.int64)
+                # Viewed as uint64, a negative code is past the vocabulary too.
+                codes[codes.view(np.uint64) >= np.uint64(feat.vocab)] = feat.vocab
+                return codes
+        elif types <= {int, float} and feat._edges is not None:
+            # A sum is finite only if every term is: NaN and ±inf carry
+            # through it, and a sum that overflows takes the per-value path.
+            if math.isfinite(sum(values)):
+                x = np.array(values, dtype=np.float64)
+                codes = np.searchsorted(feat._edges, x, side="right")
+                return codes.astype(np.int64, copy=False)
+    except (LookupError, TypeError, OverflowError):
+        pass
+    return None
 
 
 def group_by_scene(examples: Sequence[Example]) -> dict[str, list[int]]:
@@ -332,9 +383,10 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
                         feat.number(value)
                     except SchemaError as e:
                         raise ParseError(f"{path}:{lineno}: {e}") from None
-                elif feat.is_oov(value):
-                    ds.oov_count += 1
             ds.append(ex)
+    categorical = [f for f in schema if f.kind == "categorical"]
+    ds.oov_count = sum(int((codes == f.oov_index).sum()) for f, codes in
+                       zip(categorical, encode_columns(ds, categorical).values()))
     if ds.oov_count:
         logger.warning("%s: %d out-of-vocabulary categorical values mapped to the "
                        "reserved index", path, ds.oov_count)
@@ -398,10 +450,17 @@ class EmbeddingSet:
         """Seeded tables, each drawn in one uniform draw of its full size;
         the cross-scene table, if asked for, after the shared one."""
         vocab = {sid: i for i, sid in enumerate(sorted(set(scene_ids)))}
-        table = _uniform_rows(rng, _stacked_offsets(schema)[1] + len(vocab) + 1, dim)
-        cfr_rows = len(vocab) * _stacked_offsets(schema.scene_features)[1]
-        cfr_table = _uniform_rows(rng, cfr_rows, dim) if cfr else None
+        table_shape, cfr_shape = cls.shapes(schema, len(vocab), dim)
+        table = _uniform_rows(rng, *table_shape)
+        cfr_table = _uniform_rows(rng, *cfr_shape) if cfr else None
         return cls(schema, table, vocab, cfr_table)
+
+    @staticmethod
+    def shapes(schema: FeatureSchema, num_scenes: int,
+               dim: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The shapes of `table` and `cfr` for `num_scenes` known scenes."""
+        return ((_stacked_offsets(schema)[1] + num_scenes + 1, dim),
+                (num_scenes * _stacked_offsets(schema.scene_features)[1], dim))
 
     def scene_index(self, scene_id: str) -> int:
         return self.scene_vocab.get(scene_id, len(self.scene_vocab))

@@ -10,8 +10,10 @@ rows of many scenes per batch for scoring.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +22,9 @@ from . import autodiff as ad
 from .aem import AemParams, aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (EmbeddingSet, Example, FeatureSchema, SchemaError,
-                       _known_keys, embed_indices, encode_columns, group_by_scene)
+from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
+                       SchemaError, _known_keys, embed_indices, encode_columns,
+                       group_by_scene)
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import san_forward
@@ -49,6 +52,10 @@ class ComponentFlags:
         return cls(**_known_keys(cls, obj))
 
 
+_HIDDEN = ("san_hidden", "expert_hidden", "selector_hidden", "final_hidden",
+           "dnn_hidden")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """All model hyperparameters."""
@@ -70,6 +77,13 @@ class ModelConfig:
     flags: ComponentFlags = field(default_factory=ComponentFlags)
 
     def __post_init__(self):
+        sizes = [(name, getattr(self, name))
+                 for name in ("embed_dim", "expert_dim", "n_aeg", "n_seg")]
+        sizes += [(name, v) for name in _HIDDEN for v in getattr(self, name)]
+        for name, value in sizes:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"ModelConfig {name}: a size must be an integer, "
+                                  f"got {value!r}")
         if self.n_aeg < 1 or self.n_seg < 1:
             raise ValueError("both expert groups need at least one expert")
         if self.tau <= 0.0:
@@ -91,8 +105,7 @@ class ModelConfig:
         kwargs = _known_keys(cls, obj)
         if "flags" in kwargs:
             kwargs["flags"] = ComponentFlags.from_json(kwargs["flags"])
-        for key in ("san_hidden", "expert_hidden", "selector_hidden",
-                    "final_hidden", "dnn_hidden"):
+        for key in _HIDDEN:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -133,6 +146,40 @@ class SwanParams:
         return [t for _, t in self.named_parameters()]
 
 
+def _mlp_specs(kind: str, schema: FeatureSchema,
+               config: ModelConfig) -> dict[str, tuple]:
+    """Each MLP of a model of `kind` as `MLP.stacked`'s (n, in_dim, hidden,
+    out_dim), keyed by its parameter-name prefix, in draw order."""
+    d = config.embed_dim
+    d_user = len(schema.user_features) * d
+    if kind == "dnn":
+        d_in = (len(schema.other_features) + len(schema.user_features) + 1
+                + len(schema.scene_features)) * d
+        return {"tower": (1, d_in, config.dnn_hidden, 1)}
+    d_in = len(schema.other_features) * d + d_user + 2 * d
+    return {
+        "san": (1, d_user + 3 * d, config.san_hidden, 1),
+        "selector.prob": (1, d_user + d, config.selector_hidden, config.n_aeg),
+        "selector.thre": (1, d, config.selector_hidden, 1),
+        "aeg": (config.n_aeg, d_in, config.expert_hidden, config.expert_dim),
+        "seg": (config.n_seg, d_in, config.expert_hidden, config.expert_dim),
+        "gate": (1, d_in, (), config.n_seg + config.n_aeg),
+        "final": (1, config.expert_dim, config.final_hidden, 1),
+    }
+
+
+def param_shapes(kind: str, schema: FeatureSchema, scene_ids: Sequence[str],
+                 config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The names and shapes of the parameters `init_swan_params` (kind
+    "swan") or `init_dnn_params` (kind "dnn") would make, in
+    `named_parameters` order, without allocating them."""
+    table, cfr = EmbeddingSet.shapes(schema, len(set(scene_ids)), config.embed_dim)
+    out = [("emb", table)] + ([("cfr", cfr)] if kind == "swan" else [])
+    for prefix, spec in _mlp_specs(kind, schema, config).items():
+        out.extend(MLP.shapes(prefix, *spec))
+    return out
+
+
 def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
                      config: ModelConfig, seed: int = 0) -> SwanParams:
     """Seeded initialization of all tables and MLPs.
@@ -142,26 +189,13 @@ def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
     deterministic.
     """
     rng = np.random.default_rng(seed)
-    d = config.embed_dim
-    embeddings = EmbeddingSet.create(rng, schema, scene_ids, d, cfr=True)
-    d_user = len(schema.user_features) * d
-    d_other = len(schema.other_features) * d
-    d_in = d_other + d_user + 2 * d
-    san_mlp = MLP.create(rng, d_user + 3 * d, config.san_hidden, 1)
-    aem = AemParams(
-        prob_mlp=MLP.create(rng, d_user + d, config.selector_hidden, config.n_aeg),
-        thre_mlp=MLP.create(rng, d, config.selector_hidden, 1),
-        aeg=MLP.stacked(rng, config.n_aeg, d_in, config.expert_hidden,
-                        config.expert_dim),
-        seg=MLP.stacked(rng, config.n_seg, d_in, config.expert_hidden,
-                        config.expert_dim),
-        tau=config.tau,
-    )
-    head = HeadParams(
-        gate_mlp=MLP.create(rng, d_in, (), config.n_seg + config.n_aeg),
-        final_mlp=MLP.create(rng, config.expert_dim, config.final_hidden, 1),
-    )
-    return SwanParams(config, schema, embeddings, san_mlp, aem, head, seed)
+    embeddings = EmbeddingSet.create(rng, schema, scene_ids, config.embed_dim, cfr=True)
+    mlps = {prefix: MLP.stacked(rng, *spec)
+            for prefix, spec in _mlp_specs("swan", schema, config).items()}
+    aem = AemParams(prob_mlp=mlps["selector.prob"], thre_mlp=mlps["selector.thre"],
+                    aeg=mlps["aeg"], seg=mlps["seg"], tau=config.tau)
+    head = HeadParams(gate_mlp=mlps["gate"], final_mlp=mlps["final"])
+    return SwanParams(config, schema, embeddings, mlps["san"], aem, head, seed)
 
 
 class DnnParams:
@@ -193,11 +227,8 @@ class DnnParams:
 def init_dnn_params(schema: FeatureSchema, scene_ids: Sequence[str],
                     config: ModelConfig, seed: int = 0) -> DnnParams:
     rng = np.random.default_rng(seed)
-    d = config.embed_dim
-    embeddings = EmbeddingSet.create(rng, schema, scene_ids, d)
-    d_in = (len(schema.other_features) + len(schema.user_features) + 1
-            + len(schema.scene_features)) * d
-    tower = MLP.create(rng, d_in, config.dnn_hidden, 1)
+    embeddings = EmbeddingSet.create(rng, schema, scene_ids, config.embed_dim)
+    tower = MLP.stacked(rng, *_mlp_specs("dnn", schema, config)["tower"])
     return DnnParams(config, schema, embeddings, tower, seed)
 
 
@@ -231,8 +262,9 @@ class SwanForward:
 def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
                  embeddings: EmbeddingSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Every schema feature's codes, and each row's scene index."""
-    scene_idx = np.fromiter((embeddings.scene_index(ex.scene_id) for ex in examples),
-                            dtype=np.int64, count=len(examples))
+    ids = list(map(attrgetter("scene_id"), examples))
+    index = {sid: embeddings.scene_index(sid) for sid in dict.fromkeys(ids)}
+    scene_idx = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
     return encode_columns(examples, schema), scene_idx
 
 

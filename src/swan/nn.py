@@ -65,6 +65,18 @@ class MLP:
                                  Tensor(b, requires_grad=True)))
         return cls(layers, n)
 
+    @staticmethod
+    def shapes(prefix: str, n: int, in_dim: int, hidden: Sequence[int],
+               out_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+        """The names and shapes `named_parameters(prefix)` gives for
+        `stacked(rng, n, in_dim, hidden, out_dim)`, without drawing them."""
+        dims = [in_dim, *hidden, out_dim]
+        out = []
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            out.append((f"{prefix}.layer{i}.w", (a, n * b) if i == 0 else (n * a, b)))
+            out.append((f"{prefix}.layer{i}.b", (n * b,)))
+        return out
+
     def __call__(self, x: Tensor) -> Tensor:
         for i, layer in enumerate(self.layers):
             x = ad.affine(x, layer.w, layer.b, 1 if i == 0 else self.n)

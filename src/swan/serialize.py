@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FeatureSchema
 from .model import (DnnParams, ModelConfig, SwanParams, check_graph_scenes,
-                    init_dnn_params, init_swan_params)
+                    init_dnn_params, init_swan_params, param_shapes)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
 MAGIC = b"SWANMDL5"
@@ -105,22 +105,28 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
     if size < len(payload):
         raise ValueError(f"{path}: trailing bytes in parameter payload")
     try:
-        params = init(FeatureSchema.from_json(header["schema"]), header["scene_ids"],
-                      ModelConfig.from_json(header["config"]), seed=header["seed"])
+        schema = FeatureSchema.from_json(header["schema"])
+        config = ModelConfig.from_json(header["config"])
+        # Shapes first: a header may describe more than the payload holds.
+        shapes = param_shapes(header["kind"], schema, header["scene_ids"], config)
         graph = (graph_from_json(header["graph"]) if header["graph"] is not None
                  else None)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad model header: {exc!r}") from None
-
-    named = params.named_parameters()
-    if [n for n, _ in named] != [m["name"] for m in manifest]:
+    if [n for n, _ in shapes] != [m["name"] for m in manifest]:
         raise ValueError(f"{path}: parameter manifest does not match this build")
-    offset = 0
-    for (name, tensor), meta in zip(named, manifest):
-        shape = tuple(meta["shape"])
-        if tensor.shape != shape:
+    for (name, shape), meta in zip(shapes, manifest):
+        if shape != tuple(meta["shape"]):
             raise ValueError(f"{path}: shape mismatch for {name}: "
-                             f"{tensor.shape} != {shape}")
+                             f"{shape} != {tuple(meta['shape'])}")
+    try:
+        params = init(schema, header["scene_ids"], config, seed=header["seed"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad model header: {exc!r}") from None
+
+    offset = 0
+    for (_, tensor), meta in zip(params.named_parameters(), manifest):
+        shape = tuple(meta["shape"])
         size = math.prod(shape) * 8
         buf = np.frombuffer(payload[offset:offset + size], dtype="<f8")
         tensor.data = buf.reshape(shape).astype(np.float64)

@@ -97,7 +97,6 @@ class TestSchema:
     def test_categorical_bool_and_non_finite_are_oov(self, schema, value):
         feat = schema["brand"]
         assert feat.encode(value) == feat.oov_index
-        assert feat.is_oov(value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_fit_numeric_boundaries_rejects_non_finite(self, value):
@@ -210,6 +209,101 @@ class TestDatasetIO:
         loaded = load_dataset(path, schema)
         assert len(loaded) == 2
         assert loaded.oov_count == 1
+
+
+_MISSING = object()
+# Raw values of every kind a column may hold: in- and out-of-vocabulary
+# ints, booleans, integral and other floats, NaN and ±inf, -0.0, strings,
+# None, numpy scalars, ints past int64 and past the float range.
+_RAW = (st.integers(-3, 12) | st.booleans() | st.integers(-3, 12).map(float)
+        | st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0)
+        | st.text(max_size=2) | st.none() | st.integers(-3, 12).map(np.int64)
+        | st.floats(-20, 20).map(np.float64) | st.sampled_from(
+            [2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64, 10 ** 400, -10 ** 400]))
+# Columns mostly of one type, so that the one-pass path runs too, and
+# sometimes with a row that lacks the feature.
+_COLUMN = st.sampled_from([
+    st.integers(-3, 12), st.integers(-3, 12) | st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-30, 30) | st.just(10 ** 400),
+    st.floats(-30, 30) | st.integers(-30, 30) | st.just(-0.0),
+    st.floats(-30, 30) | st.floats(allow_nan=True, allow_infinity=True), _RAW,
+]).flatmap(lambda values: st.lists(values | st.just(_MISSING) if values is _RAW
+                                   else values, max_size=12))
+
+
+def _per_value(examples, features):
+    """encode_columns' reference: Feature.encode per value, feature by
+    feature, row by row."""
+    out = {}
+    for f in features:
+        codes = []
+        for ex in examples:
+            source = ex.user if f.group == "user" else ex.item
+            if f.name not in source:
+                raise SchemaError(f"example is missing feature {f.name!r}")
+            codes.append(f.encode(source[f.name]))
+        out[f.name] = np.array(codes, dtype=np.int64)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "codes", fn(*args)
+    except Exception as e:
+        return "error", (type(e), str(e))
+
+
+class TestEncodeColumns:
+    @given(vocab=st.integers(1, 10),
+           boundaries=st.lists(st.floats(-25, 25) | st.just(0.0) | st.just(-0.0),
+                               max_size=4).map(sorted) | st.lists(st.floats(-25, 25),
+                                                                  max_size=3),
+           cat=_COLUMN, num=_COLUMN, numeric_first=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_per_value_encode(self, vocab, boundaries, cat, num, numeric_first):
+        """Same codes and dtype, or the same first error, as Feature.encode
+        value by value; empty boundaries (one bucket) and zero rows included."""
+        n = min(len(cat), len(num))
+        examples = [Example(user={} if c is _MISSING else {"c": c},
+                            item={} if x is _MISSING else {"x": x},
+                            scene_id="s", label=0)
+                    for c, x in zip(cat[:n], num[:n])]
+        features = [Feature("c", "categorical", "user", vocab=vocab),
+                    Feature("x", "numeric", "item", boundaries=tuple(boundaries))]
+        if numeric_first:
+            features.reverse()
+        got, want = (_outcome(encode_columns, examples, features),
+                     _outcome(_per_value, examples, features))
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert list(got[1]) == list(want[1])
+            for name, codes in want[1].items():
+                assert got[1][name].dtype == np.int64
+                np.testing.assert_array_equal(got[1][name], codes)
+
+    def test_one_pass_without_encode(self, monkeypatch):
+        """All-int categorical and all-number numeric columns never reach
+        Feature.encode."""
+        def fail(self, value):
+            raise AssertionError(f"Feature.encode({value!r}) called")
+        monkeypatch.setattr(Feature, "encode", fail)
+        features = [Feature("c", "categorical", "user", vocab=4),
+                    Feature("x", "numeric", "item", boundaries=(-1.0, 0.0, 2.5)),
+                    Feature("y", "numeric", "item", boundaries=(0.0,)),
+                    Feature("z", "numeric", "item", boundaries=())]
+        rows = [(0, -3.0, 1, 7.5), (3, -0.0, -1, -2.0), (4, 2.5, 0, 0.0),
+                (-1, 9.0, 5, 1e300), (2 ** 62, -1.0, 2 ** 62, -1e-300)]
+        examples = [Example(user={"c": c}, item={"x": x, "y": y, "z": z},
+                            scene_id="s", label=0) for c, x, y, z in rows]
+        codes = encode_columns(examples, features)
+        assert {name: c.tolist() for name, c in codes.items()} == {
+            "c": [0, 3, 4, 4, 4], "x": [0, 2, 3, 3, 1], "y": [1, 0, 1, 1, 1],
+            "z": [0, 0, 0, 0, 0]}
+        assert all(c.dtype == np.int64 for c in codes.values())
+        assert {n: c.tolist() for n, c in encode_columns([], features).items()} == {
+            "c": [], "x": [], "y": [], "z": []}
 
 
 _FUZZ_SCHEMA = FeatureSchema([

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_train_config
-from swan.model import predict_scores
+from swan.model import (ModelConfig, init_dnn_params, init_swan_params, param_shapes,
+                        predict_scores)
 from swan.serialize import MAGIC, load_model, save_model
 from swan.srg import SceneRelationGraph
 from swan.training import baseline_dnn, train
@@ -188,6 +189,57 @@ class TestMalformedFile:
                            match=r"model.bin: the graph has 2 scene\(s\) the model "
                                  r"does not know: 'ghost_a', 'ghost_b'"):
             load_model(path)
+
+    @pytest.mark.parametrize("kinds, forge, match", [
+        pytest.param(("swan", "dnn"), lambda h: h["schema"][0].update(vocab=10 ** 12),
+                     "shape mismatch for emb", id="vocab"),
+        pytest.param(("swan", "dnn"), lambda h: h["config"].update(embed_dim=10 ** 9),
+                     "shape mismatch for emb", id="embed_dim"),
+        pytest.param(("swan", "dnn"), lambda h: h.update(scene_ids=[]),
+                     "shape mismatch for emb", id="scene_ids"),
+        pytest.param(("swan", "dnn"),
+                     lambda h: h["config"].update(dnn_hidden=[10 ** 9],
+                                                  san_hidden=[10 ** 9]),
+                     r"shape mismatch for (tower|san)\.layer0\.w", id="hidden"),
+        pytest.param(("swan",),
+                     lambda h: h["config"].update(n_aeg=10 ** 9, expert_dim=10 ** 9),
+                     r"shape mismatch for selector\.prob", id="experts"),
+        pytest.param(("swan", "dnn"), lambda h: h["config"].update(embed_dim="8"),
+                     "bad model header.*embed_dim", id="string_size"),
+        pytest.param(("swan", "dnn"), lambda h: h["config"].update(dnn_hidden=[4.0]),
+                     "bad model header.*dnn_hidden", id="float_size")])
+    def test_forged_sizes_rejected_before_allocating(self, tmp_path, tiny_data, kinds,
+                                                     forge, match):
+        """Sizes in the header that the payload does not hold raise a
+        ValueError naming the file, not a MemoryError (a 10**12 vocabulary
+        would ask for 14.6 TiB)."""
+        result, graph = tiny_data
+        config = tiny_train_config(epochs=1)
+        for kind in kinds:
+            out = (train(result.train, graph, config) if kind == "swan"
+                   else baseline_dnn(result.train, config))
+            path = tmp_path / "model.bin"
+            save_model(out.params, path)
+            data = path.read_bytes()
+            (length,) = struct.unpack(">Q", data[8:16])
+            header = json.loads(data[16:16 + length])
+            forge(header)
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob
+                             + data[16 + length:])
+            with pytest.raises(ValueError, match="model.bin: " + match):
+                load_model(path)
+
+    def test_param_shapes_are_those_init_makes(self, tiny_data):
+        result, _ = tiny_data
+        ids = sorted({ex.scene_id for ex in result.train})
+        for config in (tiny_train_config().model, ModelConfig(n_aeg=1, n_seg=3),
+                       ModelConfig(san_hidden=(), expert_hidden=(5, 4, 3),
+                                   final_hidden=(2,), dnn_hidden=())):
+            for kind, init in (("swan", init_swan_params), ("dnn", init_dnn_params)):
+                params = init(result.schema, ids, config)
+                assert param_shapes(kind, result.schema, ids, config) == [
+                    (name, t.shape) for name, t in params.named_parameters()]
 
 
 # JSON values; integers stay small, so that no fuzzed size allocates much.

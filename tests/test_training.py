@@ -345,6 +345,14 @@ class TestTrainConfigJson:
         with pytest.raises(ConfigError, match=rf"TrainConfig {name} must be"):
             TrainConfig.from_json({"model": {}, name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("embed_dim", "8"), ("embed_dim", 8.0), ("expert_dim", True),
+        ("n_aeg", None), ("n_seg", 2.5), ("san_hidden", ["16"]),
+        ("expert_hidden", [8, 4.0]), ("dnn_hidden", [False])])
+    def test_wrongly_typed_model_size_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"ModelConfig {name}: a size must be"):
+            TrainConfig.from_json({"model": {name: value}})
+
     def test_numpy_numbers_accepted(self):
         config = TrainConfig(epochs=np.int64(3), seed=np.int32(2),
                              lr=np.float64(0.01), beta1=1)
