@@ -239,22 +239,26 @@ def generate(config: GenConfig) -> GenResult:
     z_train = np.concatenate([z for _, _, _, z in train_raw])
     bias = -float(np.quantile(z_train, 1.0 - pre_flip_rate))
 
+    user_names = [f"user_f{j}" for j in range(cfg.user_features)]
+    item_names = ([f"item_f{j}" for j in range(cfg.item_features)]
+                  + [f"scene_f{j}" for j in range(cfg.scene_attr_features)])
+
     def to_examples(raw) -> list[Example]:
+        # Rows are built from each scene's `tolist()` columns, so every value
+        # is a plain Python int or float and encodes in one numpy pass.
         out = []
         for sid, u_idx, i_idx, z in raw:
             scene = scenes[sid]
             labels = (z + bias > 0.0).astype(np.int64)
             flips = rng.random(len(labels)) < eps
             labels[flips] = 1 - labels[flips]
-            for n in range(len(labels)):
-                user = {f"user_f{j}": int(user_values[u_idx[n], j])
-                        for j in range(cfg.user_features)}
-                item = {f"item_f{j}": float(scene["items"][i_idx[n], j])
-                        for j in range(cfg.item_features)}
-                item.update({f"scene_f{j}": int(scene["attrs"][j])
-                             for j in range(cfg.scene_attr_features)})
-                out.append(Example(user=user, item=item, scene_id=sid,
-                                   label=int(labels[n])))
+            attrs = scene["attrs"].tolist()
+            for user, item, label in zip(user_values[u_idx].tolist(),
+                                         scene["items"][i_idx].tolist(),
+                                         labels.tolist()):
+                out.append(Example(user=dict(zip(user_names, user)),
+                                   item=dict(zip(item_names, item + attrs)),
+                                   scene_id=sid, label=label))
         return out
 
     train_examples = to_examples(train_raw)

@@ -53,9 +53,9 @@ def _known_keys(cls, obj: dict) -> dict:
 class Feature:
     """One feature descriptor.
 
-    Categorical features carry a vocabulary size; raw values are integer
-    codes in [0, vocab) and anything else, booleans included, maps to a
-    reserved OOV index. Numeric features carry sorted bucket boundaries
+    Categorical features carry a vocabulary size, a positive int; raw
+    values are integer codes in [0, vocab) and anything else, booleans
+    included, maps to a reserved OOV index. Numeric features carry sorted bucket boundaries
     (fit on a training split) and encode to the bucket index of the raw
     value, which must be a finite number and not a boolean.
     """
@@ -74,8 +74,11 @@ class Feature:
         if self.group not in GROUPS:
             raise SchemaError(f"feature {self.name!r}: unknown group {self.group!r}")
         if self.kind == "categorical":
-            if not self.vocab or self.vocab < 1:
+            if self.vocab is None or (isinstance(self.vocab, int) and self.vocab < 1):
                 raise SchemaError(f"categorical feature {self.name!r} needs a vocabulary size")
+            if isinstance(self.vocab, bool) or not isinstance(self.vocab, int):
+                raise SchemaError(f"categorical feature {self.name!r}: vocabulary size "
+                                  f"{self.vocab!r} is not an integer")
         elif self.boundaries is not None:
             object.__setattr__(self, "boundaries", tuple(float(b) for b in self.boundaries))
 
@@ -264,10 +267,8 @@ def encode_columns(examples: Sequence[Example],
     sources: dict[str, list[dict]] = {}
     out = {}
     for f in features:
-        group = "user" if f.group == "user" else "item"
-        if group not in sources:
-            sources[group] = list(map(attrgetter(group), examples))
-        codes = _column_codes(f, sources[group])
+        values = _column_values(examples, f, sources)
+        codes = None if values is None else _column_codes(f, values)
         if codes is None:
             codes = np.fromiter((f.encode(_feature_value(ex, f)) for ex in examples),
                                 dtype=np.int64, count=len(examples))
@@ -275,28 +276,54 @@ def encode_columns(examples: Sequence[Example],
     return out
 
 
-def _column_codes(feat: Feature, sources: list[dict]) -> np.ndarray | None:
-    """`feat`'s codes over its value dicts in one numpy pass, or None when
-    the column needs `Feature.encode` per value."""
+def _column_values(examples: Sequence[Example], feat: Feature,
+                   sources: dict[str, list[dict]]) -> list | None:
+    """`feat`'s raw values over the examples in row order, or None when an
+    example lacks it; `sources` keeps each group's value dicts between
+    calls."""
+    group = "user" if feat.group == "user" else "item"
+    if group not in sources:
+        sources[group] = list(map(attrgetter(group), examples))
     try:
-        values = list(map(itemgetter(feat.name), sources))
-        types = set(map(type, values))
-        if feat.kind == "categorical":
-            if types <= {int} and type(feat.vocab) is int:
-                codes = np.array(values, dtype=np.int64)
-                # Viewed as uint64, a negative code is past the vocabulary too.
-                codes[codes.view(np.uint64) >= np.uint64(feat.vocab)] = feat.vocab
-                return codes
-        elif types <= {int, float} and feat._edges is not None:
-            # A sum is finite only if every term is: NaN and ±inf carry
-            # through it, and a sum that overflows takes the per-value path.
-            if math.isfinite(sum(values)):
-                x = np.array(values, dtype=np.float64)
-                codes = np.searchsorted(feat._edges, x, side="right")
-                return codes.astype(np.int64, copy=False)
-    except (LookupError, TypeError, OverflowError):
+        return list(map(itemgetter(feat.name), sources[group]))
+    except (LookupError, TypeError):
+        return None
+
+
+def _float_column(values: list) -> np.ndarray | None:
+    """The values as one float64 array when every one is a Python int or
+    float and their sum is finite, or None when they need `Feature.number`
+    one by one.
+
+    A sum is finite only if every term is: NaN and ±inf carry through it,
+    and a sum that overflows, or an int past the float range, takes the
+    per-value path.
+    """
+    try:
+        if set(map(type, values)) <= {int, float} and math.isfinite(sum(values)):
+            return np.array(values, dtype=np.float64)
+    except OverflowError:
         pass
     return None
+
+
+def _column_codes(feat: Feature, values: list) -> np.ndarray | None:
+    """`feat`'s codes over its values in one numpy pass, or None when the
+    column needs `Feature.encode` per value."""
+    if feat.kind == "categorical":
+        if not set(map(type, values)) <= {int}:
+            return None
+        try:
+            codes = np.array(values, dtype=np.int64)
+            # Viewed as uint64, a negative code is past the vocabulary too.
+            codes[codes.view(np.uint64) >= np.uint64(feat.vocab)] = feat.vocab
+        except OverflowError:
+            return None
+        return codes
+    x = None if feat._edges is None else _float_column(values)
+    if x is None:
+        return None
+    return np.searchsorted(feat._edges, x, side="right").astype(np.int64, copy=False)
 
 
 def group_by_scene(examples: Sequence[Example]) -> dict[str, list[int]]:
@@ -312,12 +339,16 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
     """Fit equal-frequency bucket boundaries for numeric features lacking them."""
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
+    sources: dict[str, list[dict]] = {}
     fitted = []
     for feat in schema:
         if feat.kind != "numeric" or feat.boundaries is not None:
             fitted.append(feat)
             continue
-        values = np.array([feat.number(_feature_value(ex, feat)) for ex in examples])
+        column = _column_values(examples, feat, sources)
+        values = None if column is None else _float_column(column)
+        if values is None:
+            values = np.array([feat.number(_feature_value(ex, feat)) for ex in examples])
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         qs = np.quantile(values, np.arange(1, buckets) / buckets)

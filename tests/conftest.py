@@ -1,12 +1,22 @@
 """Shared fixtures: a small planted dataset with its graph and config."""
 
-import pytest
+import os
 
-from swan.datagen import GenConfig, generate
-from swan.head import LossWeights
-from swan.model import ModelConfig
-from swan.srg import build_srg
-from swan.training import TrainConfig
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# on a shared machine an unpinned BLAS pool spends far more time waiting
+# for cores than computing on the suite's small matrices.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from swan.datagen import GenConfig, generate  # noqa: E402
+from swan.head import LossWeights  # noqa: E402
+from swan.model import ModelConfig  # noqa: E402
+from swan.srg import build_srg  # noqa: E402
+from swan.training import TrainConfig  # noqa: E402
 
 
 def tiny_gen_config(**overrides):

@@ -173,3 +173,23 @@ def test_boundaries_not_covering_layout_is_one_line_error(workspace, tmp_path, c
         assert len(err.splitlines()) == 1
         assert "boundaries" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("vocab", [3.5, 3.0, True])
+def test_non_integer_vocab_is_one_line_error(workspace, tmp_path, capsys, vocab):
+    schema = json.loads((workspace / "schema.json").read_text())
+    entry = next(e for e in schema if e["kind"] == "categorical")
+    entry["vocab"] = vocab
+    bad_schema = tmp_path / "schema.json"
+    bad_schema.write_text(json.dumps(schema))
+    assert main(["train", "--train", str(workspace / "train.jsonl"),
+                 "--schema", str(bad_schema),
+                 "--graph", str(workspace / "graph.json"),
+                 "--config", str(workspace / "train.json"),
+                 "--out", str(tmp_path / "m.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("swan: error: ")
+    assert len(err.splitlines()) == 1
+    assert f"{entry['name']!r}" in err and "not an integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()

@@ -1,11 +1,16 @@
 """Tests for the synthetic generator, k-means and silhouette."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from conftest import tiny_gen_config
 from swan.datagen import (GenConfig, GroundTruth, choose_k, generate, kmeans,
                           silhouette)
-from swan.features import ConfigError, load_dataset, write_dataset
+from swan.features import (ConfigError, Feature, encode_columns, load_dataset,
+                           write_dataset)
 
 
 def small_config(**overrides):
@@ -34,7 +39,46 @@ def _recomputed_scores(result, config):
     return np.asarray(scores)
 
 
+def _digest(result) -> str:
+    """sha256 over every row's user and item dicts (keys in order, each
+    value with its Python type), scene id and label, then the schema and
+    the ground truth."""
+    h = hashlib.sha256()
+    for split in (result.train, result.test):
+        h.update(b"split")
+        for ex in split:
+            row = tuple([(k, type(v).__name__, v) for k, v in d.items()]
+                        for d in (ex.user, ex.item))
+            h.update(repr((row, ex.scene_id, type(ex.label).__name__,
+                           ex.label)).encode())
+    h.update(json.dumps([result.schema.to_json(), result.truth.to_json()],
+                        sort_keys=True).encode())
+    return h.hexdigest()
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("config, digest", [
+        (tiny_gen_config(),
+         "4dc532a50c4c03659c2857b0b92edbe682a6f93d4c16d03c0eb58a472f8f4666"),
+        (small_config(),
+         "e0907054555fc3d11b544965f542cb79843eaa253b2212de18b749a2d0130fc4")])
+    def test_output_pinned(self, config, digest):
+        """Seeded output is fixed down to value types and dict key order:
+        the rows, the fitted schema and the ground truth."""
+        assert _digest(generate(config)) == digest
+
+    def test_columns_take_the_one_pass_paths(self, monkeypatch):
+        """Generated values are plain ints and floats, so fitting bucket
+        boundaries and encoding never go value by value."""
+        def fail(self, value):
+            raise AssertionError(f"per-value call on {value!r}")
+        monkeypatch.setattr(Feature, "encode", fail)
+        monkeypatch.setattr(Feature, "number", fail)
+        result = generate(small_config())
+        for split in (result.train, result.test):
+            codes = encode_columns(split, result.schema)
+            assert all(len(c) == len(split) for c in codes.values())
+
     def test_deterministic_given_seed(self):
         a = generate(small_config())
         b = generate(small_config())

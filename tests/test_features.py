@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swan import autodiff as ad
@@ -67,6 +67,21 @@ class TestSchema:
             Feature("x", "ordinal", "user", vocab=2)
         with pytest.raises(SchemaError):
             Feature("x", "categorical", "context", vocab=2)
+
+    @pytest.mark.parametrize("vocab", [3.5, 3.0, True, "3"])
+    def test_non_integer_vocab_rejected(self, vocab):
+        """A float vocabulary would hand out a float OOV index, which an
+        int64 code array truncates onto a valid code."""
+        with pytest.raises(SchemaError, match="'x'.*is not an integer"):
+            Feature("x", "categorical", "user", vocab=vocab)
+        with pytest.raises(SchemaError, match="'x'.*is not an integer"):
+            FeatureSchema.from_json([{"name": "x", "kind": "categorical",
+                                      "group": "scene", "vocab": vocab}])
+
+    @pytest.mark.parametrize("vocab", [None, 0, -2, False])
+    def test_missing_vocab_rejected(self, vocab):
+        with pytest.raises(SchemaError, match="'x' needs a vocabulary size"):
+            Feature("x", "categorical", "user", vocab=vocab)
 
     def test_categorical_encode_and_oov(self, schema):
         feat = schema["brand"]
@@ -304,6 +319,71 @@ class TestEncodeColumns:
         assert all(c.dtype == np.int64 for c in codes.values())
         assert {n: c.tolist() for n, c in encode_columns([], features).items()} == {
             "c": [], "x": [], "y": [], "z": []}
+
+
+def _fit_per_value(examples, schema, buckets):
+    """fit_numeric_boundaries' reference: Feature.number per value,
+    feature by feature, row by row."""
+    fitted = []
+    for feat in schema:
+        if feat.kind != "numeric" or feat.boundaries is not None:
+            fitted.append(feat)
+            continue
+        values = []
+        for ex in examples:
+            source = ex.user if feat.group == "user" else ex.item
+            if feat.name not in source:
+                raise SchemaError(f"example is missing feature {feat.name!r}")
+            values.append(feat.number(source[feat.name]))
+        values = np.array(values)
+        if values.size == 0:
+            raise ValueError(f"no values to fit boundaries for {feat.name!r}")
+        qs = np.quantile(values, np.arange(1, buckets) / buckets)
+        fitted.append(Feature(feat.name, feat.kind, feat.group,
+                              boundaries=tuple(np.unique(qs))))
+    return FeatureSchema(fitted)
+
+
+class TestFitNumericBoundaries:
+    @given(x=_COLUMN, y=_COLUMN, buckets=st.integers(1, 6))
+    @example(x=[1.0, 2, float("nan")], y=[0.5] * 3, buckets=2)
+    @example(x=[1.0, 2.0, 3.0], y=[1, float("-inf"), 0], buckets=3)
+    @example(x=[1e308, 1e308, -1.0], y=[0.5] * 3, buckets=2)
+    @example(x=[0.5] * 2, y=[10 ** 400, -10 ** 400], buckets=2)
+    @example(x=[3, True, 1], y=[0.5] * 3, buckets=2)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_per_value_fit(self, x, y, buckets):
+        """The same boundaries, -0.0 and value types included, or the same
+        first error, as Feature.number value by value; zero rows included."""
+        n = min(len(x), len(y))
+        examples = [Example(user={} if a is _MISSING else {"x": a},
+                            item={} if b is _MISSING else {"y": b},
+                            scene_id="s", label=0)
+                    for a, b in zip(x[:n], y[:n])]
+        schema = FeatureSchema([Feature("x", "numeric", "user"),
+                                Feature("c", "categorical", "item", vocab=3),
+                                Feature("y", "numeric", "item")])
+        got, want = (_outcome(fit_numeric_boundaries, examples, schema, buckets),
+                     _outcome(_fit_per_value, examples, schema, buckets))
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert repr(got[1].to_json()) == repr(want[1].to_json())
+
+    def test_one_pass_without_number(self, monkeypatch):
+        """Columns of plain ints and floats never reach Feature.number."""
+        def fail(self, value):
+            raise AssertionError(f"Feature.number({value!r}) called")
+        monkeypatch.setattr(Feature, "number", fail)
+        schema = FeatureSchema([Feature("x", "numeric", "user"),
+                                Feature("y", "numeric", "item")])
+        examples = [Example(user={"x": a}, item={"y": float(i)}, scene_id="s",
+                            label=0)
+                    for i, a in enumerate([3, -1.5, 2 ** 70, 0, 7.25])]
+        fitted = fit_numeric_boundaries(examples, schema, buckets=4)
+        assert fitted["x"].boundaries == (0.0, 3.0, 7.25)
+        assert fitted["y"].boundaries == (1.0, 2.0, 3.0)
 
 
 _FUZZ_SCHEMA = FeatureSchema([
