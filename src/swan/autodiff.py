@@ -428,22 +428,30 @@ def rows(table: Tensor, indices) -> Tensor:
 
     A flat array of n indices gives [n, d]. A [B, k] index matrix gives
     [B, k*d]: row b holds the k rows of index row b side by side, so one
-    op looks up a row batch's k embeddings as k column blocks.
+    op looks up a row batch's k embeddings as k column blocks. Indices
+    must be integers; float and boolean arrays are rejected.
+
+    The backward is one weighted `bincount` over the flat positions
+    `index * d + column`: it adds each entry's contributions in order of
+    occurrence, starting from 0.0, as an unbuffered scatter-add would.
     """
     if table.data.ndim != 2:
         raise DimensionError(f"rows needs a 2-D table, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"rows needs integer indices, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.ndim not in (1, 2):
         raise DimensionError(f"rows needs a 1-D or 2-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"rows: index out of range [0, {table.shape[0]})")
-    d = table.shape[1]
+    n_rows, d = table.shape
 
     def backward_fn(g: np.ndarray) -> None:
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g.reshape(*idx.shape, d))
-            _accumulate(table, full)
+            flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+            _accumulate(table, np.bincount(flat, weights=g.ravel(),
+                                           minlength=n_rows * d).reshape(n_rows, d))
 
     out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
     return _record(out, (table,), backward_fn)

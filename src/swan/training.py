@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -195,11 +196,15 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
-    bad = next((i for i, ex in enumerate(dataset) if not is_click_label(ex.label)),
-               None)
-    if bad is not None:
-        raise ValueError(f"example {bad} (scene {dataset[bad].scene_id!r}): label "
-                         f"must be 0 or 1, got {dataset[bad].label!r}")
+    labels = list(map(attrgetter("label"), dataset))
+    # Plain int labels of 0 and 1 pass in two C-level passes; anything else
+    # goes through the per-row rule, which names the first bad row.
+    if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
+        bad = next((i for i, label in enumerate(labels)
+                    if not is_click_label(label)), None)
+        if bad is not None:
+            raise ValueError(f"example {bad} (scene {dataset[bad].scene_id!r}): "
+                             f"label must be 0 or 1, got {labels[bad]!r}")
     if config.model_kind == "swan" and graph is None:
         raise ValueError("the full model needs a scene relation graph")
 
@@ -217,8 +222,8 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
         params = init_dnn_params(schema, scene_ids, config.model, config.seed)
 
     rng = np.random.default_rng(config.seed)
-    batches = _shuffled_batches(dataset, schema, params, graph, rng,
-                                config.batch_size)
+    batches = _shuffled_batches(dataset, np.array(labels, dtype=np.float64),
+                                schema, params, graph, rng, config.batch_size)
     opt = Adam(params.parameters(), lr=config.lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
 
@@ -247,19 +252,19 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
-def _shuffled_batches(dataset: Sequence[Example], schema: FeatureSchema,
-                      params, graph: SceneRelationGraph | None,
-                      rng: np.random.Generator,
+def _shuffled_batches(dataset: Sequence[Example], labels: np.ndarray,
+                      schema: FeatureSchema, params,
+                      graph: SceneRelationGraph | None, rng: np.random.Generator,
                       batch_size: int) -> list[PreparedBatch]:
     """Per-scene batches of the dataset, each scene's rows in shuffled order.
 
-    Rows are encoded in dataset order and shuffled as codes: encoding walks
+    `labels` holds the dataset's labels as floats, in dataset order. Rows
+    are encoded in dataset order and shuffled as codes: encoding walks
     every example once per feature, which is slower over a list whose
     objects lie in random memory order. The codes are shuffled a column at
     a time, so at most one unshuffled column is alive next to them.
     """
     idx, scene_idx = encode_batch(dataset, schema, params.embeddings)
-    labels = np.array([ex.label for ex in dataset], dtype=np.float64)
     perm = rng.permutation(len(dataset))
     for name in idx:
         idx[name] = idx[name][perm]

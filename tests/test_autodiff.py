@@ -1,7 +1,11 @@
 """Tests for the reverse-mode autodiff core."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
@@ -108,6 +112,21 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             ad.rows(table, np.zeros((1, 1, 1), dtype=np.int64))
 
+    @pytest.mark.parametrize("indices", [[1.7], [True, False, True],
+                                         np.array([[1.0, 0.0]]),
+                                         np.array(["1"])])
+    def test_rows_rejects_non_integer_indices(self, indices):
+        # Casting would gather row 1 for 1.7 and rows 1, 0, 1 for booleans.
+        with pytest.raises(TypeError, match="integer indices"):
+            ad.rows(Tensor(np.ones((3, 2))), indices)
+
+    def test_rows_takes_empty_and_unsigned_indices(self):
+        table = Tensor(np.arange(6.0).reshape(3, 2))
+        assert ad.rows(table, []).shape == (0, 2)  # np.asarray([]) is float64
+        np.testing.assert_array_equal(
+            ad.rows(table, np.array([2, 0], dtype=np.uint8)).data,
+            [[4.0, 5.0], [0.0, 1.0]])
+
     def test_sum_blocks_adds_blocks_in_order(self):
         v = np.arange(12.0).reshape(2, 6)
         out = ad.sum_blocks(Tensor(v), 3)
@@ -197,6 +216,31 @@ class TestBackward:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    @given(data=st.data(), n_rows=st.integers(1, 12), d=st.integers(0, 5),
+           shape=st.one_of(st.tuples(st.integers(0, 40)),
+                           st.tuples(st.integers(0, 8), st.integers(0, 6))))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_gradient_equals_add_at_bit_for_bit(self, data, n_rows, d, shape):
+        # numpy does not document the order in which np.add.at or bincount
+        # sum an index's contributions; the rows backward relies on both
+        # adding them in order of occurrence, starting from 0.0. Indices
+        # come from a few rows so most repeat, and -0.0 tests the start.
+        pool = data.draw(st.integers(1, n_rows))
+        n = math.prod(shape)
+        idx = np.array(data.draw(st.lists(st.integers(0, pool - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64).reshape(shape)
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300]),
+                           st.floats(-1e6, 1e6, allow_nan=False))
+        g = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)),
+                     dtype=np.float64).reshape(shape[0], math.prod(shape[1:]) * d)
+        table = Tensor(np.zeros((n_rows, d)), requires_grad=True)
+        backward(_scalar_loss(ad.rows(table, idx), g))
+
+        expected = np.zeros((n_rows, d))
+        np.add.at(expected, idx, g.reshape(*shape, d))
+        np.testing.assert_array_equal(table.grad.view(np.int64),
+                                      expected.view(np.int64))
+
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         with ad.no_grad():
@@ -272,6 +316,14 @@ class TestFiniteDifferences:
         idx = rng.integers(0, 5, size=(4, 3))
         w = rng.normal(size=(4, 9))
         _fd_check(lambda: _scalar_loss(ad.rows(table, idx), w), [table], seed)
+
+    def test_rows_index_matrix_repeated_rows(self):
+        # Rows 1 and 3 repeat within an index row and across index rows.
+        rng = np.random.default_rng(3100)
+        table = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+        idx = np.array([[1, 1, 3], [3, 0, 1], [1, 3, 3]])
+        w = rng.normal(size=(3, 9))
+        _fd_check(lambda: _scalar_loss(ad.rows(table, idx), w), [table], 3100)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scalar_chain_ops(self, seed):

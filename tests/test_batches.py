@@ -70,8 +70,10 @@ class TestSceneBatches:
         order = np.random.default_rng(batch_size).permutation(len(result.train))
         old = _old_scene_batches([result.train[i] for i in order],
                                  result.schema, params, graph, batch_size)
-        new = _shuffled_batches(result.train, result.schema, params, graph,
-                                np.random.default_rng(batch_size), batch_size)
+        labels = np.array([ex.label for ex in result.train], dtype=np.float64)
+        new = _shuffled_batches(result.train, labels, result.schema, params,
+                                graph, np.random.default_rng(batch_size),
+                                batch_size)
         assert len(new) == len(old)
         for b, (sid, a) in zip(new, old):
             assert np.all(b.scene_idx == params.embeddings.scene_index(sid))

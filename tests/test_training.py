@@ -1,11 +1,13 @@
 """Tests for the training loop, baseline, evaluation and sweeps."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from conftest import tiny_model_config, tiny_train_config
+from swan import autodiff as ad
 from swan.autodiff import Tensor
 from swan.features import ConfigError, Dataset, Example
 from swan.metrics import evaluate
@@ -14,6 +16,21 @@ from swan import training
 from swan.srg import build_srg
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
                            run_sweep, train)
+
+
+def _rows_add_at(table, indices):
+    """`autodiff.rows` with the np.add.at scatter it had before bincount."""
+    idx = np.asarray(indices, dtype=np.int64)
+    d = table.shape[1]
+
+    def backward_fn(g):
+        if table.requires_grad:
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, g.reshape(*idx.shape, d))
+            ad._accumulate(table, full)
+
+    out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
+    return ad._record(out, (table,), backward_fn)
 
 
 def _params_snapshot(params):
@@ -53,6 +70,27 @@ class TestTrain:
         _assert_snapshots_equal(_params_snapshot(a.params),
                                 _params_snapshot(b.params))
         assert a.epoch_losses == b.epoch_losses
+
+    @pytest.mark.parametrize("kind", ["swan", "dnn"])
+    def test_rows_scatter_trains_as_add_at(self, tiny_data, monkeypatch, kind):
+        # Every gather calls ad.rows, so patching it swaps the scatter of
+        # every embedding, scene-id, CFR and SAN row gradient.
+        result, graph = tiny_data
+        graph = graph if kind == "swan" else None
+        config = tiny_train_config(model_kind=kind)
+        new = train(result.train, graph, config)
+        calls = []
+
+        def rows(table, indices):
+            calls.append(1)
+            return _rows_add_at(table, indices)
+        monkeypatch.setattr(ad, "rows", rows)
+        old = train(result.train, graph, config)
+        assert calls
+        assert new.epoch_losses == old.epoch_losses
+        for (name, a), (_, b) in zip(new.params.named_parameters(),
+                                     old.params.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_empty_dataset_rejected(self, tiny_data):
         _, graph = tiny_data
