@@ -13,9 +13,8 @@ from .model import (ComponentFlags, ModelConfig, init_dnn_params,
                     init_swan_params, predict, predict_scores)
 from .san import SanOutput, san_forward
 from .serialize import load_model, save_model
-from .srg import (SceneProfile, SceneRelationGraph, build_graph, build_srg,
-                  categorize, load_graph, save_graph, select_key_features,
-                  similar_scenes)
+from .srg import (SceneProfile, SceneRelationGraph, build_srg, categorize,
+                  load_graph, save_graph, select_key_features, similar_scenes)
 from .training import Adam, TrainConfig, TrainResult, baseline_dnn, run_sweep, train
 
 __version__ = "0.1.0"

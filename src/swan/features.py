@@ -40,6 +40,13 @@ class ConfigError(ValueError):
     """Model configuration is inconsistent with the schema."""
 
 
+def sorted_finite(values: Sequence[float]) -> bool:
+    """True when every value is finite and none exceeds the next: bucket
+    edges that `bisect_right` and `np.searchsorted` split alike."""
+    return (all(map(math.isfinite, values))
+            and all(a <= b for a, b in zip(values, values[1:])))
+
+
 def _known_keys(cls, obj: dict) -> dict:
     """A copy of `obj`; keys that are not fields of `cls` raise ConfigError
     naming them."""
@@ -55,9 +62,10 @@ class Feature:
 
     Categorical features carry a vocabulary size, a positive int; raw
     values are integer codes in [0, vocab) and anything else, booleans
-    included, maps to a reserved OOV index. Numeric features carry sorted bucket boundaries
-    (fit on a training split) and encode to the bucket index of the raw
-    value, which must be a finite number and not a boolean.
+    included, maps to a reserved OOV index. Numeric features carry finite,
+    sorted bucket boundaries (fit on a training split) and encode to the
+    bucket index of the raw value, which must be a finite number and not
+    a boolean.
     """
 
     name: str
@@ -80,7 +88,11 @@ class Feature:
                 raise SchemaError(f"categorical feature {self.name!r}: vocabulary size "
                                   f"{self.vocab!r} is not an integer")
         elif self.boundaries is not None:
-            object.__setattr__(self, "boundaries", tuple(float(b) for b in self.boundaries))
+            edges = tuple(float(b) for b in self.boundaries)
+            if not sorted_finite(edges):
+                raise SchemaError(f"numeric feature {self.name!r}: bucket boundaries "
+                                  f"{list(edges)} are not finite and sorted")
+            object.__setattr__(self, "boundaries", edges)
 
     @property
     def num_indices(self) -> int:
@@ -134,13 +146,10 @@ class Feature:
 
     @cached_property
     def _edges(self) -> np.ndarray | None:
-        """The fitted boundaries as a float64 array, or None when they are
-        not fitted or not sorted (NaN included), where `np.searchsorted`
-        would not give `bisect_right`'s buckets."""
+        """The fitted boundaries as a float64 array, None when not fitted."""
         if self.boundaries is None:
             return None
-        edges = np.array(self.boundaries, dtype=np.float64)
-        return edges if (edges[1:] >= edges[:-1]).all() else None
+        return np.array(self.boundaries, dtype=np.float64)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "kind": self.kind, "group": self.group}
@@ -258,7 +267,7 @@ def encode_columns(examples: Sequence[Example],
 
     A column is encoded in one numpy pass when every value is a Python
     int (categorical) or every value is an int or float and their sum is
-    finite (numeric with sorted boundaries). Any other column (booleans,
+    finite (numeric with fitted boundaries). Any other column (booleans,
     other types, a missing value, ints past int64 or past the float
     range, NaN or ±inf) goes through `Feature.encode` value by value in
     row order, so the codes and the first error raised are those of
@@ -326,12 +335,24 @@ def _column_codes(feat: Feature, values: list) -> np.ndarray | None:
     return np.searchsorted(feat._edges, x, side="right").astype(np.int64, copy=False)
 
 
-def group_by_scene(examples: Sequence[Example]) -> dict[str, list[int]]:
-    """Row indices of each scene, scenes by first appearance, rows in order."""
-    groups: dict[str, list[int]] = {}
-    for i, ex in enumerate(examples):
-        groups.setdefault(ex.scene_id, []).append(i)
-    return groups
+def scene_codes(examples: Sequence[Example]) -> tuple[list[str], np.ndarray]:
+    """The examples' distinct scene ids, sorted, and each example's index
+    into them as an int64 array."""
+    ids = list(map(attrgetter("scene_id"), examples))
+    scenes = sorted(set(ids))
+    index = {sid: i for i, sid in enumerate(scenes)}
+    return scenes, np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
+                               count=len(ids))
+
+
+def group_rows(codes: np.ndarray, n_groups: int,
+               order: np.ndarray | None = None) -> list[np.ndarray]:
+    """Row indices of each code in range(n_groups), in the row order
+    `order` (ascending rows by default), by one stable argsort."""
+    rows = (codes.argsort(kind="stable") if order is None
+            else order[codes[order].argsort(kind="stable")])
+    ends = np.bincount(codes, minlength=n_groups).cumsum().tolist()
+    return [rows[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import group_by_scene
+from .features import group_rows, scene_codes
 
 
 class UndefinedMetricError(ValueError):
@@ -143,32 +143,32 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
     labels = np.array([ex.label for ex in dataset])
     scores = predict_scores(params, graph, dataset)
 
-    by_scene = group_by_scene(dataset)
+    scene_ids, codes = scene_codes(dataset)
 
     per_scene: dict[str, float] = {}
     warnings: dict[str, list[str]] = {}
-    pooled_small: list[str] = []
-    for sid in sorted(by_scene):
-        rows = by_scene[sid]
+    pooled_small: dict[str, np.ndarray] = {}
+    for sid, rows in zip(scene_ids, group_rows(codes, len(scene_ids))):
         y = labels[rows]
         if len(rows) < min_scene_examples:
-            pooled_small.append(sid)
+            pooled_small[sid] = rows
             continue
         if y.min() == y.max():
             warnings.setdefault("single_class_scenes", []).append(sid)
             continue
         per_scene[sid] = auc(y, scores[rows])
     if pooled_small:
-        rows = [i for sid in pooled_small for i in by_scene[sid]]
+        rows = np.concatenate(list(pooled_small.values()))
         warnings["pooled_small_scenes"] = list(pooled_small)
         y = labels[rows]
         if len(rows) and y.min() != y.max():
             per_scene["other"] = auc(y, scores[rows])
 
     known = params.known_scenes
-    cold_rows = [i for i, ex in enumerate(dataset) if ex.scene_id not in known]
+    cold = [g for g, sid in enumerate(scene_ids) if sid not in known]
+    cold_rows = np.flatnonzero(np.isin(codes, cold))
     auc_cold = None
-    if cold_rows:
+    if cold_rows.size:
         y = labels[cold_rows]
         if y.min() != y.max():
             auc_cold = auc(y, scores[cold_rows])

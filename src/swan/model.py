@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numbers
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +24,14 @@ from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
 from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
                        SchemaError, _known_keys, embed_indices, encode_columns,
-                       group_by_scene)
+                       group_rows, scene_codes)
 from .head import HeadParams, decide
 from .nn import MLP
 from .san import san_forward
 # profile_new_scene is not called here; it stays a name of this module
 # because the benchmark's tracer patches it by that name.
-from .srg import (SceneRelationGraph, profile_new_scene, profile_scenes,  # noqa: F401
-                  similar_scenes)
+from .srg import (SceneRelationGraph, profile_new_scene,  # noqa: F401
+                  scene_categories, similar_scenes)
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,9 @@ class SwanForward:
 
 
 def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
-                 embeddings: EmbeddingSet) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Every schema feature's codes, and each row's scene index."""
-    ids = list(map(attrgetter("scene_id"), examples))
-    index = {sid: embeddings.scene_index(sid) for sid in dict.fromkeys(ids)}
-    scene_idx = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-    return encode_columns(examples, schema), scene_idx
+                 ) -> tuple[dict[str, np.ndarray], list[str], np.ndarray]:
+    """Every schema feature's codes, then `features.scene_codes`."""
+    return (encode_columns(examples, schema), *scene_codes(examples))
 
 
 def stable_scene_rng(seed: int, scene_id: str) -> np.random.Generator:
@@ -291,22 +288,28 @@ def check_graph_scenes(graph: SceneRelationGraph, known_scenes,
 
 def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
                       profile, params) -> list[str]:
-    """Similar-scene ids for a target profile, honoring the SRG ablation.
+    """Similar-scene ids for a target profile: `_neighbor_rows` of its row."""
+    if tuple((name, agg) for name, agg, _ in profile.slots) != graph.layout:
+        raise SchemaError("target profile's slot layout differs from the graph's")
+    target = np.array([[cat for _, _, cat in profile.slots]], dtype=np.int64)
+    rows = _neighbor_rows(graph, [scene_id], target, params)[0]
+    return [graph.scene_ids[i] for i in rows.tolist()]
 
-    With the SRG component disabled, the retrieved neighborhood is
-    replaced by uniformly random known scenes of the same cardinality
-    (seeded by the model seed and scene id, so runs stay reproducible).
-    """
+
+def _neighbor_rows(graph: SceneRelationGraph, scene_ids: Sequence[str],
+                  targets: np.ndarray, params) -> list[np.ndarray]:
+    """Graph rows of each scene's similar scenes, by one `similar_scenes`
+    call over their [T, slots] target categories. With the SRG component
+    disabled, each neighborhood is replaced by as many uniformly random
+    graph rows, seeded by the model seed and scene id."""
     cfg = params.config
-    ranked = similar_scenes(graph, profile, k=cfg.k_neighbors,
-                            min_weight=cfg.min_weight)
-    ids = [sid for sid, _ in ranked]
-    if not cfg.flags.srg and ids:
-        rng = stable_scene_rng(params.seed, scene_id)
-        pool = graph.scene_ids
-        ids = [str(s) for s in rng.choice(pool, size=min(len(ids), len(pool)),
-                                          replace=False)]
-    return ids
+    found = similar_scenes(graph, targets, k=cfg.k_neighbors,
+                           min_weight=cfg.min_weight)
+    if cfg.flags.srg:
+        return found
+    return [stable_scene_rng(params.seed, sid).choice(
+                len(graph.scene_ids), size=len(rows), replace=False)
+            for sid, rows in zip(scene_ids, found)]
 
 
 def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
@@ -378,52 +381,55 @@ def predict(params, graph: SceneRelationGraph | None, example: Example) -> float
 
 
 def scene_neighbors(params, graph: SceneRelationGraph | None,
-                    idx: dict[str, np.ndarray],
-                    groups: dict[str, list[int]]) -> dict[str, np.ndarray]:
+                    idx: dict[str, np.ndarray], scene_ids: Sequence[str],
+                    groups: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Each scene's similar scenes, as scene vocabulary indices.
 
-    `groups` holds each scene's rows of the code columns `idx`. The full
-    model with a graph retrieves a graph scene's neighbours with the
-    profile of its matrix row or, for the scenes the graph does not hold,
-    with profiles built in one pass from their rows' codes against the
-    graph's stored bucket boundaries. Otherwise no scene has any.
+    `groups[g]` holds the rows of `scene_ids[g]` in the code columns
+    `idx`. For the full model with a graph, a graph scene's categories are
+    its matrix row and the other scenes' are computed in one pass from
+    their rows' codes; one `_neighbor_rows` call ranks them all. Otherwise
+    no scene has any.
     """
     if params.kind != "swan" or graph is None:
-        return {sid: np.zeros(0, dtype=np.int64) for sid in groups}
-    profiles = {sid: graph.profile(sid) for sid in groups}
-    cold = [sid for sid, profile in profiles.items() if profile is None]
+        return [np.zeros(0, dtype=np.int64)] * len(scene_ids)
+    ids = graph.scene_ids
+    at = [bisect_left(ids, sid) for sid in scene_ids]
+    cold = [g for g, (i, sid) in enumerate(zip(at, scene_ids)) if ids[i:i + 1] != [sid]]
+    targets = graph.categories[[min(i, len(ids) - 1) for i in at]]
     if cold:
-        profiles.update(zip(cold, profile_scenes(graph, cold, idx,
-                                                 [groups[sid] for sid in cold])))
-    return {sid: params.embeddings.scene_indices(
-                resolve_neighbors(graph, sid, profiles[sid], params))
-            for sid in groups}
+        targets[cold] = scene_categories(graph, idx, [groups[g] for g in cold])
+    return [params.embeddings.scene_indices([ids[i] for i in rows.tolist()])
+            for rows in _neighbor_rows(graph, scene_ids, targets, params)]
 
 
 def scene_batches(params, graph: SceneRelationGraph | None,
-                  examples: Sequence[Example], idx: dict[str, np.ndarray],
-                  scene_idx: np.ndarray, labels: np.ndarray | None,
-                  batch_size: int, by_scene: bool = True):
+                  idx: dict[str, np.ndarray], scene_ids: Sequence[str],
+                  codes: np.ndarray, labels: np.ndarray | None,
+                  batch_size: int, by_scene: bool = True,
+                  order: np.ndarray | None = None):
     """Batches of encoded rows, as (row indices, PreparedBatch).
 
-    `idx`, `scene_idx` and `labels` (or None) are aligned with `examples`,
-    and each row carries its scene's neighbours (`scene_neighbors`).
-    Scenes come in sorted order and each scene's rows in example order.
-    With `by_scene`, each scene's rows are cut into chunks of at most
-    `batch_size` rows. Otherwise the scenes with the same number of
-    neighbours, fewest first, have their rows put back to back and cut
-    together, so one batch crosses scenes and needs no mask.
+    `idx`, `codes` (indices into the sorted `scene_ids`) and `labels` (or
+    None) are aligned, and each row carries its scene's neighbours
+    (`scene_neighbors`). Scenes come in sorted order and each scene's rows
+    in `order` (row order by default). With `by_scene`, each scene's rows
+    are cut into chunks of at most `batch_size` rows. Otherwise the scenes
+    with the same number of neighbours, fewest first, have their rows put
+    back to back and cut together, so one batch crosses scenes.
     """
-    groups = group_by_scene(examples)
-    neighbors = scene_neighbors(params, graph, idx, groups)
+    groups = group_rows(codes, len(scene_ids), order)
+    neighbors = scene_neighbors(params, graph, idx, scene_ids, groups)
+    scene_idx = np.array([params.embeddings.scene_index(sid) for sid in scene_ids],
+                         dtype=np.int64)[codes]
     runs: dict = {}
-    for sid in sorted(groups):
-        runs.setdefault(sid if by_scene else len(neighbors[sid]), []).append(sid)
+    for g, nbrs in enumerate(neighbors):
+        runs.setdefault(g if by_scene else len(nbrs), []).append(g)
     for key in sorted(runs):
-        sids = runs[key]
-        rows = np.concatenate([groups[sid] for sid in sids])
-        nbrs = np.concatenate([np.tile(neighbors[sid], (len(groups[sid]), 1))
-                               for sid in sids])
+        run = runs[key]
+        rows = np.concatenate([groups[g] for g in run])
+        nbrs = np.concatenate([np.tile(neighbors[g], (len(groups[g]), 1))
+                               for g in run])
         for lo in range(0, len(rows), batch_size):
             at = rows[lo:lo + batch_size]
             yield at, PreparedBatch(
@@ -448,9 +454,9 @@ def predict_scores(params, graph: SceneRelationGraph | None,
     """
     scores = np.empty(len(dataset))
     gates = None
-    idx, scene_idx = encode_batch(dataset, params.schema, params.embeddings)
+    idx, scene_ids, codes = encode_batch(dataset, params.schema)
     with ad.no_grad():
-        for at, batch in scene_batches(params, graph, dataset, idx, scene_idx,
+        for at, batch in scene_batches(params, graph, idx, scene_ids, codes,
                                        None, PREDICT_BATCH, by_scene=False):
             if params.kind == "swan":
                 out = swan_forward(params, batch)

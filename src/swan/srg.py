@@ -14,7 +14,6 @@ are kept so a scene never seen at build time can be profiled and matched
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import (Example, FeatureSchema, SchemaError, encode_columns,
-                       group_by_scene)
+                       group_rows, scene_codes, sorted_finite)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -129,10 +128,10 @@ def _layout(key_features: Sequence[str]) -> tuple[tuple[str, str], ...]:
 
 
 def _profiles(scene_ids: Sequence[str], layout: Sequence[tuple[str, str]],
-              categories: np.ndarray) -> list[SceneProfile]:
-    """One profile per row of a [scenes, slots] category matrix."""
-    return [SceneProfile(sid, tuple((*slot, cat) for slot, cat in zip(layout, row)))
-            for sid, row in zip(scene_ids, categories.tolist())]
+              categories: np.ndarray) -> dict[str, SceneProfile]:
+    """Each scene's profile from its row of a [scenes, slots] category matrix."""
+    return {sid: SceneProfile(sid, tuple((*slot, cat) for slot, cat in zip(layout, row)))
+            for sid, row in zip(scene_ids, categories.tolist())}
 
 
 @dataclass(eq=False)
@@ -165,20 +164,9 @@ class SceneRelationGraph:
             raise SchemaError(f"graph categories have shape {self.categories.shape}, "
                               f"not {len(ids)} scenes x {len(self.layout)} slots")
 
-    def profile(self, scene_id: str) -> SceneProfile | None:
-        """A graph scene's profile from its matrix row; None for another scene."""
-        i = bisect_left(self.scene_ids, scene_id)
-        if self.scene_ids[i:i + 1] != [scene_id]:
-            return None
-        return _profiles([scene_id], self.layout, self.categories[i:i + 1])[0]
-
-    def weight(self, a: str, b: str) -> int:
-        cats, ids = self.categories, self.scene_ids
-        return int((cats[ids.index(a)] == cats[ids.index(b)]).sum())
-
     @cached_property
     def profiles(self) -> dict[str, SceneProfile]:
-        return {sid: self.profile(sid) for sid in self.scene_ids}
+        return _profiles(self.scene_ids, self.layout, self.categories)
 
     @cached_property
     def edges(self) -> dict[tuple[str, str], int]:
@@ -190,49 +178,35 @@ class SceneRelationGraph:
         return edges
 
 
-def build_graph(profiles: Sequence[SceneProfile] | dict[str, SceneProfile],
-                ) -> SceneRelationGraph:
-    """The graph of scene profiles that share one slot layout."""
-    profiles = sorted(profiles.values() if isinstance(profiles, dict) else profiles,
-                      key=lambda p: p.scene_id)
-    if not profiles:
-        raise ValueError("build_graph needs at least one profile")
-    layouts = {tuple((name, agg) for name, agg, _ in p.slots) for p in profiles}
-    if len(layouts) > 1:
-        raise SchemaError("profiles have inconsistent slot layouts")
-    return SceneRelationGraph([p.scene_id for p in profiles], layouts.pop(),
-                              [[cat for _, _, cat in p.slots] for p in profiles])
-
-
-def similar_scenes(graph: SceneRelationGraph, target: SceneProfile,
-                   k: int = 5, min_weight: int = 1) -> list[tuple[str, int]]:
-    """Top-k known scenes by shared-slot weight against a target profile.
-
-    The target does not have to be a graph node. Ties break by ascending
-    scene id; scenes below `min_weight` are pruned, so fewer than k
-    results may come back.
+def similar_scenes(graph: SceneRelationGraph, targets: np.ndarray,
+                   k: int = 5, min_weight: int = 1) -> list[np.ndarray]:
+    """Each row of a [T, slots] target category matrix's top-k graph rows
+    by shared-slot weight, as int64 indices. A target does not have to be
+    a graph scene. Ties break by ascending scene id; rows below
+    `min_weight` are pruned, so fewer than k may come back.
     """
     if not graph.scene_ids:
         raise ValueError("similar_scenes needs a non-empty graph")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tuple((name, agg) for name, agg, _ in target.slots) != graph.layout:
-        raise SchemaError("target profile's slot layout differs from the graph's")
-    shared = (graph.categories == [cat for _, _, cat in target.slots]).sum(1)
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.ndim != 2 or targets.shape[1] != len(graph.layout):
+        raise SchemaError(f"targets {targets.shape} do not fit the graph's layout")
+    shared = (graph.categories == targets[:, None]).sum(2)
     # The rows follow the sorted ids, so a stable sort breaks ties by id.
-    order = np.argsort(-shared, kind="stable")[:k]
-    return [(graph.scene_ids[i], int(shared[i])) for i in order
-            if shared[i] >= min_weight]
+    order = np.argsort(-shared, axis=1, kind="stable")[:, :k]
+    # The rows at or above min_weight lead each order; a slice caps them at k.
+    return [row[:n] for row, n in zip(order, (shared >= min_weight).sum(1).tolist())]
 
 
-def profile_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
-                   codes: dict[str, np.ndarray], groups: Sequence) -> list[SceneProfile]:
-    """Profiles of scenes from encoded rows, with the graph's stored bucket
-    boundaries.
+def scene_categories(graph: SceneRelationGraph, codes: dict[str, np.ndarray],
+                     groups: Sequence) -> np.ndarray:
+    """[groups, slots] categories of row groups, with the graph's stored
+    bucket boundaries.
 
     `codes` holds a code column per feature, the graph's key features
-    among them, and `groups[i]` the rows of `scene_ids[i]` in it. The
-    scenes do not have to be graph nodes.
+    among them, and `groups[g]` the rows of one scene in it. The scenes
+    do not have to be graph nodes.
     """
     if not graph.boundaries:
         raise ValueError("graph carries no bucket boundaries; rebuild with build_srg")
@@ -240,7 +214,7 @@ def profile_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
     if missing:
         raise SchemaError(f"unknown feature name {missing[0]!r}")
     raw = aggregates({name: codes[name] for name in graph.key_features}, groups)
-    return _profiles(scene_ids, graph.layout, categorize(raw, graph.boundaries))
+    return categorize(raw, graph.boundaries)
 
 
 def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
@@ -248,8 +222,8 @@ def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
                       schema: FeatureSchema) -> SceneProfile:
     """Profile an unseen scene with the graph's stored bucket boundaries."""
     codes = encode_columns(scene_examples, [schema[name] for name in graph.key_features])
-    return profile_scenes(graph, [scene_id], codes,
-                          [np.arange(len(scene_examples))])[0]
+    cats = scene_categories(graph, codes, [np.arange(len(scene_examples))])
+    return _profiles([scene_id], graph.layout, cats)[scene_id]
 
 
 def build_srg(examples: Sequence[Example], schema: FeatureSchema,
@@ -265,9 +239,8 @@ def build_srg(examples: Sequence[Example], schema: FeatureSchema,
                         cc_threshold, max_features)
     if not key:
         raise ValueError(f"no feature reaches |r| >= {cc_threshold}; lower the threshold")
-    groups = group_by_scene(examples)
-    ids = sorted(groups)
-    raw = aggregates({name: codes[name] for name in key}, [groups[sid] for sid in ids])
+    ids, rows = scene_codes(examples)
+    raw = aggregates({name: codes[name] for name in key}, group_rows(rows, len(ids)))
     layout = _layout(key)
     boundaries = bucket_boundaries(raw, buckets)
     return SceneRelationGraph(ids, layout, categorize(raw, boundaries),
@@ -295,7 +268,8 @@ def graph_to_json(graph: SceneRelationGraph) -> dict:
 def graph_from_json(obj: dict) -> SceneRelationGraph:
     """The graph `graph_to_json` wrote; SchemaError when the file is of the
     old node-and-edge format, its matrix is not one non-negative int per
-    scene and slot, or its bucket boundaries do not cover its layout."""
+    scene and slot, or its bucket boundaries are not finite and sorted or
+    do not cover its layout."""
     if "nodes" in obj or "edges" in obj:
         raise SchemaError("old graph format (nodes and edges); rebuild it with srg build")
     layout = tuple(tuple(slot) for slot in obj["layout"])
@@ -308,6 +282,8 @@ def graph_from_json(obj: dict) -> SceneRelationGraph:
             and all(type(c) is int and c >= 0 for c in row) for row in cats)):
         raise SchemaError("graph categories must be one non-negative int per layout slot")
     bounds = [tuple(edges) for edges in obj["boundaries"]]
+    if not all(map(sorted_finite, bounds)):
+        raise SchemaError("graph bucket boundaries must be finite and sorted")
     graph = SceneRelationGraph(
         obj["scene_ids"], layout, cats, key_features=tuple(obj["key_features"]),
         buckets=int(obj["buckets"]), boundaries=bounds,

@@ -256,21 +256,17 @@ def _shuffled_batches(dataset: Sequence[Example], labels: np.ndarray,
                       schema: FeatureSchema, params,
                       graph: SceneRelationGraph | None, rng: np.random.Generator,
                       batch_size: int) -> list[PreparedBatch]:
-    """Per-scene batches of the dataset, each scene's rows in shuffled order.
+    """Per-scene batches of the dataset, each scene's rows in the order of
+    one permutation drawn from `rng`.
 
     `labels` holds the dataset's labels as floats, in dataset order. Rows
-    are encoded in dataset order and shuffled as codes: encoding walks
-    every example once per feature, which is slower over a list whose
-    objects lie in random memory order. The codes are shuffled a column at
-    a time, so at most one unshuffled column is alive next to them.
+    are encoded in dataset order, and the permutation only orders the
+    rows within each scene's group.
     """
-    idx, scene_idx = encode_batch(dataset, schema, params.embeddings)
-    perm = rng.permutation(len(dataset))
-    for name in idx:
-        idx[name] = idx[name][perm]
+    idx, scene_ids, codes = encode_batch(dataset, schema)
     return [batch for _, batch in scene_batches(
-        params, graph, [dataset[i] for i in perm], idx, scene_idx[perm],
-        labels[perm], batch_size)]
+        params, graph, idx, scene_ids, codes, labels, batch_size,
+        order=rng.permutation(len(dataset)))]
 
 
 def _require_schema(dataset, schema) -> FeatureSchema:

@@ -10,11 +10,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from swan.datagen import GenConfig, generate  # noqa: E402
 from swan.head import LossWeights  # noqa: E402
-from swan.model import ModelConfig  # noqa: E402
+from swan.model import ModelConfig, encode_batch  # noqa: E402
 from swan.srg import build_srg  # noqa: E402
 from swan.training import TrainConfig  # noqa: E402
 
@@ -42,6 +43,15 @@ def tiny_train_config(**overrides):
                 lr=1e-2, loss=LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3))
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def encoded(examples, schema, embeddings):
+    """`encode_batch`'s codes of the examples, and each row's scene
+    vocabulary index (the shared unknown-scene row for a scene the
+    embeddings do not know), as a `PreparedBatch` takes them."""
+    idx, scene_ids, codes = encode_batch(examples, schema)
+    vocab = np.array([embeddings.scene_index(sid) for sid in scene_ids], dtype=np.int64)
+    return idx, vocab[codes]
 
 
 @pytest.fixture(scope="session")

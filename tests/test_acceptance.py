@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import encoded
 from swan import autodiff as ad
 from swan.autodiff import Tensor, backward
 from swan.aem import dics
@@ -22,7 +23,7 @@ from swan.gradcheck import finite_difference, max_rel_error
 from swan.head import LossWeights, cos_loss, total_loss, var_loss
 from swan.metrics import auc, gini
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        encode_batch, init_swan_params, predict_scores,
+                        init_swan_params, predict_scores,
                         resolve_neighbors, swan_forward)
 from swan.srg import build_srg, select_key_features
 from swan.training import TrainConfig, baseline_dnn, gate_saturation, train
@@ -131,7 +132,7 @@ class TestCriterion1:
         params = init_swan_params(data.schema, graph.scene_ids, config, seed=0)
         sid = data.train[0].scene_id
         examples = [ex for ex in data.train if ex.scene_id == sid][:4]
-        idx, scene_idx = encode_batch(examples, data.schema, params.embeddings)
+        idx, scene_idx = encoded(examples, data.schema, params.embeddings)
         labels = np.array([float(ex.label) for ex in examples])
         ids = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         batch = PreparedBatch(

@@ -4,18 +4,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import tiny_gen_config, tiny_model_config
+from conftest import encoded, tiny_gen_config, tiny_model_config
 from swan import autodiff as ad
 from swan import model as swan_model
 from swan.datagen import generate
-from swan.features import group_by_scene
+from swan.features import Example, group_rows, scene_codes
 from swan.model import (ComponentFlags, PreparedBatch, dnn_forward,
                         encode_batch, init_dnn_params, init_swan_params,
                         predict, predict_scores, resolve_neighbors,
                         scene_batches, scene_neighbors, swan_forward)
-from swan.srg import build_srg, profile_new_scene, profile_scenes
+from swan.srg import (SceneProfile, build_srg, profile_new_scene,
+                      scene_categories)
 from swan.training import _shuffled_batches
+
+
+def _group_by_scene(examples):
+    """Row indices of each scene, scenes by first appearance, rows in
+    order: the grouper scoring and training used before scene codes."""
+    groups = {}
+    for i, ex in enumerate(examples):
+        groups.setdefault(ex.scene_id, []).append(i)
+    return groups
+
+
+def _batches(params, graph, data, labels, batch_size, **kwargs):
+    """`scene_batches` over the encoded rows of `data`."""
+    idx, scene_ids, codes = encode_batch(data, params.schema)
+    return scene_batches(params, graph, idx, scene_ids, codes, labels,
+                         batch_size, **kwargs)
 
 
 def _neighbours(params, ids, n_rows):
@@ -36,7 +55,7 @@ def _old_scene_batches(dataset, schema, params, graph, batch_size):
         neighbors = []
         if params.kind == "swan":
             neighbors = resolve_neighbors(graph, sid, graph.profiles[sid], params)
-        idx, scene_idx = encode_batch(examples, schema, params.embeddings)
+        idx, scene_idx = encoded(examples, schema, params.embeddings)
         labels = np.array([ex.label for ex in examples], dtype=np.float64)
         for lo in range(0, len(examples), batch_size):
             hi = min(lo + batch_size, len(examples))
@@ -51,6 +70,39 @@ def _old_scene_batches(dataset, schema, params, graph, batch_size):
 def _params(kind, schema, graph, config):
     init = init_swan_params if kind == "swan" else init_dnn_params
     return init(schema, graph.scene_ids, config, seed=3)
+
+
+class TestGrouping:
+    @given(ids=st.lists(st.sampled_from(["b", "a", "c", "a1", ""]), max_size=40),
+           seed=st.none() | st.integers(0, 2 ** 32 - 1))
+    @example(ids=[], seed=None)
+    @example(ids=[], seed=0)
+    @example(ids=["a"], seed=None)
+    @example(ids=["a"], seed=1)
+    @example(ids=["b", "a", "b", "c", "a", "b"], seed=None)
+    @example(ids=["b", "a", "b", "c", "a", "b"], seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_old_grouper(self, ids, seed):
+        """Scene codes and one stable argsort give each scene the rows the
+        old grouper gave it, scenes in sorted order; with a row order, the
+        rows the old grouper gave over the reordered list."""
+        examples = [Example(user={}, item={}, scene_id=sid, label=0) for sid in ids]
+        order = (None if seed is None
+                 else np.random.default_rng(seed).permutation(len(ids)))
+        scene_ids, codes = scene_codes(examples)
+        groups = group_rows(codes, len(scene_ids), order)
+        assert codes.dtype == np.int64 and codes.shape == (len(ids),)
+        assert [scene_ids[c] for c in codes] == ids
+        if order is None:
+            expected = _group_by_scene(examples)
+        else:
+            reordered = _group_by_scene([examples[i] for i in order])
+            expected = {sid: [int(order[i]) for i in rows]
+                        for sid, rows in reordered.items()}
+        assert scene_ids == sorted(expected)
+        assert len(groups) == len(scene_ids)
+        assert all(rows.dtype == np.int64 for rows in groups)
+        assert {sid: rows.tolist() for sid, rows in zip(scene_ids, groups)} == expected
 
 
 class TestSceneBatches:
@@ -94,11 +146,9 @@ class TestSceneBatches:
         result, graph = tiny_data
         params = _params("swan", result.schema, graph, tiny_model_config())
         data = list(result.test) + list(result.train)
-        idx, scene_idx = encode_batch(data, params.schema, params.embeddings)
-        rows = [at for at, _ in scene_batches(params, graph, data, idx,
-                                              scene_idx, None, 25)]
+        rows = [at for at, _ in _batches(params, graph, data, None, 25)]
         assert all(len(at) <= 25 for at in rows)
-        groups = group_by_scene(data)
+        groups = _group_by_scene(data)
         expected = np.concatenate([groups[sid] for sid in sorted(groups)])
         np.testing.assert_array_equal(np.concatenate(rows), expected)
 
@@ -106,9 +156,7 @@ class TestSceneBatches:
         result, graph = tiny_data
         params = _params("swan", result.schema, graph, tiny_model_config())
         data = list(result.test)
-        idx, scene_idx = encode_batch(data, params.schema, params.embeddings)
-        for at, batch in scene_batches(params, graph, data, idx, scene_idx,
-                                       None, 512):
+        for at, batch in _batches(params, graph, data, None, 512):
             sid = data[at[0]].scene_id
             assert sid not in graph.profiles
             rows = [ex for ex in data if ex.scene_id == sid]
@@ -120,8 +168,8 @@ class TestSceneBatches:
 def _mixed(result):
     """Known rows from three training scenes, every row of one cold scene
     and a single row of another, interleaved."""
-    train_groups = group_by_scene(result.train)
-    test_groups = group_by_scene(result.test)
+    train_groups = _group_by_scene(result.train)
+    test_groups = _group_by_scene(result.test)
     known = [result.train[i] for sid in sorted(train_groups)[:3]
              for i in train_groups[sid][:11]]
     cold_sids = sorted(test_groups)
@@ -143,7 +191,7 @@ class TestPredictScores:
         data, multi_row_cold = _mixed(result)
         scores = predict_scores(params, graph, data)
 
-        groups = group_by_scene(data)
+        groups = _group_by_scene(data)
         assert len(groups) == 5
         assert sum(sid not in graph.profiles for sid in groups) == 2
         for sid, rows in groups.items():
@@ -157,9 +205,8 @@ class TestPredictScores:
             rtol=1e-14, atol=0.0)
 
         if kind == "swan":
-            idx, scene_idx = encode_batch(data, params.schema, params.embeddings)
-            neighbours = [b.neighbors.size for _, b in scene_batches(
-                params, graph, data, idx, scene_idx, None, 512)]
+            neighbours = [b.neighbors.size for _, b in _batches(
+                params, graph, data, None, 512)]
             assert all(neighbours) if min_weight == 1 else not any(neighbours)
 
     def test_gates_equal_per_scene_gates(self, tiny_data):
@@ -167,7 +214,7 @@ class TestPredictScores:
         params = _params("swan", result.schema, graph, tiny_model_config())
         data, _ = _mixed(result)
         _, gates = predict_scores(params, graph, data, collect_gates=True)
-        for rows in group_by_scene(data).values():
+        for rows in _group_by_scene(data).values():
             _, per_scene = predict_scores(params, graph, [data[i] for i in rows],
                                           collect_gates=True)
             np.testing.assert_array_equal(gates[rows], per_scene)
@@ -188,9 +235,9 @@ def _per_scene_scores(params, graph, dataset):
     Example rows, one forward per chunk."""
     scores = np.empty(len(dataset))
     gates = np.empty((len(dataset), params.config.n_aeg))
-    idx, scene_idx = encode_batch(dataset, params.schema, params.embeddings)
+    idx, scene_idx = encoded(dataset, params.schema, params.embeddings)
     with ad.no_grad():
-        for sid, rows in sorted(group_by_scene(dataset).items()):
+        for sid, rows in sorted(_group_by_scene(dataset).items()):
             ids = []
             if params.kind == "swan":
                 profile = graph.profiles.get(sid) or profile_new_scene(
@@ -214,9 +261,9 @@ def _per_scene_scores(params, graph, dataset):
 
 def _neighbour_counts(params, graph, dataset):
     """The numbers of neighbours the scenes of `dataset` get."""
-    idx, _ = encode_batch(dataset, params.schema, params.embeddings)
-    return {len(n) for n in scene_neighbors(params, graph, idx,
-                                            group_by_scene(dataset)).values()}
+    idx, scene_ids, codes = encode_batch(dataset, params.schema)
+    return {len(n) for n in scene_neighbors(params, graph, idx, scene_ids,
+                                            group_rows(codes, len(scene_ids)))}
 
 
 def _fewer_than_k(result, graph, dataset):
@@ -261,9 +308,8 @@ class TestCrossSceneScoring:
         params = _params("swan", result.schema, graph, tiny_model_config())
         data = _large(result)
         assert len(data) > swan_model.PREDICT_BATCH
-        idx, scene_idx = encode_batch(data, params.schema, params.embeddings)
-        batches = list(scene_batches(params, graph, data, idx, scene_idx, None,
-                                     swan_model.PREDICT_BATCH, by_scene=False))
+        batches = list(_batches(params, graph, data, None,
+                                swan_model.PREDICT_BATCH, by_scene=False))
         assert all(len(at) <= swan_model.PREDICT_BATCH for at, _ in batches)
         assert any(len(set(b.scene_idx.tolist())) > 1 for _, b in batches)
         assert sorted(np.concatenate([at for at, _ in batches])) == \
@@ -283,9 +329,8 @@ class TestCrossSceneScoring:
         data = _large(result)
         params = _params("swan", result.schema, graph, tiny_model_config(
             min_weight=_fewer_than_k(result, graph, data)))
-        idx, scene_idx = encode_batch(data, params.schema, params.embeddings)
-        counts = [b.neighbors.shape[1] for _, b in scene_batches(
-            params, graph, data, idx, scene_idx, None, 64, by_scene=False)]
+        counts = [b.neighbors.shape[1] for _, b in _batches(
+            params, graph, data, None, 64, by_scene=False)]
         assert len(set(counts)) > 1
         assert counts == sorted(counts)
 
@@ -294,12 +339,14 @@ class TestCrossSceneScoring:
         params = _params("swan", result.schema, graph, tiny_model_config())
         data, _ = _mixed(result)
         data = data + list(result.test)
-        idx, _ = encode_batch(data, params.schema, params.embeddings)
-        groups = group_by_scene(data)
+        idx, scene_ids, codes = encode_batch(data, params.schema)
+        groups = dict(zip(scene_ids, group_rows(codes, len(scene_ids))))
         cold = sorted(sid for sid in groups if sid not in graph.profiles)
         assert len(cold) == 2
-        profiles = profile_scenes(graph, cold, idx, [groups[sid] for sid in cold])
-        for sid, profile in zip(cold, profiles):
+        cats = scene_categories(graph, idx, [groups[sid] for sid in cold])
+        for sid, row in zip(cold, cats.tolist()):
+            profile = SceneProfile(sid, tuple((*slot, cat)
+                                              for slot, cat in zip(graph.layout, row)))
             assert profile == profile_new_scene(
                 graph, sid, [data[i] for i in groups[sid]], params.schema)
 
@@ -317,7 +364,7 @@ class TestCrossSceneScoring:
 
         monkeypatch.setattr(swan_model, "swan_forward", counted)
         scores = predict_scores(params, graph, gen.test)
-        assert len(group_by_scene(gen.test)) == 150
+        assert len(_group_by_scene(gen.test)) == 150
         bound = (math.ceil(len(gen.test) / swan_model.PREDICT_BATCH)
                  + params.config.k_neighbors + 1)
         assert 0 < calls[0] <= bound

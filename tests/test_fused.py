@@ -7,14 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import encoded, tiny_model_config
 from swan import autodiff as ad
 from swan.aem import expert_selector
 from swan.autodiff import Tensor
 from swan.datagen import GenConfig, generate
 from swan.head import LossWeights, ce_loss, total_loss, var_loss
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        encode_batch, init_swan_params, predict_scores,
+                        init_swan_params, predict_scores,
                         resolve_neighbors, swan_forward)
 from swan.srg import build_srg, profile_new_scene
 
@@ -39,7 +39,7 @@ def _batch(params, graph, examples, labels=True):
     sid = examples[0].scene_id
     profile = (graph.profiles[sid] if sid in graph.profiles
                else profile_new_scene(graph, sid, examples, params.schema))
-    idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
+    idx, scene_idx = encoded(examples, params.schema, params.embeddings)
     ids = resolve_neighbors(graph, sid, profile, params)
     return PreparedBatch(
         feature_idx=idx, scene_idx=scene_idx,

@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import tiny_gen_config, tiny_model_config
+from conftest import encoded, tiny_gen_config, tiny_model_config
 from swan import autodiff as ad
 from swan.aem import expert_selector
 from swan.cfr import assemble_input, cfr_forward
@@ -13,7 +13,7 @@ from swan.datagen import generate
 from swan.features import ConfigError, embed_indices
 from swan.head import decide
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        encode_batch, init_dnn_params, init_swan_params,
+                        init_dnn_params, init_swan_params,
                         predict, predict_scores, resolve_neighbors,
                         swan_forward)
 from swan.nn import glorot_uniform
@@ -26,7 +26,7 @@ def _batch(params, graph, examples):
     sid = examples[0].scene_id
     profile = (graph.profiles[sid] if sid in graph.profiles
                else profile_new_scene(graph, sid, examples, params.schema))
-    idx, scene_idx = encode_batch(examples, params.schema, params.embeddings)
+    idx, scene_idx = encoded(examples, params.schema, params.embeddings)
     ids = resolve_neighbors(graph, sid, profile, params)
     return PreparedBatch(feature_idx=idx, scene_idx=scene_idx, labels=None,
                          neighbors=np.tile(params.embeddings.scene_indices(ids),
@@ -163,10 +163,11 @@ class TestComposedPipeline:
 
         # Compose the stages with the public module functions.
         profile = graph.profiles[ex.scene_id]
-        neighbor_ids = [sid for sid, _ in similar_scenes(
-            graph, profile, k=config.k_neighbors, min_weight=config.min_weight)]
+        neighbor_ids = [graph.scene_ids[i] for i in similar_scenes(
+            graph, [[cat for _, _, cat in profile.slots]], k=config.k_neighbors,
+            min_weight=config.min_weight)[0]]
         emb = params.embeddings
-        idx, scene_idx = encode_batch([ex], params.schema, emb)
+        idx, scene_idx = encoded([ex], params.schema, emb)
         neighbors = emb.scene_indices(neighbor_ids)[None, :]  # one row
         with ad.no_grad():
             bundle = embed_indices(idx, scene_idx, emb, params.schema)
@@ -193,9 +194,8 @@ class TestAblationWiring:
         n1 = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         n2 = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         assert n1 == n2
-        ranked = [s for s, _ in similar_scenes(graph, graph.profiles[sid],
-                                               k=config.k_neighbors,
-                                               min_weight=config.min_weight)]
+        ranked = similar_scenes(graph, graph.categories[:1], k=config.k_neighbors,
+                                min_weight=config.min_weight)[0]
         assert len(n1) == len(ranked)
 
     def test_aem_off_fixes_gates_to_one(self, tiny_data):

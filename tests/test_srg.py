@@ -1,21 +1,24 @@
 """Tests for the scene relation graph construction."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_gen_config, tiny_train_config
+from conftest import tiny_gen_config, tiny_model_config, tiny_train_config
 from swan.datagen import generate
-from swan.features import Example, Feature, FeatureSchema, SchemaError, group_by_scene
+from swan.features import (Example, Feature, FeatureSchema, SchemaError, group_rows,
+                           scene_codes)
 from swan.srg import (AGGREGATES, SceneProfile, SceneRelationGraph, aggregates,
-                      bucket_boundaries, build_graph, build_srg, categorize,
+                      bucket_boundaries, build_srg, categorize,
                       graph_from_json, graph_to_json, load_graph, pearson,
                       profile_new_scene, select_key_features, similar_scenes)
+from swan import srg as swan_srg
 from swan.metrics import evaluate
-from swan.model import predict_scores
+from swan.model import ComponentFlags, ModelConfig, predict_scores, resolve_neighbors
 from swan.serialize import load_model, save_model
 from swan.training import train
 
@@ -177,6 +180,23 @@ def _profile(sid, cats, names=None):
     return SceneProfile(sid, tuple((n, "mean", c) for n, c in zip(names, cats)))
 
 
+def _graph(profiles):
+    """The graph whose rows are the profiles' categories, ids sorted."""
+    profiles = sorted(profiles, key=lambda p: p.scene_id)
+    return SceneRelationGraph([p.scene_id for p in profiles],
+                              tuple((name, agg) for name, agg, _ in profiles[0].slots),
+                              [[cat for _, _, cat in p.slots] for p in profiles])
+
+
+def _ranked(g, target, k=5, min_weight=1):
+    """`similar_scenes` of one target profile as (scene id, weight) pairs,
+    each weight counted from the profiles."""
+    rows = similar_scenes(g, [[cat for _, _, cat in target.slots]], k=k,
+                          min_weight=min_weight)[0]
+    return [(g.scene_ids[i], _shared(g.profiles[g.scene_ids[i]], target))
+            for i in rows.tolist()]
+
+
 def _shared(a, b):
     return sum(1 for x, y in zip(a.slots, b.slots) if x == y)
 
@@ -205,7 +225,7 @@ def _profile_scan(profiles, target, k, min_weight):
 def _graph_with_boundaries():
     """Two scenes over key features k0 and k1, with the build metadata."""
     layout = [(name, agg) for name in ("k0", "k1") for agg in AGGREGATES]
-    g = build_graph([
+    g = _graph([
         SceneProfile("a", tuple((*slot, i % 3) for i, slot in enumerate(layout))),
         SceneProfile("b", tuple((*slot, 1) for slot in layout))])
     g.key_features = ("k0", "k1")
@@ -225,30 +245,34 @@ def _random_profiles(rng, n_scenes, n_slots, n_cats):
 class TestGraph:
     def test_shared_slot_weight(self):
         # Profiles sharing exactly two categorized slots get weight 2.
-        g = build_graph([_profile("s2", (0, 1, 2)), _profile("s3", (0, 1, 3))])
-        assert g.weight("s2", "s3") == 2
+        g = _graph([_profile("s2", (0, 1, 2)), _profile("s3", (0, 1, 3))])
+        assert g.edges[("s2", "s3")] == 2
 
     def test_identical_profiles_full_weight(self):
-        g = build_graph([_profile("a", tuple(range(7))),
-                         _profile("b", tuple(range(7)))])
-        assert g.weight("a", "b") == 7
+        g = _graph([_profile("a", tuple(range(7))),
+                    _profile("b", tuple(range(7)))])
+        assert g.edges[("a", "b")] == 7
 
     def test_disjoint_profiles_no_edge(self):
-        g = build_graph([_profile("a", (0, 0)), _profile("b", (1, 1))])
+        g = _graph([_profile("a", (0, 0)), _profile("b", (1, 1))])
         assert g.edges == {}
 
     def test_inconsistent_layout_rejected(self):
         with pytest.raises(SchemaError):
-            build_graph([_profile("a", (0,)), _profile("b", (0, 1))])
+            SceneRelationGraph(["a", "b"], (("k0", "mean"),), [[0, 0], [0, 1]])
 
     def test_symmetry_exhaustive(self):
         rng = np.random.default_rng(6)
         profiles = [_profile(f"s{i}", tuple(rng.integers(0, 3, size=4)))
                     for i in range(50)]
-        g = build_graph(profiles)
+        g = _graph(profiles)
         for i in range(50):
             for j in range(50):
-                assert g.weight(f"s{i}", f"s{j}") == g.weight(f"s{j}", f"s{i}")
+                if i != j:
+                    pair = tuple(sorted((f"s{i}", f"s{j}")))
+                    assert g.edges.get(pair, 0) == _shared(profiles[i], profiles[j]) \
+                        == _shared(profiles[j], profiles[i])
+        assert all(a < b for a, b in g.edges)
 
     def test_json_round_trip(self):
         g = _graph_with_boundaries()
@@ -266,7 +290,7 @@ class TestGraph:
         for n_scenes, n_slots, n_cats in [(1, 3, 2), (2, 1, 2), (12, 4, 3),
                                           (40, 8, 2), (40, 20, 10), (25, 0, 1)]:
             profiles = _random_profiles(rng, n_scenes, n_slots, n_cats)
-            g = build_graph(profiles)
+            g = _graph(profiles)
             assert g.edges == _pair_loop_edges(profiles)
             assert all(type(w) is int for w in g.edges.values())
             assert g.categories.shape == (n_scenes, n_slots)
@@ -274,7 +298,7 @@ class TestGraph:
     @pytest.mark.parametrize("broken", [{"scene_ids": None}, {"categories": 3},
                                         {"layout": None}, {"buckets": None}])
     def test_load_graph_names_file(self, tmp_path, broken):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        g = _graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
         obj = {**graph_to_json(g), **broken}
         obj = {k: v for k, v in obj.items() if v is not None}
         path = tmp_path / "graph.json"
@@ -283,8 +307,8 @@ class TestGraph:
             load_graph(str(path))
 
     def test_json_inconsistent_layout_rejected(self):
-        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
-                                         _profile("b", (0, 2))]))
+        obj = graph_to_json(_graph([_profile("a", (0, 1)),
+                                    _profile("b", (0, 2))]))
         obj["categories"][1] = [0, 2, 5]
         with pytest.raises(SchemaError, match="layout"):
             graph_from_json(obj)
@@ -306,8 +330,8 @@ class TestGraph:
         {"layout": [["k0", "mean"], ["k1"]]},     # a slot that is not a pair
     ])
     def test_loose_matrix_rejected(self, change):
-        obj = graph_to_json(build_graph([_profile("a", (0, 1)),
-                                         _profile("b", (0, 2))]))
+        obj = graph_to_json(_graph([_profile("a", (0, 1)),
+                                    _profile("b", (0, 2))]))
         with pytest.raises(SchemaError):
             graph_from_json({**obj, **change})
 
@@ -326,8 +350,26 @@ class TestGraph:
         with pytest.raises(SchemaError, match="boundaries"):
             graph_from_json({**obj, **change})
 
+    @pytest.mark.parametrize("edges", [[2.0, float("nan"), 1.0], [2.0, 1.0],
+                                       [float("nan")], [1.0, float("inf")]])
+    def test_unsorted_or_non_finite_boundaries_rejected(self, tmp_path, edges):
+        obj = graph_to_json(_graph_with_boundaries())
+        obj["boundaries"][3] = edges
+        with pytest.raises(SchemaError, match="finite and sorted"):
+            graph_from_json(obj)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="graph.json: bad graph file.*finite"):
+            load_graph(str(path))
+
+    @pytest.mark.parametrize("edges", [[0.0, -0.0, 0.0], [1.0, 1.0], [], [-3.5]])
+    def test_non_decreasing_boundaries_load(self, edges):
+        obj = graph_to_json(_graph_with_boundaries())
+        obj["boundaries"][3] = edges
+        assert graph_from_json(obj).boundaries[3] == tuple(edges)
+
     def test_old_graph_file_rejected(self, tmp_path):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        g = _graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
         old = {"aggregates": list(AGGREGATES), "boundaries": [], "buckets": 0,
                "cc_threshold": 0.0, "edges": [["a", "b", 1]], "key_features": [],
                "nodes": [{"profile": [list(slot) for slot in g.profiles[sid].slots],
@@ -338,57 +380,74 @@ class TestGraph:
             load_graph(str(path))
 
     def test_views_built_when_read(self):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        g = _graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
         assert "edges" not in vars(g) and "profiles" not in vars(g)
         assert g.edges == {("a", "b"): 1}
-        assert g.profiles["b"] == _profile("b", (0, 2)) == g.profile("b")
-        assert g.profile("c") is None
+        assert g.profiles["b"] == _profile("b", (0, 2))
+        assert "c" not in g.profiles
         assert "edges" in vars(g) and "profiles" in vars(g)
 
 
 class TestSimilarScenes:
     def test_identical_target_ranks_first_full_weight(self):
-        g = build_graph([_profile("a", (0, 1, 2)), _profile("b", (0, 9, 9))])
-        out = similar_scenes(g, _profile("q", (0, 1, 2)), k=2, min_weight=1)
+        g = _graph([_profile("a", (0, 1, 2)), _profile("b", (0, 9, 9))])
+        out = _ranked(g, _profile("q", (0, 1, 2)), k=2, min_weight=1)
         assert out[0] == ("a", 3)
 
     def test_unreachable_threshold_empty(self):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 1))])
-        assert similar_scenes(g, _profile("q", (0, 1)), k=3, min_weight=99) == []
+        g = _graph([_profile("a", (0, 1)), _profile("b", (0, 1))])
+        assert _ranked(g, _profile("q", (0, 1)), k=3, min_weight=99) == []
 
     def test_rank_and_tie_break(self):
-        g = build_graph([
+        g = _graph([
             _profile("s_d", (0, 1, 9)), _profile("s_b", (0, 1, 2)),
             _profile("s_a", (0, 1, 3)), _profile("s_c", (7, 8, 6)),
         ])
-        out = similar_scenes(g, _profile("q", (0, 1, 4)), k=3, min_weight=1)
+        out = _ranked(g, _profile("q", (0, 1, 4)), k=3, min_weight=1)
         assert out == [("s_a", 2), ("s_b", 2), ("s_d", 2)]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             similar_scenes(
                 SceneRelationGraph([], (), np.zeros((0, 0), dtype=np.int64)),
-                _profile("q", (0,)))
+                np.zeros((1, 0), dtype=np.int64))
 
     def test_target_layout_mismatch_rejected(self):
-        g = build_graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
+        g = _graph([_profile("a", (0, 1)), _profile("b", (0, 2))])
         with pytest.raises(SchemaError, match="layout"):
-            similar_scenes(g, _profile("q", (0, 1, 2)))
+            similar_scenes(g, [[0, 1, 2]])
+        # The category matrix carries no names; the profile route checks them.
+        params = SimpleNamespace(config=ModelConfig(), seed=0)
         with pytest.raises(SchemaError, match="layout"):
-            similar_scenes(g, _profile("q", (0, 1), names=["k0", "other"]))
+            resolve_neighbors(g, "q", _profile("q", (0, 1), names=["k0", "other"]),
+                              params)
 
     def test_match_profile_scan(self):
+        """One call over the [T, slots] matrix of the 20 targets of a case
+        gives, row by row, each target's scan, for each drawn k and
+        min_weight of the case."""
         rng = np.random.default_rng(10)
         for n_scenes, n_slots, n_cats in [(1, 3, 2), (9, 4, 2), (30, 6, 3), (60, 12, 8)]:
             profiles = _random_profiles(rng, n_scenes, n_slots, n_cats)
-            g = build_graph(profiles)
+            g = _graph(profiles)
+            targets, draws = [], []
             for _ in range(20):
-                target = _profile("q", tuple(int(c) for c in
-                                             rng.integers(0, n_cats, size=n_slots)))
+                targets.append(_profile("q", tuple(int(c) for c in
+                                                   rng.integers(0, n_cats, size=n_slots))))
                 k = int(rng.integers(1, n_scenes + 3))
                 min_weight = int(rng.integers(0, n_slots + 2))
-                assert (similar_scenes(g, target, k=k, min_weight=min_weight)
-                        == _profile_scan(profiles, target, k, min_weight))
+                draws.append((k, min_weight))
+            matrix = np.array([[cat for _, _, cat in t.slots] for t in targets])
+            for k, min_weight in draws:
+                found = similar_scenes(g, matrix, k=k, min_weight=min_weight)
+                assert len(found) == len(targets)
+                for target, rows in zip(targets, found):
+                    assert rows.dtype == np.int64
+                    assert ([(g.scene_ids[i], _shared(g.profiles[g.scene_ids[i]], target))
+                             for i in rows.tolist()]
+                            == _profile_scan(profiles, target, k, min_weight))
+                    assert _ranked(g, target, k, min_weight) == \
+                        _profile_scan(profiles, target, k, min_weight)
 
     @given(st.permutations(range(6)))
     @settings(max_examples=30, deadline=None)
@@ -396,11 +455,17 @@ class TestSimilarScenes:
         rng = np.random.default_rng(7)
         cats = [tuple(rng.integers(0, 3, size=4)) for _ in range(6)]
         profiles = [_profile(f"s{i}", cats[i]) for i in range(6)]
-        base = build_graph(profiles)
-        permuted = build_graph([profiles[i] for i in order])
+        base = _graph(profiles)
+        permuted = _graph([profiles[i] for i in order])
         target = _profile("q", (0, 1, 2, 0))
-        assert (similar_scenes(base, target, k=4) ==
-                similar_scenes(permuted, target, k=4))
+        assert (_ranked(base, target, k=4) ==
+                _ranked(permuted, target, k=4))
+        # Each target's neighbours do not depend on the other targets or
+        # on their order in the [T, slots] matrix.
+        targets = np.array([cats[i] for i in order] + [(0, 1, 2, 0)])
+        found = similar_scenes(base, targets, k=4)
+        alone = [similar_scenes(base, row[None], k=4)[0] for row in targets]
+        assert [rows.tolist() for rows in found] == [rows.tolist() for rows in alone]
 
 
 class TestEndToEnd:
@@ -423,16 +488,38 @@ class TestEndToEnd:
         new = _examples_from_matrix(np.array(new_rows), [1] * 40,
                                     ["new"] * 40)
         profile = profile_new_scene(graph, "new", new, _item_schema(1))
-        ranked = similar_scenes(graph, profile, k=3)
+        ranked = _ranked(graph, profile, k=3)
         assert ranked, "a same-cluster neighbor should clear the threshold"
         assert int(ranked[0][0][1]) % 2 == 1  # odd scenes share the high cluster
 
     def test_training_scene_profiles_as_stored(self, tiny_data):
         result, graph = tiny_data
-        for sid, rows in group_by_scene(result.train).items():
+        ids, codes = scene_codes(result.train)
+        for sid, rows in zip(ids, group_rows(codes, len(ids))):
             profile = profile_new_scene(graph, sid, [result.train[i] for i in rows],
                                         result.schema)
             assert profile == graph.profiles[sid]
+
+    @pytest.mark.parametrize("srg", [True, False])
+    def test_pipeline_builds_no_profiles(self, monkeypatch, srg):
+        # Scene codes, matrix rows and category matrices carry every scene
+        # from encoding to the forward pass; no profile object is made.
+        def fail(*args, **kwargs):
+            raise AssertionError("a scene profile was built")
+
+        monkeypatch.setattr(swan_srg, "_profiles", fail)
+        monkeypatch.setattr(swan_srg, "SceneProfile", fail)
+        result = generate(tiny_gen_config())
+        graph = build_srg(result.train, result.schema, cc_threshold=0.05, buckets=4)
+        config = tiny_train_config(epochs=1, model=tiny_model_config(
+            flags=ComponentFlags(srg=srg)))
+        params = train(result.train, graph, config).params
+        report = evaluate(params, graph, result.test)
+        assert report.auc_cold_start is not None
+        cold = [ex for ex in result.test if ex.scene_id not in graph.scene_ids][:5]
+        assert cold
+        scores = predict_scores(params, graph, result.train[:5] + cold + result.train[5:7])
+        assert np.all((scores > 0.0) & (scores < 1.0))
 
     def test_pipeline_leaves_views_unbuilt(self, tmp_path):
         # Training, scoring and model files read the matrix, never the
