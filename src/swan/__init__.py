@@ -1,6 +1,6 @@
 """Scene-wise adaptive network for cold-start multi-scene CTR prediction."""
 
-from .aem import AemParams, SelectorOutput, aeg_forward, dics, expert_selector, seg_forward
+from .aem import SelectorOutput, aeg_forward, dics, expert_selector, seg_forward
 from .autodiff import DimensionError, Tensor, backward, no_grad
 from .cfr import assemble_input, cfr_forward
 from .datagen import GenConfig, GroundTruth, choose_k, generate, kmeans, silhouette
@@ -9,8 +9,8 @@ from .features import (ConfigError, Dataset, Example, Feature, FeatureSchema,
                        load_dataset, write_dataset)
 from .head import LossWeights, ce_loss, cos_loss, decide, total_loss, var_loss
 from .metrics import EvalReport, UndefinedMetricError, auc, evaluate, gini
-from .model import (ComponentFlags, ModelConfig, init_dnn_params,
-                    init_swan_params, predict, predict_scores)
+from .model import (ComponentFlags, ModelConfig, ModelParams, init_params, predict,
+                    predict_scores)
 from .san import SanOutput, san_forward
 from .serialize import load_model, save_model
 from .srg import (SceneProfile, SceneRelationGraph, build_srg, categorize,

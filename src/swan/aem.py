@@ -43,34 +43,23 @@ def dics_gate(p: Tensor, t: Tensor, tau: float) -> Tensor:
 
 
 @dataclass
-class AemParams:
-    """Selector MLPs, temperature and the two expert groups."""
-
-    prob_mlp: MLP    # e_user (+) vec_san -> N_a logits
-    thre_mlp: MLP    # vec_san -> 1 logit
-    aeg: MLP         # N_a stacked adaptive experts, e_in -> N_a * d_expert
-    seg: MLP         # N_s stacked shared experts, e_in -> N_s * d_expert
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass
 class SelectorOutput:
     p: Tensor  # [B, N_a] selection probabilities
     t: Tensor  # [B, 1] shared threshold
     w: Tensor  # [B, N_a] gate values
 
 
-def expert_selector(e_user: Tensor, vec_san: Tensor,
-                    params: AemParams) -> SelectorOutput:
-    """Per-expert probabilities, the shared threshold and the smooth gates."""
-    p = ad.sigmoid(params.prob_mlp(ad.concat([e_user, vec_san])))
-    t = ad.sigmoid(params.thre_mlp(vec_san))
+def expert_selector(e_user: Tensor, vec_san: Tensor, prob_mlp: MLP,
+                    thre_mlp: MLP, tau: float) -> SelectorOutput:
+    """Per-expert probabilities, the shared threshold and the smooth gates.
+
+    `prob_mlp` maps e_user (+) vec_san to N_a logits and `thre_mlp` maps
+    vec_san to one.
+    """
+    p = ad.sigmoid(prob_mlp(ad.concat([e_user, vec_san])))
+    t = ad.sigmoid(thre_mlp(vec_san))
     n = p.shape[-1]
-    w = dics_gate(p, ad.repeat_cols(t, n), params.tau)
+    w = dics_gate(p, ad.repeat_cols(t, n), tau)
     return SelectorOutput(p=p, t=t, w=w)
 
 

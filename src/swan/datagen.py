@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import (Dataset, Example, Feature, FeatureSchema, _known_keys,
-                       fit_numeric_boundaries)
+from .features import (ConfigError, Dataset, Example, Feature, FeatureSchema,
+                       _known_keys, fit_numeric_boundaries)
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,8 @@ class GenConfig:
     attr_noise: float = 0.4
     archetype_spread: float = 0.7
     affinity_scale: float = 1.6
-    opposed_archetypes: bool = True
     quality_scale: float = 1.5
-    quality_decay: float = 0.62
-    quality_profile: tuple[float, ...] | None = (1.0, 0.62, 0.33, 0.26, 0.11,
-                                                 0.0, 0.0)
+    quality_profile: tuple[float, ...] = (1.0, 0.62, 0.33, 0.26, 0.11, 0.0, 0.0)
 
     def __post_init__(self):
         counts = (self.archetypes, self.train_scenes, self.cold_scenes,
@@ -77,7 +74,10 @@ class GenConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
         kwargs = _known_keys(cls, obj)
-        if kwargs.get("quality_profile") is not None:
+        if "quality_profile" in kwargs:
+            if not isinstance(kwargs["quality_profile"], list):
+                raise ConfigError("GenConfig quality_profile must be a list of "
+                                  f"numbers, got {kwargs['quality_profile']!r}")
             kwargs["quality_profile"] = tuple(kwargs["quality_profile"])
         return cls(**kwargs)
 
@@ -138,22 +138,14 @@ class GenResult:
 def _quality_weights(cfg: GenConfig) -> np.ndarray:
     """Per-feature quality weights, spread over the cc-threshold grid.
 
-    An explicit relative profile wins when provided (padded with zeros or
-    truncated to the feature count); otherwise the weights decay
-    super-geometrically with the last third of the features zeroed as
-    pure noise. Either way each feature-label correlation is meant to sit
-    well inside one threshold band instead of hugging an edge.
+    The relative profile is padded with zeros or truncated to the feature
+    count; each feature-label correlation is meant to sit well inside one
+    threshold band instead of hugging an edge.
     """
-    if cfg.quality_profile is not None:
-        rel = np.zeros(cfg.item_features)
-        given = np.asarray(cfg.quality_profile, dtype=np.float64)
-        rel[:min(len(given), cfg.item_features)] = given[:cfg.item_features]
-        return cfg.quality_scale * rel
-    j = np.arange(cfg.item_features, dtype=np.float64)
-    w = cfg.quality_scale * cfg.quality_decay ** (j + 0.25 * j * (j - 1))
-    if cfg.item_features > 1:
-        w[-max(1, cfg.item_features // 3):] = 0.0
-    return w
+    rel = np.zeros(cfg.item_features)
+    given = np.asarray(cfg.quality_profile, dtype=np.float64)
+    rel[:min(len(given), cfg.item_features)] = given[:cfg.item_features]
+    return cfg.quality_scale * rel
 
 
 def generate(config: GenConfig) -> GenResult:
@@ -166,16 +158,15 @@ def generate(config: GenConfig) -> GenResult:
                                size=(cfg.users, cfg.user_features))
     # Per-archetype preference of each user feature value; affinity variance
     # is roughly affinity_scale squared. Rows are centered over the value
-    # vocabulary so no archetype gets a population-level rate shift. With
-    # opposed archetypes, odd archetypes invert their predecessor's
-    # preferences: transferring across the wrong pair is then actively
-    # harmful, not merely uninformative.
+    # vocabulary so no archetype gets a population-level rate shift. Odd
+    # archetypes invert their predecessor's preferences: transferring
+    # across the wrong pair is then actively harmful, not merely
+    # uninformative.
     user_weights = rng.normal(0.0, cfg.affinity_scale / np.sqrt(cfg.user_features),
                               size=(A, cfg.user_features, cfg.user_vocab))
     user_weights -= user_weights.mean(axis=2, keepdims=True)
-    if cfg.opposed_archetypes:
-        for a in range(1, A, 2):
-            user_weights[a] = -user_weights[a - 1]
+    for a in range(1, A, 2):
+        user_weights[a] = -user_weights[a - 1]
     # Archetype item means sit on an equally spaced grid (independently
     # permuted per feature, plus jitter). Adjacent archetypes stay one
     # spread apart on every feature: scene-level aggregates separate them

@@ -10,6 +10,7 @@ variance term pushing selector gates toward 0/1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,6 @@ _EPS = 1e-12
 
 
 @dataclass
-class HeadParams:
-    gate_mlp: MLP    # one linear layer: e_in -> N_s + N_a gate logits
-    final_mlp: MLP   # d_expert -> 1 logit
-
-
-@dataclass
 class LossWeights:
     """Mixing weights for the combined objective."""
 
@@ -36,51 +31,50 @@ class LossWeights:
     gamma: float = 1e-3
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0.0 or self.gamma < 0.0:
-            raise ValueError("beta and gamma must be non-negative")
+        # Written so that NaN fails every rule.
+        for name, ok, rule in (
+                ("alpha", 0.0 < self.alpha < math.inf, "positive"),
+                ("beta", 0.0 <= self.beta < math.inf, "non-negative"),
+                ("gamma", 0.0 <= self.gamma < math.inf, "non-negative")):
+            if not ok:
+                raise ValueError(f"LossWeights {name} must be finite and {rule}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _as_rows(t: Tensor) -> Tensor:
     return ad.reshape(t, (1, t.shape[0])) if t.data.ndim == 1 else t
 
 
-def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor | None,
-           w: Tensor | None, params: HeadParams) -> Tensor:
+def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor, w: Tensor,
+           gate_mlp: MLP, final_mlp: MLP) -> Tensor:
     """Final click probability from the gated expert mixture.
 
     `seg_outputs` is the [B, N_s*d] stack of the shared experts and
-    `aeg_outputs` the [B, N_a*d] stack of the adaptive ones (None for no
-    adaptive group), d being the read-out's input width. Shared experts
-    contribute gate * output; adaptive experts contribute gate *
-    selector_gate * output. Gates come from one linear layer over the
-    model input, softmax-normalized across all experts, and the mix is
-    one op over the coefficients concat(gates_seg, gates_aeg * w).
+    `aeg_outputs` the [B, N_a*d] stack of the adaptive ones, d being the
+    input width of the read-out `final_mlp`. Shared experts contribute
+    gate * output; adaptive experts contribute gate * selector_gate *
+    output. Gates come from `gate_mlp`, one linear layer over the model
+    input, softmax-normalized across all experts, and the mix is one op
+    over the coefficients concat(gates_seg, gates_aeg * w).
     """
-    d = params.final_mlp.layers[0].w.shape[0]
-    batch = e_in.shape[0]
+    d = final_mlp.layers[0].w.shape[0]
     if seg_outputs.data.ndim != 2 or seg_outputs.shape[1] % d:
         raise DimensionError(
             f"decide: shared outputs {seg_outputs.shape} are not blocks of width {d}")
-    scale = Tensor(np.ones((batch, seg_outputs.shape[1] // d)))
-    values = seg_outputs
-    if aeg_outputs is not None:
-        if w is None:
-            raise ValueError("adaptive experts need selector gates")
-        if aeg_outputs.shape[-1] != w.shape[-1] * d:
-            raise DimensionError(
-                f"decide: {w.shape[-1]} selector gates for adaptive outputs "
-                f"{aeg_outputs.shape} of block width {d}")
-        scale = ad.concat([scale, w])
-        values = ad.concat([seg_outputs, aeg_outputs])
+    if aeg_outputs.shape[-1] != w.shape[-1] * d:
+        raise DimensionError(
+            f"decide: {w.shape[-1]} selector gates for adaptive outputs "
+            f"{aeg_outputs.shape} of block width {d}")
+    ones = Tensor(np.ones((e_in.shape[0], seg_outputs.shape[1] // d)))
+    scale = ad.concat([ones, w])
+    values = ad.concat([seg_outputs, aeg_outputs])
     n_total = scale.shape[1]
-    gates = params.gate_mlp(e_in)
+    gates = gate_mlp(e_in)
     if gates.shape[-1] != n_total:
         raise DimensionError(
             f"decide: gate output width {gates.shape[-1]} != expert count {n_total}")
     coeffs = ad.mul(ad.softmax(gates), scale)
-    return ad.sigmoid(params.final_mlp(ad.mix(coeffs, values, n_total)))
+    return ad.sigmoid(final_mlp(ad.mix(coeffs, values, n_total)))
 
 
 def ce_loss(labels, predictions: Tensor) -> Tensor:
@@ -121,18 +115,17 @@ def var_loss(w: Tensor) -> Tensor:
     return ad.neg_row_variance(w2)
 
 
-def total_loss(labels, predictions: Tensor, aeg_outputs: Tensor | None,
-               w: Tensor | None, weights: LossWeights) -> Tensor:
+def total_loss(labels, predictions: Tensor, aeg_outputs: Tensor, w: Tensor,
+               weights: LossWeights) -> Tensor:
     """alpha * cross-entropy + beta * cosine + gamma * gate-variance term.
 
-    `aeg_outputs` stacks one output block per selector gate in `w`; with
-    no gates there is neither a cosine nor a variance term. The variance
-    term is negated (see `var_loss`), so it rewards gate spread.
+    `aeg_outputs` stacks one output block per selector gate in `w`. The
+    variance term is negated (see `var_loss`), so it rewards gate spread.
     """
     loss = ad.scale(ce_loss(labels, predictions), weights.alpha)
-    if weights.beta > 0.0 and w is not None and w.shape[-1] > 1:
+    if weights.beta > 0.0 and w.shape[-1] > 1:
         loss = ad.add(loss, ad.scale(cos_loss(aeg_outputs, w.shape[-1]),
                                      weights.beta))
-    if weights.gamma > 0.0 and w is not None:
+    if weights.gamma > 0.0:
         loss = ad.add(loss, ad.scale(var_loss(w), weights.gamma))
     return loss

@@ -31,6 +31,8 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     s = np.asarray(scores, dtype=np.float64).ravel()
     if y.shape != s.shape:
         raise ValueError("labels and scores must align")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos + n_neg != y.size:

@@ -1,4 +1,4 @@
-"""Model assembly: configuration, parameter containers, forward passes.
+"""Model assembly: configuration, the parameter container, forward passes.
 
 Two models share the embedding machinery and the autodiff core: the full
 scene-adaptive network and a plain DNN baseline that consumes the scene
@@ -10,6 +10,7 @@ rows of many scenes per batch for scoring.
 
 from __future__ import annotations
 
+import math
 import numbers
 import zlib
 from bisect import bisect_left
@@ -19,13 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .aem import AemParams, aeg_forward, expert_selector, seg_forward
+from .aem import aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
 from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
                        SchemaError, _known_keys, embed_indices, encode_columns,
                        group_rows, scene_codes)
-from .head import HeadParams, decide
+from .head import decide
 from .nn import MLP
 from .san import san_forward
 # profile_new_scene is not called here; it stays a name of this module
@@ -86,8 +87,9 @@ class ModelConfig:
                                   f"got {value!r}")
         if self.n_aeg < 1 or self.n_seg < 1:
             raise ValueError("both expert groups need at least one expert")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"ModelConfig tau must be finite and positive, "
+                              f"got {self.tau!r}")
 
     def to_json(self) -> dict:
         out = {}
@@ -111,20 +113,21 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-class SwanParams:
-    """Every learnable table and weight of the full model."""
+class ModelParams:
+    """Every learnable table and weight of a model of `kind`: "swan", the
+    full model, or "dnn", the baseline.
 
-    kind = "swan"
+    `mlps` holds one MLP per `_mlp_specs` prefix, in its order (the draw
+    order), and the forward passes take them from it in that order.
+    """
 
-    def __init__(self, config: ModelConfig, schema: FeatureSchema,
-                 embeddings: EmbeddingSet, san_mlp: MLP, aem: AemParams,
-                 head: HeadParams, seed: int):
+    def __init__(self, kind: str, config: ModelConfig, schema: FeatureSchema,
+                 embeddings: EmbeddingSet, mlps: dict[str, MLP], seed: int):
+        self.kind = kind
         self.config = config
         self.schema = schema
         self.embeddings = embeddings
-        self.san_mlp = san_mlp
-        self.aem = aem
-        self.head = head
+        self.mlps = mlps
         self.seed = seed
 
     @property
@@ -132,14 +135,13 @@ class SwanParams:
         return set(self.embeddings.scene_vocab)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("emb", self.embeddings.table), ("cfr", self.embeddings.cfr)]
-        out.extend(self.san_mlp.named_parameters("san"))
-        out.extend(self.aem.prob_mlp.named_parameters("selector.prob"))
-        out.extend(self.aem.thre_mlp.named_parameters("selector.thre"))
-        out.extend(self.aem.aeg.named_parameters("aeg"))
-        out.extend(self.aem.seg.named_parameters("seg"))
-        out.extend(self.head.gate_mlp.named_parameters("gate"))
-        out.extend(self.head.final_mlp.named_parameters("final"))
+        """`emb`, then `cfr` if the model has one, then each MLP's
+        parameters under its prefix."""
+        out = [("emb", self.embeddings.table)]
+        if self.embeddings.cfr is not None:
+            out.append(("cfr", self.embeddings.cfr))
+        for prefix, mlp in self.mlps.items():
+            out.extend(mlp.named_parameters(prefix))
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -149,13 +151,16 @@ class SwanParams:
 def _mlp_specs(kind: str, schema: FeatureSchema,
                config: ModelConfig) -> dict[str, tuple]:
     """Each MLP of a model of `kind` as `MLP.stacked`'s (n, in_dim, hidden,
-    out_dim), keyed by its parameter-name prefix, in draw order."""
+    out_dim), keyed by its parameter-name prefix, in draw order. An
+    unknown kind is a ValueError."""
     d = config.embed_dim
     d_user = len(schema.user_features) * d
     if kind == "dnn":
         d_in = (len(schema.other_features) + len(schema.user_features) + 1
                 + len(schema.scene_features)) * d
         return {"tower": (1, d_in, config.dnn_hidden, 1)}
+    if kind != "swan":
+        raise ValueError(f"unknown model kind {kind!r}")
     d_in = len(schema.other_features) * d + d_user + 2 * d
     return {
         "san": (1, d_user + 3 * d, config.san_hidden, 1),
@@ -170,8 +175,7 @@ def _mlp_specs(kind: str, schema: FeatureSchema,
 
 def param_shapes(kind: str, schema: FeatureSchema, scene_ids: Sequence[str],
                  config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """The names and shapes of the parameters `init_swan_params` (kind
-    "swan") or `init_dnn_params` (kind "dnn") would make, in
+    """The names and shapes of the parameters `init_params` would make, in
     `named_parameters` order, without allocating them."""
     table, cfr = EmbeddingSet.shapes(schema, len(set(scene_ids)), config.embed_dim)
     out = [("emb", table)] + ([("cfr", cfr)] if kind == "swan" else [])
@@ -180,56 +184,20 @@ def param_shapes(kind: str, schema: FeatureSchema, scene_ids: Sequence[str],
     return out
 
 
-def init_swan_params(schema: FeatureSchema, scene_ids: Sequence[str],
-                     config: ModelConfig, seed: int = 0) -> SwanParams:
-    """Seeded initialization of all tables and MLPs.
+def init_params(kind: str, schema: FeatureSchema, scene_ids: Sequence[str],
+                config: ModelConfig, seed: int = 0) -> ModelParams:
+    """Seeded initialization of all tables and MLPs of a model of `kind`.
 
-    Cross-scene rows are created for every known scene up front, which
-    bounds memory to the observed scenes and keeps initialization
-    deterministic.
+    The full model's cross-scene rows are created for every known scene
+    up front, which bounds memory to the observed scenes and keeps
+    initialization deterministic.
     """
+    specs = _mlp_specs(kind, schema, config)
     rng = np.random.default_rng(seed)
-    embeddings = EmbeddingSet.create(rng, schema, scene_ids, config.embed_dim, cfr=True)
-    mlps = {prefix: MLP.stacked(rng, *spec)
-            for prefix, spec in _mlp_specs("swan", schema, config).items()}
-    aem = AemParams(prob_mlp=mlps["selector.prob"], thre_mlp=mlps["selector.thre"],
-                    aeg=mlps["aeg"], seg=mlps["seg"], tau=config.tau)
-    head = HeadParams(gate_mlp=mlps["gate"], final_mlp=mlps["final"])
-    return SwanParams(config, schema, embeddings, mlps["san"], aem, head, seed)
-
-
-class DnnParams:
-    """Baseline: shared embeddings plus a single MLP tower."""
-
-    kind = "dnn"
-
-    def __init__(self, config: ModelConfig, schema: FeatureSchema,
-                 embeddings: EmbeddingSet, tower: MLP, seed: int):
-        self.config = config
-        self.schema = schema
-        self.embeddings = embeddings
-        self.tower = tower
-        self.seed = seed
-
-    @property
-    def known_scenes(self) -> set[str]:
-        return set(self.embeddings.scene_vocab)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("emb", self.embeddings.table)]
-        out.extend(self.tower.named_parameters("tower"))
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-
-def init_dnn_params(schema: FeatureSchema, scene_ids: Sequence[str],
-                    config: ModelConfig, seed: int = 0) -> DnnParams:
-    rng = np.random.default_rng(seed)
-    embeddings = EmbeddingSet.create(rng, schema, scene_ids, config.embed_dim)
-    tower = MLP.stacked(rng, *_mlp_specs("dnn", schema, config)["tower"])
-    return DnnParams(config, schema, embeddings, tower, seed)
+    embeddings = EmbeddingSet.create(rng, schema, scene_ids, config.embed_dim,
+                                     cfr=kind == "swan")
+    mlps = {prefix: MLP.stacked(rng, *spec) for prefix, spec in specs.items()}
+    return ModelParams(kind, config, schema, embeddings, mlps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +280,7 @@ def _neighbor_rows(graph: SceneRelationGraph, scene_ids: Sequence[str],
             for sid, rows in zip(scene_ids, found)]
 
 
-def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
+def swan_forward(params: ModelParams, batch: PreparedBatch) -> SwanForward:
     """Full pipeline for a row batch, rows of one scene or of many.
 
     With an empty neighborhood (a cold scene below the weight threshold)
@@ -323,14 +291,14 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
     d = cfg.embed_dim
     n_rows = len(batch.scene_idx)
     emb = params.embeddings
+    san, prob, thre, aeg, seg, gate, final = params.mlps.values()
     bundle = embed_indices(batch.feature_idx, batch.scene_idx, emb, params.schema)
     has_neighbors = batch.neighbors.shape[1] > 0
 
     san_out = None
     if has_neighbors:
         e_similar = ad.rows(emb.table, emb.scene_rows(batch.neighbors))
-        san_out = san_forward(bundle.e_user, bundle.e_target, e_similar,
-                              params.san_mlp)
+        san_out = san_forward(bundle.e_user, bundle.e_target, e_similar, san)
         vec_san = san_out.vec
     else:
         vec_san = Tensor(np.zeros((n_rows, d)))
@@ -345,17 +313,17 @@ def swan_forward(params: SwanParams, batch: PreparedBatch) -> SwanForward:
                           e_cfr)
 
     if cfg.flags.aem:
-        w = expert_selector(bundle.e_user, vec_san, params.aem).w
+        w = expert_selector(bundle.e_user, vec_san, prob, thre, cfg.tau).w
     else:
         w = Tensor(np.ones((n_rows, cfg.n_aeg)))
 
-    aeg_outputs = aeg_forward(e_in, w, params.aem.aeg)
-    seg_outputs = seg_forward(e_in, params.aem.seg)
-    yhat = decide(e_in, seg_outputs, aeg_outputs, w, params.head)
+    aeg_outputs = aeg_forward(e_in, w, aeg)
+    seg_outputs = seg_forward(e_in, seg)
+    yhat = decide(e_in, seg_outputs, aeg_outputs, w, gate, final)
     return SwanForward(yhat=yhat, w=w, aeg_outputs=aeg_outputs, e_in=e_in)
 
 
-def dnn_forward(params: DnnParams, batch: PreparedBatch) -> Tensor:
+def dnn_forward(params: ModelParams, batch: PreparedBatch) -> Tensor:
     """Baseline forward: every embedding side by side, one gather, into
     one tower."""
     schema = params.schema
@@ -363,7 +331,8 @@ def dnn_forward(params: DnnParams, batch: PreparedBatch) -> Tensor:
     cols = [*schema.other_features, *schema.user_features, None,
             *schema.scene_features]
     x = ad.rows(emb.table, emb.rows(batch.feature_idx, batch.scene_idx, cols))
-    return ad.sigmoid(params.tower(x))
+    (tower,) = params.mlps.values()
+    return ad.sigmoid(tower(x))
 
 
 # ---------------------------------------------------------------------------

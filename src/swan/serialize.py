@@ -16,14 +16,14 @@ import struct
 import numpy as np
 
 from .features import FeatureSchema
-from .model import (DnnParams, ModelConfig, SwanParams, check_graph_scenes,
-                    init_dnn_params, init_swan_params, param_shapes)
+from .model import (ModelConfig, ModelParams, check_graph_scenes, init_params,
+                    param_shapes)
 from .srg import SceneRelationGraph, graph_from_json, graph_to_json
 
 MAGIC = b"SWANMDL5"
 
 
-def save_model(params: SwanParams | DnnParams, path: str,
+def save_model(params: ModelParams, path: str,
                graph: SceneRelationGraph | None = None) -> None:
     """Write params (and, for the full model, its graph) to one file."""
     named = params.named_parameters()
@@ -71,11 +71,11 @@ def _check_header(path: str, header) -> None:
             raise ValueError(f"{path}: malformed parameter manifest entry {meta!r}")
 
 
-def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | None]:
+def load_model(path: str) -> tuple[ModelParams, SceneRelationGraph | None]:
     """Rebuild params (freshly initialized, then overwritten) and the graph.
 
-    Every defect of the file, a malformed header included, raises a
-    ValueError naming the file.
+    Every defect of the file, a malformed header or a non-finite
+    parameter value included, raises a ValueError naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -95,9 +95,6 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
     _check_header(path, header)
     payload = memoryview(data)[end:]
 
-    init = {"swan": init_swan_params, "dnn": init_dnn_params}.get(header["kind"])
-    if init is None:
-        raise ValueError(f"{path}: unknown model kind {header['kind']!r}")
     manifest = header["params"]
     size = sum(math.prod(m["shape"]) * 8 for m in manifest)
     if size > len(payload):
@@ -120,15 +117,18 @@ def load_model(path: str) -> tuple[SwanParams | DnnParams, SceneRelationGraph | 
             raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{shape} != {tuple(meta['shape'])}")
     try:
-        params = init(schema, header["scene_ids"], config, seed=header["seed"])
+        params = init_params(header["kind"], schema, header["scene_ids"], config,
+                             seed=header["seed"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad model header: {exc!r}") from None
 
     offset = 0
-    for (_, tensor), meta in zip(params.named_parameters(), manifest):
+    for (name, tensor), meta in zip(params.named_parameters(), manifest):
         shape = tuple(meta["shape"])
         size = math.prod(shape) * 8
         buf = np.frombuffer(payload[offset:offset + size], dtype="<f8")
+        if not np.isfinite(buf).all():
+            raise ValueError(f"{path}: parameter {name} holds non-finite values")
         tensor.data = buf.reshape(shape).astype(np.float64)
         offset += size
     if graph is not None:

@@ -9,6 +9,7 @@ fixed reduction order.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -21,9 +22,8 @@ from .features import (ConfigError, Example, FeatureSchema, _known_keys,
                        is_click_label)
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
-from .model import (DnnParams, ModelConfig, PreparedBatch, SwanParams,
-                    check_graph_scenes, dnn_forward, encode_batch,
-                    init_dnn_params, init_swan_params, predict_scores,
+from .model import (ModelConfig, ModelParams, PreparedBatch, check_graph_scenes,
+                    dnn_forward, encode_batch, init_params, predict_scores,
                     scene_batches, swan_forward)
 from .srg import SceneRelationGraph, build_srg
 
@@ -52,10 +52,17 @@ class TrainConfig:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(
                         f"TrainConfig {name} must be {what}, got {value!r}")
-        if self.lr < 0.0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("rates and sizes must be positive")
-        if self.model_kind not in ("swan", "dnn"):
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
+        # Written so that NaN fails every rule.
+        for name, ok, rule in (
+                ("lr", 0.0 <= self.lr < math.inf, "finite and non-negative"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("adam_eps", 0.0 < self.adam_eps < math.inf, "finite and positive"),
+                ("batch_size", self.batch_size >= 1, "positive"),
+                ("epochs", self.epochs >= 1, "positive")):
+            if not ok:
+                raise ConfigError(
+                    f"TrainConfig {name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_json(self) -> dict:
         out = {}
@@ -162,7 +169,7 @@ class Adam:
 
 @dataclass
 class TrainResult:
-    params: SwanParams | DnnParams
+    params: ModelParams
     epoch_losses: list[float]
 
 
@@ -217,9 +224,8 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
             raise ValueError(
                 f"training scene(s) {', '.join(map(repr, missing))} missing from "
                 "the graph; build the graph from the same training data")
-        params = init_swan_params(schema, scene_ids, config.model, config.seed)
-    else:
-        params = init_dnn_params(schema, scene_ids, config.model, config.seed)
+    params = init_params(config.model_kind, schema, scene_ids, config.model,
+                         config.seed)
 
     rng = np.random.default_rng(config.seed)
     batches = _shuffled_batches(dataset, np.array(labels, dtype=np.float64),

@@ -23,7 +23,7 @@ from swan.gradcheck import finite_difference, max_rel_error
 from swan.head import LossWeights, cos_loss, total_loss, var_loss
 from swan.metrics import auc, gini
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        init_swan_params, predict_scores,
+                        init_params, predict_scores,
                         resolve_neighbors, swan_forward)
 from swan.srg import build_srg, select_key_features
 from swan.training import TrainConfig, baseline_dnn, gate_saturation, train
@@ -129,7 +129,7 @@ class TestCriterion1:
                              tau=0.5, k_neighbors=3, san_hidden=(8,),
                              expert_hidden=(8,), selector_hidden=(8,),
                              final_hidden=(8,))
-        params = init_swan_params(data.schema, graph.scene_ids, config, seed=0)
+        params = init_params("swan", data.schema, graph.scene_ids, config, seed=0)
         sid = data.train[0].scene_id
         examples = [ex for ex in data.train if ex.scene_id == sid][:4]
         idx, scene_idx = encoded(examples, data.schema, params.embeddings)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swan import autodiff as ad
-from swan.aem import AemParams, aeg_forward, dics, expert_selector, seg_forward
+from swan.aem import aeg_forward, dics, expert_selector, seg_forward
 from swan.autodiff import Tensor, backward
 from swan.gradcheck import finite_difference, max_rel_error
 from swan.nn import MLP, Linear
@@ -20,14 +20,6 @@ def _zero_mlp(in_dim, out_dim):
 def _linear_mlp(w, b):
     return MLP([Linear(Tensor(np.asarray(w, dtype=float), requires_grad=True),
                        Tensor(np.asarray(b, dtype=float), requires_grad=True))])
-
-
-def _params(prob, thre, tau=1.0, n_experts=2, d_in=4, d_out=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return AemParams(prob_mlp=prob, thre_mlp=thre,
-                     aeg=MLP.stacked(rng, n_experts, d_in, (4,), d_out),
-                     seg=MLP.stacked(rng, n_experts, d_in, (4,), d_out),
-                     tau=tau)
 
 
 class TestDics:
@@ -81,19 +73,18 @@ class TestDics:
 
 class TestExpertSelector:
     def test_zero_weights_give_half_everywhere(self):
-        params = _params(_zero_mlp(7, 2), _zero_mlp(3, 1), tau=0.7)
         e_u = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
         vec = Tensor(np.random.default_rng(2).normal(size=(5, 3)))
-        out = expert_selector(e_u, vec, params)
+        out = expert_selector(e_u, vec, _zero_mlp(7, 2), _zero_mlp(3, 1), 0.7)
         np.testing.assert_allclose(out.p.data, 0.5, atol=1e-15)
         np.testing.assert_allclose(out.t.data, 0.5, atol=1e-15)
         np.testing.assert_allclose(out.w.data, 0.5, atol=1e-15)
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
-        params = _params(MLP.create(rng, 7, (6,), 2), MLP.create(rng, 3, (6,), 1))
+        prob, thre = MLP.create(rng, 7, (6,), 2), MLP.create(rng, 3, (6,), 1)
         out = expert_selector(Tensor(rng.normal(size=(9, 4))),
-                              Tensor(rng.normal(size=(9, 3))), params)
+                              Tensor(rng.normal(size=(9, 3))), prob, thre, 1.0)
         for t in (out.p, out.t, out.w):
             assert np.all(t.data > 0.0) and np.all(t.data < 1.0)
 
@@ -104,7 +95,6 @@ class TestExpertSelector:
         w_t = np.array([[0.3], [-0.2], [0.1]])
         b_t = np.array([0.02])
         tau = 0.25
-        params = _params(_linear_mlp(w_p, b_p), _linear_mlp(w_t, b_t), tau=tau)
         e_u = np.array([[0.5, -1.0]])
         vec = np.array([[1.0, 0.2, -0.3]])
 
@@ -113,7 +103,8 @@ class TestExpertSelector:
         t_manual = 1.0 / (1.0 + np.exp(-(vec @ w_t + b_t)))
         w_manual = 1.0 / (1.0 + np.exp(-(p_manual - t_manual) / tau))
 
-        out = expert_selector(Tensor(e_u), Tensor(vec), params)
+        out = expert_selector(Tensor(e_u), Tensor(vec), _linear_mlp(w_p, b_p),
+                              _linear_mlp(w_t, b_t), tau)
         np.testing.assert_allclose(out.p.data, p_manual, atol=1e-12)
         np.testing.assert_allclose(out.t.data, t_manual, atol=1e-12)
         np.testing.assert_allclose(out.w.data, w_manual, atol=1e-12)
@@ -122,19 +113,17 @@ class TestExpertSelector:
         # The smooth gate must pass gradient into the probability MLP and
         # the threshold MLP alike.
         rng = np.random.default_rng(4)
-        params = _params(MLP.create(rng, 7, (5,), 2), MLP.create(rng, 3, (5,), 1),
-                         tau=0.5)
+        prob, thre = MLP.create(rng, 7, (5,), 2), MLP.create(rng, 3, (5,), 1)
         e_u = Tensor(rng.uniform(-1, 1, (3, 4)))
         vec = Tensor(rng.uniform(-1, 1, (3, 3)))
         w = rng.normal(size=(3, 2))
 
         def build():
-            out = expert_selector(e_u, vec, params)
+            out = expert_selector(e_u, vec, prob, thre, 0.5)
             return ad.sum_all(ad.mul(out.w, Tensor(w)))
 
         backward(build())
-        named = (params.prob_mlp.named_parameters("prob")
-                 + params.thre_mlp.named_parameters("thre"))
+        named = prob.named_parameters("prob") + thre.named_parameters("thre")
         for name, t in named:
             numeric = finite_difference(lambda: build().item(), t)
             assert max_rel_error(t.grad, numeric) < 1e-4, name

@@ -13,7 +13,7 @@ from swan import model as swan_model
 from swan.datagen import generate
 from swan.features import Example, group_rows, scene_codes
 from swan.model import (ComponentFlags, PreparedBatch, dnn_forward,
-                        encode_batch, init_dnn_params, init_swan_params,
+                        encode_batch, init_params,
                         predict, predict_scores, resolve_neighbors,
                         scene_batches, scene_neighbors, swan_forward)
 from swan.srg import (SceneProfile, build_srg, profile_new_scene,
@@ -68,8 +68,7 @@ def _old_scene_batches(dataset, schema, params, graph, batch_size):
 
 
 def _params(kind, schema, graph, config):
-    init = init_swan_params if kind == "swan" else init_dnn_params
-    return init(schema, graph.scene_ids, config, seed=3)
+    return init_params(kind, schema, graph.scene_ids, config, seed=3)
 
 
 class TestGrouping:

@@ -139,6 +139,12 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=r"\['noise', 'trian_scenes'\]"):
             GenConfig.from_json(obj)
 
+    @pytest.mark.parametrize("value", [None, 0.5, "1.0"])
+    def test_quality_profile_not_a_list_named(self, value):
+        # null selected a decay profile that no longer exists.
+        with pytest.raises(ConfigError, match="GenConfig quality_profile must be a list"):
+            GenConfig.from_json({"quality_profile": value})
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             small_config(label_noise=0.5)

@@ -14,7 +14,7 @@ from swan.autodiff import Tensor
 from swan.datagen import GenConfig, generate
 from swan.head import LossWeights, ce_loss, total_loss, var_loss
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        init_swan_params, predict_scores,
+                        init_params, predict_scores,
                         resolve_neighbors, swan_forward)
 from swan.srg import build_srg, profile_new_scene
 
@@ -123,7 +123,7 @@ def _reference(params, batch):
         sims = [scene_table[col] for col in batch.neighbors.T]
         scores = [_mlp(np.concatenate([e_user, e_target, e_target - e_s,
                                        e_target * e_s], axis=1),
-                       _layers(params.san_mlp)) for e_s in sims]
+                       _layers(params.mlps["san"])) for e_s in sims]
         weights = _softmax(np.concatenate(scores, axis=1))
         vec = sum(weights[:, i:i + 1] * e_s for i, e_s in enumerate(sims))
         if cfg.flags.cfr:
@@ -136,16 +136,17 @@ def _reference(params, batch):
     e_in = np.concatenate([e_other, e_user, vec, e_target + e_cfr], axis=1)
     if cfg.flags.aem:
         with ad.no_grad():
-            w = expert_selector(Tensor(e_user), Tensor(vec), params.aem).w.data
+            w = expert_selector(Tensor(e_user), Tensor(vec), params.mlps["selector.prob"],
+                                params.mlps["selector.thre"], cfg.tau).w.data
     else:
         w = np.ones((rows, cfg.n_aeg))
-    aeg = [_mlp(e_in, layers) for layers in _experts(params.aem.aeg)]
-    seg = [_mlp(e_in, layers) for layers in _experts(params.aem.seg)]
-    gates = _softmax(_mlp(e_in, _layers(params.head.gate_mlp)))
+    aeg = [_mlp(e_in, layers) for layers in _experts(params.mlps["aeg"])]
+    seg = [_mlp(e_in, layers) for layers in _experts(params.mlps["seg"])]
+    gates = _softmax(_mlp(e_in, _layers(params.mlps["gate"])))
     mixed = sum(gates[:, i:i + 1] * out for i, out in enumerate(seg))
     mixed = mixed + sum(gates[:, len(seg) + k:len(seg) + k + 1] * w[:, k:k + 1] * out
                         for k, out in enumerate(aeg))
-    yhat = 1.0 / (1.0 + np.exp(-_mlp(mixed, _layers(params.head.final_mlp))))
+    yhat = 1.0 / (1.0 + np.exp(-_mlp(mixed, _layers(params.mlps["final"]))))
     flags = cfg.flags
     loss = WEIGHTS.alpha * ce_loss(batch.labels, Tensor(yhat)).item()
     if flags.loss_cos:
@@ -172,8 +173,8 @@ class TestParityWithLoops:
                              ids=["full", "no-cfr", "no-aem"])
     def test_known_and_cold_batches(self, data, name, flags):
         gen, graph = data
-        params = init_swan_params(gen.schema, graph.scene_ids,
-                                  replace(CONFIGS[name], flags=flags), seed=3)
+        params = init_params("swan", gen.schema, graph.scene_ids,
+                             replace(CONFIGS[name], flags=flags), seed=3)
         known = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[1]][:16]
         cold_sid = gen.test[-1].scene_id
         cold = [ex for ex in gen.test if ex.scene_id == cold_sid][:7]
@@ -189,7 +190,7 @@ class TestParityWithLoops:
     def test_empty_neighbourhood(self, data, name):
         gen, graph = data
         config = replace(CONFIGS[name], min_weight=10 ** 6)
-        params = init_swan_params(gen.schema, graph.scene_ids, config, seed=4)
+        params = init_params("swan", gen.schema, graph.scene_ids, config, seed=4)
         batch = _batch(params, graph, gen.test[:5])
         assert batch.neighbors.shape == (5, 0)
         yhat, loss = _fused(params, batch)
@@ -199,8 +200,8 @@ class TestParityWithLoops:
 
     def test_tiny_config(self, tiny_data):
         result, graph = tiny_data
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=5)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=5)
         batch = _batch(params, graph, result.train[:9])
         yhat, loss = _fused(params, batch)
         ref_yhat, ref_loss = _reference(params, batch)
@@ -230,7 +231,7 @@ class TestOpCounts:
     @pytest.mark.parametrize("name, bound", [("accept", 64), ("default", 70)])
     def test_training_step(self, data, op_counter, name, bound):
         gen, graph = data
-        params = init_swan_params(gen.schema, graph.scene_ids, CONFIGS[name], seed=6)
+        params = init_params("swan", gen.schema, graph.scene_ids, CONFIGS[name], seed=6)
         examples = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[0]]
         batch = _batch(params, graph, examples)
         assert batch.neighbors.shape[1] == CONFIGS[name].k_neighbors
@@ -244,7 +245,7 @@ class TestOpCounts:
     def test_request(self, data, op_counter):
         gen, graph = data
         config = CONFIGS["default"]
-        params = init_swan_params(gen.schema, graph.scene_ids, config, seed=7)
+        params = init_params("swan", gen.schema, graph.scene_ids, config, seed=7)
         cold_sid = gen.test[0].scene_id
         request = [ex for ex in gen.test if ex.scene_id == cold_sid][:10]
         assert _batch(params, graph, request, labels=False).neighbors.shape[1] \

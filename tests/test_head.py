@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
 from swan.gradcheck import finite_difference, max_rel_error
-from swan.head import (HeadParams, LossWeights, ce_loss, cos_loss, decide,
-                       total_loss, var_loss)
+from swan.head import LossWeights, ce_loss, cos_loss, decide, total_loss, var_loss
 from swan.nn import MLP, Linear
 
 
@@ -22,23 +21,12 @@ def _stack(parts, requires_grad=False):
 
 
 def _head(rng, d_in, n_seg, n_aeg, d_expert):
-    return HeadParams(gate_mlp=MLP.create(rng, d_in, (), n_seg + n_aeg),
-                      final_mlp=MLP.create(rng, d_expert, (4,), 1))
+    """`decide`'s gate and read-out MLPs."""
+    return (MLP.create(rng, d_in, (), n_seg + n_aeg),
+            MLP.create(rng, d_expert, (4,), 1))
 
 
 class TestDecide:
-    def test_single_shared_expert_passes_through(self):
-        # Softmax over one gate is 1, so the mixed vector is the expert output.
-        rng = np.random.default_rng(0)
-        head = _head(rng, 5, n_seg=1, n_aeg=0, d_expert=3)
-        e_in = Tensor(rng.normal(size=(2, 5)))
-        vec = Tensor(rng.normal(size=(2, 3)))
-        out = decide(e_in, vec, None, None, head)
-        manual = vec.data @ head.final_mlp.layers[0].w.data
-        manual = np.maximum(manual + head.final_mlp.layers[0].b.data, 0.0)
-        manual = manual @ head.final_mlp.layers[1].w.data + head.final_mlp.layers[1].b.data
-        np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-manual)), atol=1e-12)
-
     def test_zero_selector_gates_silence_adaptive_experts(self):
         rng = np.random.default_rng(1)
         head = _head(rng, 5, n_seg=2, n_aeg=2, d_expert=3)
@@ -46,9 +34,9 @@ class TestDecide:
         seg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
         aeg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
         zero_w = Tensor(np.zeros((4, 2)))
-        out = decide(e_in, seg, aeg, zero_w, head)
+        out = decide(e_in, seg, aeg, zero_w, *head)
         other_aeg = _stack([rng.normal(size=(4, 3)) for _ in range(2)])
-        out2 = decide(e_in, seg, other_aeg, zero_w, head)
+        out2 = decide(e_in, seg, other_aeg, zero_w, *head)
         np.testing.assert_allclose(out.data, out2.data, atol=1e-15)
 
     def test_hand_set_two_plus_two_oracle(self):
@@ -59,11 +47,10 @@ class TestDecide:
         gate_b = np.array([0.01, -0.02, 0.03, 0.0])
         fin_w = np.array([[1.5], [-0.7]])
         fin_b = np.array([0.1])
-        head = HeadParams(
-            gate_mlp=MLP([Linear(Tensor(gate_w, requires_grad=True),
-                                 Tensor(gate_b, requires_grad=True))]),
-            final_mlp=MLP([Linear(Tensor(fin_w, requires_grad=True),
-                                  Tensor(fin_b, requires_grad=True))]))
+        head = (MLP([Linear(Tensor(gate_w, requires_grad=True),
+                            Tensor(gate_b, requires_grad=True))]),
+                MLP([Linear(Tensor(fin_w, requires_grad=True),
+                            Tensor(fin_b, requires_grad=True))]))
         e_in = np.array([[0.5, -1.0, 2.0]])
         seg = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
         aeg = [np.array([[0.5, 0.5]]), np.array([[-1.0, 2.0]])]
@@ -76,16 +63,19 @@ class TestDecide:
                  + g[0, 2] * w[0, 0] * aeg[0] + g[0, 3] * w[0, 1] * aeg[1])
         manual = 1 / (1 + np.exp(-(mixed @ fin_w + fin_b)))
 
-        out = decide(Tensor(e_in), _stack(seg), _stack(aeg), Tensor(w), head)
+        out = decide(Tensor(e_in), _stack(seg), _stack(aeg), Tensor(w), *head)
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
     def test_gate_width_mismatch_rejected(self):
+        # One shared and two adaptive experts against four gate logits.
         rng = np.random.default_rng(2)
         head = _head(rng, 5, n_seg=2, n_aeg=2, d_expert=3)
         e_in = Tensor(rng.normal(size=(1, 5)))
         seg = Tensor(rng.normal(size=(1, 3)))
-        with pytest.raises(DimensionError):
-            decide(e_in, seg, None, None, head)
+        aeg = _stack([rng.normal(size=(1, 3)) for _ in range(2)])
+        w = Tensor(rng.uniform(0.1, 0.9, (1, 2)))
+        with pytest.raises(DimensionError, match="gate output width 4 != expert count 3"):
+            decide(e_in, seg, aeg, w, *head)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -99,13 +89,13 @@ class TestDecide:
         proj = rng.normal(size=(3, 1))
 
         def build():
-            return ad.sum_all(ad.mul(decide(e_in, seg, aeg, w, head),
+            return ad.sum_all(ad.mul(decide(e_in, seg, aeg, w, *head),
                                      Tensor(proj)))
 
         backward(build())
         checks = ([("e_in", e_in), ("w", w), ("seg", seg), ("aeg", aeg)]
-                  + head.gate_mlp.named_parameters("gate")
-                  + head.final_mlp.named_parameters("final"))
+                  + head[0].named_parameters("gate")
+                  + head[1].named_parameters("final"))
         for name, t in checks:
             numeric = finite_difference(lambda: build().item(), t)
             assert max_rel_error(t.grad, numeric) < 1e-4, name
@@ -223,12 +213,6 @@ class TestTotalLoss:
     def test_component_mixture_value(self):
         # Components (0.5, 2.0, -0.2) at alpha=1, beta=gamma=1e-3 -> 0.5018.
         assert (1.0 * 0.5 + 1e-3 * 2.0 + 1e-3 * (-0.2)) == pytest.approx(0.5018)
-
-    def test_all_zero_components(self):
-        weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0)
-        y = [1.0]
-        p = Tensor([[1.0]])
-        assert total_loss(y, p, None, None, weights).item() < 1e-11
 
     def test_weighted_sum_matches_parts(self):
         rng = np.random.default_rng(10)

@@ -54,6 +54,11 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0, 2], [0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            auc([1, 0, 1, 0], [0.9, bad, 0.4, 0.2])
+
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)

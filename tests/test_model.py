@@ -1,5 +1,7 @@
 """Tests for model assembly, prediction paths and the composed pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from swan.datagen import generate
 from swan.features import ConfigError, embed_indices
 from swan.head import decide
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
-                        init_dnn_params, init_swan_params,
+                        init_params,
                         predict, predict_scores, resolve_neighbors,
                         swan_forward)
 from swan.nn import glorot_uniform
@@ -41,23 +43,23 @@ def _zero_all(params):
 class TestPredict:
     def test_zeroed_params_predict_half(self, tiny_data):
         result, graph = tiny_data
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=0)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
         _zero_all(params)
         assert predict(params, graph, result.train[0]) == 0.5
         assert predict(params, graph, result.test[0]) == 0.5
 
     def test_zeroed_dnn_predicts_half(self, tiny_data):
         result, graph = tiny_data
-        params = init_dnn_params(result.schema, graph.scene_ids,
-                                 tiny_model_config(), seed=0)
+        params = init_params("dnn", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
         _zero_all(params)
         assert predict(params, None, result.test[0]) == 0.5
 
     def test_cold_scene_with_no_neighbors_still_predicts(self, tiny_data):
         result, graph = tiny_data
         config = tiny_model_config(min_weight=10 ** 6)
-        params = init_swan_params(result.schema, graph.scene_ids, config, seed=1)
+        params = init_params("swan", result.schema, graph.scene_ids, config, seed=1)
         ex = result.test[0]
         batch = _batch(params, graph, [ex])
         assert batch.neighbors.shape == (1, 0)
@@ -66,8 +68,8 @@ class TestPredict:
 
     def test_prediction_in_unit_interval(self, tiny_data):
         result, graph = tiny_data
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=2)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=2)
         for ex in result.test[:10]:
             assert 0.0 < predict(params, graph, ex) < 1.0
 
@@ -78,8 +80,8 @@ class TestPredict:
         gen = generate(tiny_gen_config(items_per_scene=1, examples_per_scene=12,
                                        train_scenes=4, cold_scenes=1))
         graph = build_srg(gen.train, gen.schema, cc_threshold=0.01, buckets=3)
-        params = init_swan_params(gen.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=3)
+        params = init_params("swan", gen.schema, graph.scene_ids,
+                             tiny_model_config(), seed=3)
         ex = gen.train[0]
         stored = graph.profiles[ex.scene_id]
         re_profile = profile_new_scene(graph, ex.scene_id, [ex], gen.schema)
@@ -92,8 +94,8 @@ class TestPredict:
         # matches only when its profiling inputs coincide, i.e. a single
         # example. Larger cold groups profile from all their examples.
         result, graph = tiny_data
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=4)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=4)
         subset = list(result.train[:9]) + [result.test[0]]
         scores = predict_scores(params, graph, subset)
         singles = np.array([predict(params, graph, ex) for ex in subset])
@@ -101,8 +103,8 @@ class TestPredict:
 
     def test_gates_collected_per_example(self, tiny_data):
         result, graph = tiny_data
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=5)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=5)
         subset = list(result.test[:9])
         _, gates = predict_scores(params, graph, subset, collect_gates=True)
         assert gates.shape == (9, params.config.n_aeg)
@@ -117,7 +119,7 @@ class TestInit:
         result, graph = tiny_data
         config = tiny_model_config()
         schema, d = result.schema, config.embed_dim
-        params = init_swan_params(schema, graph.scene_ids, config, seed=3)
+        params = init_params("swan", schema, graph.scene_ids, config, seed=3)
         rng = np.random.default_rng(3)
 
         def draw(n_rows):
@@ -130,21 +132,37 @@ class TestInit:
         emb = params.embeddings
         np.testing.assert_array_equal(emb.table.data, np.concatenate(table))
         np.testing.assert_array_equal(emb.cfr.data, np.concatenate(cfr))
-        san_w = params.san_mlp.layers[0].w.data
+        san_w = params.mlps["san"].layers[0].w.data
         np.testing.assert_array_equal(san_w, glorot_uniform(rng, *san_w.shape))
         names = [name for name, _ in params.named_parameters()]
         assert names[:3] == ["emb", "cfr", "san.layer0.w"]
         assert not any(name.startswith(("emb.", "cfr.")) for name in names)
 
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("swan", "3950e7437568dd5b8cd8cadb2133ff1bb4def4e31a8b189fa0e9456b88ae471c"),
+        ("dnn", "7dc333b930f3e33326df7793665351771c90ff0f1c32988d173847aa4a77b534")])
+    def test_initialization_pinned(self, tiny_data, kind, digest):
+        # sha256 over each parameter's name, shape and float64 bytes, in
+        # named_parameters order: any change to the draw order, the names
+        # or the layout of a seeded initialization changes it.
+        result, _ = tiny_data
+        ids = sorted({ex.scene_id for ex in result.train})
+        params = init_params(kind, result.schema, ids, tiny_model_config(), seed=7)
+        h = hashlib.sha256()
+        for name, t in params.named_parameters():
+            h.update(f"{name}{t.shape}".encode())
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_repeated_scene_ids_count_once(self, tiny_data):
         # A repeat must not skip a vocabulary index, which would move the
         # last known scene onto the row that unknown scenes share.
         result, graph = tiny_data
         ids = list(graph.scene_ids)
-        once = init_swan_params(result.schema, ids, tiny_model_config(), seed=3)
-        twice = init_swan_params(result.schema, ids[:1] + ids, tiny_model_config(),
-                                 seed=3)
+        once = init_params("swan", result.schema, ids, tiny_model_config(), seed=3)
+        twice = init_params("swan", result.schema, ids[:1] + ids, tiny_model_config(),
+                            seed=3)
         assert twice.embeddings.scene_vocab == once.embeddings.scene_vocab
         assert sorted(once.embeddings.scene_vocab.values()) == list(range(len(ids)))
         for (name, a), (_, b) in zip(once.named_parameters(), twice.named_parameters()):
@@ -156,7 +174,7 @@ class TestComposedPipeline:
         """predict() must equal the hand-composed module pipeline."""
         result, graph = tiny_data
         config = tiny_model_config()
-        params = init_swan_params(result.schema, graph.scene_ids, config, seed=6)
+        params = init_params("swan", result.schema, graph.scene_ids, config, seed=6)
         ex = result.train[0]
 
         got = predict(params, graph, ex)
@@ -174,14 +192,16 @@ class TestComposedPipeline:
             e_target = bundle.e_target
             e_similar = ad.rows(emb.table, emb.scene_rows(neighbors))
             san_out = san_forward(bundle.e_user, e_target, e_similar,
-                                  params.san_mlp)
+                                  params.mlps["san"])
             e_cfr = cfr_forward(san_out.weights, idx, emb, neighbors)
             e_in = assemble_input(bundle.e_other, bundle.e_user, san_out.vec,
                                   e_target, e_cfr)
-            sel = expert_selector(bundle.e_user, san_out.vec, params.aem)
-            aeg_outs = params.aem.aeg(e_in)
-            seg_outs = params.aem.seg(e_in)
-            yhat = decide(e_in, seg_outs, aeg_outs, sel.w, params.head)
+            sel = expert_selector(bundle.e_user, san_out.vec, params.mlps["selector.prob"],
+                                  params.mlps["selector.thre"], config.tau)
+            aeg_outs = params.mlps["aeg"](e_in)
+            seg_outs = params.mlps["seg"](e_in)
+            yhat = decide(e_in, seg_outs, aeg_outs, sel.w, params.mlps["gate"],
+                          params.mlps["final"])
         assert got == pytest.approx(float(yhat.data[0, 0]), abs=1e-10)
 
 
@@ -189,7 +209,7 @@ class TestAblationWiring:
     def test_srg_off_randomizes_neighbors_deterministically(self, tiny_data):
         result, graph = tiny_data
         config = replace(tiny_model_config(), flags=ComponentFlags(srg=False))
-        params = init_swan_params(result.schema, graph.scene_ids, config, seed=7)
+        params = init_params("swan", result.schema, graph.scene_ids, config, seed=7)
         sid = graph.scene_ids[0]
         n1 = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         n2 = resolve_neighbors(graph, sid, graph.profiles[sid], params)
@@ -201,7 +221,7 @@ class TestAblationWiring:
     def test_aem_off_fixes_gates_to_one(self, tiny_data):
         result, graph = tiny_data
         config = replace(tiny_model_config(), flags=ComponentFlags(aem=False))
-        params = init_swan_params(result.schema, graph.scene_ids, config, seed=8)
+        params = init_params("swan", result.schema, graph.scene_ids, config, seed=8)
         batch = _batch(params, graph, [result.train[0]])
         out = swan_forward(params, batch)
         np.testing.assert_array_equal(out.w.data, 1.0)
@@ -211,8 +231,8 @@ class TestAblationWiring:
         base = tiny_model_config()
         config_on = base
         config_off = replace(base, flags=ComponentFlags(cfr=False))
-        on = init_swan_params(result.schema, graph.scene_ids, config_on, seed=9)
-        off = init_swan_params(result.schema, graph.scene_ids, config_off, seed=9)
+        on = init_params("swan", result.schema, graph.scene_ids, config_on, seed=9)
+        off = init_params("swan", result.schema, graph.scene_ids, config_off, seed=9)
         ex = result.train[0]
         b_on = _batch(on, graph, [ex])
         b_off = _batch(off, graph, [ex])

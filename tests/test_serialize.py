@@ -1,6 +1,7 @@
 """Tests for the binary model format."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_train_config
-from swan.model import (ModelConfig, init_dnn_params, init_swan_params, param_shapes,
-                        predict_scores)
+from swan.model import ModelConfig, init_params, param_shapes, predict_scores
 from swan.serialize import MAGIC, load_model, save_model
 from swan.srg import SceneRelationGraph
 from swan.training import baseline_dnn, train
@@ -111,6 +111,23 @@ def _dnn_file(tmp_path, tiny_data):
 
 
 class TestMalformedFile:
+    @pytest.mark.parametrize("name", ["emb", "tower.layer0.w", "tower.layer1.b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_names_file_and_tensor(self, tmp_path, tiny_data,
+                                                        name, bad):
+        path, data, end = _dnn_file(tmp_path, tiny_data)
+        offset = end
+        for meta in json.loads(data[16:end])["params"]:
+            if meta["name"] == name:
+                break
+            offset += math.prod(meta["shape"]) * 8
+        data = bytearray(data)
+        data[offset:offset + 8] = struct.pack("<d", bad)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"model\.bin: parameter {name} holds "
+                                             "non-finite values"):
+            load_model(path)
+
     def test_unknown_kind_rejected(self, tmp_path, tiny_data):
         path, data, end = _dnn_file(tmp_path, tiny_data)
         header = json.loads(data[16:end])
@@ -236,8 +253,8 @@ class TestMalformedFile:
         for config in (tiny_train_config().model, ModelConfig(n_aeg=1, n_seg=3),
                        ModelConfig(san_hidden=(), expert_hidden=(5, 4, 3),
                                    final_hidden=(2,), dnn_hidden=())):
-            for kind, init in (("swan", init_swan_params), ("dnn", init_dnn_params)):
-                params = init(result.schema, ids, config)
+            for kind in ("swan", "dnn"):
+                params = init_params(kind, result.schema, ids, config)
                 assert param_shapes(kind, result.schema, ids, config) == [
                     (name, t.shape) for name, t in params.named_parameters()]
 

@@ -10,8 +10,9 @@ from conftest import tiny_model_config, tiny_train_config
 from swan import autodiff as ad
 from swan.autodiff import Tensor
 from swan.features import ConfigError, Dataset, Example
+from swan.head import LossWeights
 from swan.metrics import evaluate
-from swan.model import predict_scores
+from swan.model import ModelConfig, predict_scores
 from swan import training
 from swan.srg import build_srg
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
@@ -55,9 +56,9 @@ class TestTrain:
     def test_zero_learning_rate_keeps_params(self, tiny_data):
         result, graph = tiny_data
         config = tiny_train_config(lr=0.0, epochs=1)
-        from swan.model import init_swan_params
-        fresh = init_swan_params(result.schema, graph.scene_ids, config.model,
-                                 config.seed)
+        from swan.model import init_params
+        fresh = init_params("swan", result.schema, graph.scene_ids, config.model,
+                            config.seed)
         out = train(result.train, graph, config)
         _assert_snapshots_equal(_params_snapshot(fresh),
                                 _params_snapshot(out.params))
@@ -97,6 +98,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(Dataset(), graph, tiny_train_config())
 
+    def test_unknown_model_kind_rejected(self, tiny_data):
+        result, graph = tiny_data
+        with pytest.raises(ValueError, match="unknown model kind 'mystery'"):
+            train(result.train, graph, tiny_train_config(model_kind="mystery"))
+
     def test_scene_missing_from_graph_rejected(self, tiny_data):
         result, _ = tiny_data
         half = Dataset(result.train[: len(result.train) // 2],
@@ -123,7 +129,7 @@ class TestTrain:
 
         def no_init(*args, **kwargs):
             raise AssertionError("parameters initialised before the check")
-        monkeypatch.setattr(training, "init_swan_params", no_init)
+        monkeypatch.setattr(training, "init_params", no_init)
         with pytest.raises(ValueError, match="missing from the graph"):
             train(result.train, partial_graph, tiny_train_config())
 
@@ -140,8 +146,7 @@ class TestTrain:
 
         def no_init(*args, **kwargs):
             raise AssertionError("parameters initialised before the check")
-        monkeypatch.setattr(training, "init_swan_params", no_init)
-        monkeypatch.setattr(training, "init_dnn_params", no_init)
+        monkeypatch.setattr(training, "init_params", no_init)
         with pytest.raises(ValueError, match=rf"example 5 \(scene "
                            rf"'{rows[5].scene_id}'\): label must be 0 or 1, "
                            rf"got {re.escape(repr(label))}$"):
@@ -393,8 +398,26 @@ class TestTrainConfigJson:
 
     def test_numpy_numbers_accepted(self):
         config = TrainConfig(epochs=np.int64(3), seed=np.int32(2),
-                             lr=np.float64(0.01), beta1=1)
-        assert config.epochs == 3 and config.beta1 == 1
+                             lr=np.float64(0.01), beta1=0)
+        assert config.epochs == 3 and config.beta1 == 0
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (TrainConfig, "lr", math.nan), (TrainConfig, "lr", math.inf),
+        (TrainConfig, "lr", -1e-3), (TrainConfig, "beta1", 1),
+        (TrainConfig, "beta1", -0.1), (TrainConfig, "beta1", math.nan),
+        (TrainConfig, "beta2", 1.0), (TrainConfig, "beta2", 1.5),
+        (TrainConfig, "beta2", math.nan), (TrainConfig, "adam_eps", 0.0),
+        (TrainConfig, "adam_eps", -1e-8), (TrainConfig, "adam_eps", math.nan),
+        (TrainConfig, "adam_eps", math.inf), (TrainConfig, "epochs", 0),
+        (LossWeights, "alpha", math.nan), (LossWeights, "alpha", 0.0),
+        (LossWeights, "beta", math.nan), (LossWeights, "beta", math.inf),
+        (LossWeights, "gamma", math.inf), (LossWeights, "gamma", -0.1),
+        (ModelConfig, "tau", math.nan), (ModelConfig, "tau", math.inf),
+        (ModelConfig, "tau", 0.0)])
+    def test_out_of_range_value_named(self, cls, name, value):
+        # NaN compares False with everything, so each rule must reject it.
+        with pytest.raises(ValueError, match=rf"{cls.__name__} {name} must be"):
+            cls(**{name: value})
 
 
 class TestEvaluate:
@@ -410,9 +433,9 @@ class TestEvaluate:
     def test_pooled_not_averaged(self, tiny_data):
         """Overall AUC pools examples; it is not the mean of per-scene AUCs."""
         result, graph = tiny_data
-        from swan.model import init_swan_params
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=0)
+        from swan.model import init_params
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
         # Construct a two-scene set with per-scene AUCs 1.0 and 0.5 but a
         # pooled ranking that differs from their average.
         examples = []
@@ -449,9 +472,9 @@ class TestEvaluate:
 
     def test_small_scenes_pool_into_other(self, tiny_data):
         result, graph = tiny_data
-        from swan.model import init_swan_params
-        params = init_swan_params(result.schema, graph.scene_ids,
-                                  tiny_model_config(), seed=1)
+        from swan.model import init_params
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=1)
         report = evaluate(params, graph,
                           Dataset(result.test, schema=result.schema),
                           min_scene_examples=10 ** 6)
