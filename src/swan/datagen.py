@@ -18,17 +18,17 @@ after noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .features import (ConfigError, Dataset, Example, Feature, FeatureSchema,
-                       _known_keys, fit_numeric_boundaries)
+from .features import (Config, Dataset, Example, Feature, FeatureSchema,
+                       fit_numeric_boundaries)
 
 
 @dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Config):
     """Generator knobs; the JSON config file mirrors these field names."""
 
     archetypes: int = 4
@@ -50,41 +50,13 @@ class GenConfig:
     quality_scale: float = 1.5
     quality_profile: tuple[float, ...] = (1.0, 0.62, 0.33, 0.26, 0.11, 0.0, 0.0)
 
-    def __post_init__(self):
-        counts = (self.archetypes, self.train_scenes, self.cold_scenes,
-                  self.users, self.items_per_scene, self.examples_per_scene,
-                  self.user_features, self.item_features,
-                  self.scene_attr_features, self.user_vocab)
-        if any(c < 1 for c in counts):
-            raise ValueError("all counts must be positive")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ValueError("label_noise must be in [0, 0.5)")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ValueError("positive_rate must be in (0, 1)")
-
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GenConfig":
-        kwargs = _known_keys(cls, obj)
-        if "quality_profile" in kwargs:
-            if not isinstance(kwargs["quality_profile"], list):
-                raise ConfigError("GenConfig quality_profile must be a list of "
-                                  f"numbers, got {kwargs['quality_profile']!r}")
-            kwargs["quality_profile"] = tuple(kwargs["quality_profile"])
-        return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str) -> "GenConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+    def _rules(self) -> tuple:
+        counts = ("archetypes", "train_scenes", "cold_scenes", "users",
+                  "items_per_scene", "examples_per_scene", "user_features",
+                  "item_features", "scene_attr_features", "user_vocab")
+        return (*((name, getattr(self, name) >= 1, "positive") for name in counts),
+                ("label_noise", 0.0 <= self.label_noise < 0.5, "in [0, 0.5)"),
+                ("positive_rate", 0.0 < self.positive_rate < 1.0, "in (0, 1)"))
 
 
 @dataclass

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class SchemaError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Model configuration is inconsistent with the schema."""
+    """A configuration value is invalid, or does not fit the schema."""
 
 
 def sorted_finite(values: Sequence[float]) -> bool:
@@ -47,13 +48,90 @@ def sorted_finite(values: Sequence[float]) -> bool:
             and all(a <= b for a, b in zip(values, values[1:])))
 
 
-def _known_keys(cls, obj: dict) -> dict:
-    """A copy of `obj`; keys that are not fields of `cls` raise ConfigError
-    naming them."""
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}")
-    return dict(obj)
+@cache
+def field_types(cls) -> dict:
+    """Each field of dataclass `cls` with its annotation, resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_NOUNS = {int: "integer", float: "real number", bool: "bool", str: "string"}
+
+
+def _has_type(value, hint) -> bool:
+    """True when `value` is of the annotated type `hint`; a bool is no number."""
+    if type(value) is hint:
+        return True
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(
+            _has_type(v, hint.__args__[0]) for v in value)
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is tuple:
+        return f"a tuple of {_NOUNS[hint.__args__[0]]}s"
+    noun = _NOUNS.get(hint, hint.__name__)
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+
+
+class Config:
+    """Base of the config dataclasses. Every field must have its annotated
+    type, then pass the range rules of `_rules`; either failure raises a
+    ConfigError naming the class and the field. The JSON form writes
+    tuples as lists and nested configs as objects."""
+
+    def _rules(self) -> tuple:
+        """(field, ok, rule) triples, each written so that NaN fails it."""
+        return ()
+
+    def __post_init__(self):
+        name = type(self).__name__
+        for field_name, hint in field_types(type(self)).items():
+            value = getattr(self, field_name)
+            if not _has_type(value, hint):
+                raise ConfigError(f"{name} {field_name} must be "
+                                  f"{_type_name(hint)}, got {value!r}")
+        for field_name, ok, rule in self._rules():
+            if not ok:
+                raise ConfigError(f"{name} {field_name} must be {rule}, "
+                                  f"got {getattr(self, field_name)!r}")
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in field_types(type(self)):
+            value = getattr(self, name)
+            out[name] = (value.to_json() if isinstance(value, Config)
+                         else list(value) if isinstance(value, tuple) else value)
+        return out
+
+    @classmethod
+    def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+        types = field_types(cls)
+        unknown = set(obj) - set(types)
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+        kwargs = dict(obj)
+        for name, value in obj.items():
+            hint = types[name]
+            nested = isinstance(hint, type) and issubclass(hint, Config)
+            if nested or get_origin(hint) is tuple:
+                if not isinstance(value, dict if nested else list):
+                    raise ConfigError(f"{cls.__name__} {name} must be "
+                                      f"{'an object' if nested else 'a list'}, "
+                                      f"got {value!r}")
+                kwargs[name] = hint.from_json(value) if nested else tuple(value)
+        return cls(**kwargs)
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -88,6 +166,10 @@ class Feature:
                 raise SchemaError(f"categorical feature {self.name!r}: vocabulary size "
                                   f"{self.vocab!r} is not an integer")
         elif self.boundaries is not None:
+            if not (isinstance(self.boundaries, (list, tuple))
+                    and all(isinstance(b, numbers.Real) for b in self.boundaries)):
+                raise SchemaError(f"numeric feature {self.name!r}: bucket boundaries "
+                                  f"{self.boundaries!r} are not a list of numbers")
             edges = tuple(float(b) for b in self.boundaries)
             if not sorted_finite(edges):
                 raise SchemaError(f"numeric feature {self.name!r}: bucket boundaries "
@@ -162,14 +244,15 @@ class Feature:
     @classmethod
     def from_json(cls, obj: dict) -> "Feature":
         """The feature a schema entry describes; SchemaError naming the
-        entry when it lacks `name`, `kind` or `group`."""
+        entry when it is not an object or lacks `name`, `kind` or `group`."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"schema entry {obj!r} is not an object")
         missing = [key for key in ("name", "kind", "group") if key not in obj]
         if missing:
             raise SchemaError(f"schema entry {obj!r} lacks "
                               f"{', '.join(map(repr, missing))}")
         return cls(name=obj["name"], kind=obj["kind"], group=obj["group"],
-                   vocab=obj.get("vocab"),
-                   boundaries=tuple(obj["boundaries"]) if "boundaries" in obj else None)
+                   vocab=obj.get("vocab"), boundaries=obj.get("boundaries"))
 
 
 class FeatureSchema:
@@ -215,6 +298,8 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, obj: list[dict]) -> "FeatureSchema":
+        if not isinstance(obj, list):
+            raise SchemaError(f"a schema must be a list of feature entries, got {obj!r}")
         return cls([Feature.from_json(o) for o in obj])
 
     def save(self, path: str) -> None:

@@ -17,28 +17,24 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
+from .features import Config
 from .nn import MLP
 
 _EPS = 1e-12
 
 
 @dataclass
-class LossWeights:
+class LossWeights(Config):
     """Mixing weights for the combined objective."""
 
     alpha: float = 1.0
     beta: float = 1e-3
     gamma: float = 1e-3
 
-    def __post_init__(self):
-        # Written so that NaN fails every rule.
-        for name, ok, rule in (
-                ("alpha", 0.0 < self.alpha < math.inf, "positive"),
-                ("beta", 0.0 <= self.beta < math.inf, "non-negative"),
-                ("gamma", 0.0 <= self.gamma < math.inf, "non-negative")):
-            if not ok:
-                raise ValueError(f"LossWeights {name} must be finite and {rule}, "
-                                 f"got {getattr(self, name)!r}")
+    def _rules(self) -> tuple:
+        return (("alpha", 0.0 < self.alpha < math.inf, "finite and positive"),
+                ("beta", 0.0 <= self.beta < math.inf, "finite and non-negative"),
+                ("gamma", 0.0 <= self.gamma < math.inf, "finite and non-negative"))
 
 
 def _as_rows(t: Tensor) -> Tensor:

@@ -93,7 +93,7 @@ class EvalReport:
     @classmethod
     def from_json(cls, obj: Mapping) -> "EvalReport":
         return cls(auc_all=obj["auc_all"], auc_cold_start=obj.get("auc_cold_start"),
-                   per_scene=dict(obj["per_scene"]),
+                   per_scene={k: float(v) for k, v in obj["per_scene"].items()},
                    gini_improvement=obj.get("gini_improvement"),
                    gini_defined=bool(obj.get("gini_defined", False)),
                    warnings={k: list(v) for k, v in obj.get("warnings", {}).items()})
@@ -105,8 +105,13 @@ class EvalReport:
 
     @classmethod
     def load(cls, path: str) -> "EvalReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        """The report in a report file; ValueError naming the file when the
+        file is not one."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad report file: {exc!r}") from None
 
 
 def improvement_ratios(report: "EvalReport", reference: "EvalReport",

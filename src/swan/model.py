@@ -11,10 +11,9 @@ rows of many scenes per batch for scoring.
 from __future__ import annotations
 
 import math
-import numbers
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +22,9 @@ from . import autodiff as ad
 from .aem import aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (ConfigError, EmbeddingSet, Example, FeatureSchema,
-                       SchemaError, _known_keys, embed_indices, encode_columns,
-                       group_rows, scene_codes)
+from .features import (Config, EmbeddingSet, Example, FeatureSchema,
+                       SchemaError, embed_indices, encode_columns, group_rows,
+                       scene_codes)
 from .head import decide
 from .nn import MLP
 from .san import san_forward
@@ -36,7 +35,7 @@ from .srg import (SceneRelationGraph, profile_new_scene,  # noqa: F401
 
 
 @dataclass(frozen=True)
-class ComponentFlags:
+class ComponentFlags(Config):
     """Ablation switches; False disables a component."""
 
     srg: bool = True
@@ -45,20 +44,9 @@ class ComponentFlags:
     loss_var: bool = True
     loss_cos: bool = True
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ComponentFlags":
-        return cls(**_known_keys(cls, obj))
-
-
-_HIDDEN = ("san_hidden", "expert_hidden", "selector_hidden", "final_hidden",
-           "dnn_hidden")
-
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config):
     """All model hyperparameters."""
 
     embed_dim: int = 16
@@ -77,40 +65,10 @@ class ModelConfig:
     dnn_hidden: tuple[int, ...] = (64, 32)
     flags: ComponentFlags = field(default_factory=ComponentFlags)
 
-    def __post_init__(self):
-        sizes = [(name, getattr(self, name))
-                 for name in ("embed_dim", "expert_dim", "n_aeg", "n_seg")]
-        sizes += [(name, v) for name in _HIDDEN for v in getattr(self, name)]
-        for name, value in sizes:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"ModelConfig {name}: a size must be an integer, "
-                                  f"got {value!r}")
-        if self.n_aeg < 1 or self.n_seg < 1:
-            raise ValueError("both expert groups need at least one expert")
-        if not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"ModelConfig tau must be finite and positive, "
-                              f"got {self.tau!r}")
-
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "flags":
-                value = value.to_json()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        kwargs = _known_keys(cls, obj)
-        if "flags" in kwargs:
-            kwargs["flags"] = ComponentFlags.from_json(kwargs["flags"])
-        for key in _HIDDEN:
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    def _rules(self) -> tuple:
+        return (("n_aeg", self.n_aeg >= 1, "at least 1"),
+                ("n_seg", self.n_seg >= 1, "at least 1"),
+                ("tau", 0.0 < self.tau < math.inf, "finite and positive"))
 
 
 class ModelParams:

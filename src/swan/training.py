@@ -8,18 +8,15 @@ fixed reduction order.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .features import (ConfigError, Example, FeatureSchema, _known_keys,
-                       is_click_label)
+from .features import Config, Example, FeatureSchema, field_types, is_click_label
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (ModelConfig, ModelParams, PreparedBatch, check_graph_scenes,
@@ -29,7 +26,7 @@ from .srg import SceneRelationGraph, build_srg
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     """Optimizer settings, loss weights and the model hyperparameters."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -43,52 +40,13 @@ class TrainConfig:
     seed: int = 0
     loss: LossWeights = field(default_factory=LossWeights)
 
-    def __post_init__(self):
-        for names, kind, what in (
-                (("batch_size", "epochs", "seed"), numbers.Integral, "an integer"),
-                (("lr", "beta1", "beta2", "adam_eps"), numbers.Real, "a real number")):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(
-                        f"TrainConfig {name} must be {what}, got {value!r}")
-        # Written so that NaN fails every rule.
-        for name, ok, rule in (
-                ("lr", 0.0 <= self.lr < math.inf, "finite and non-negative"),
+    def _rules(self) -> tuple:
+        return (("lr", 0.0 <= self.lr < math.inf, "finite and non-negative"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
                 ("adam_eps", 0.0 < self.adam_eps < math.inf, "finite and positive"),
                 ("batch_size", self.batch_size >= 1, "positive"),
-                ("epochs", self.epochs >= 1, "positive")):
-            if not ok:
-                raise ConfigError(
-                    f"TrainConfig {name} must be {rule}, got {getattr(self, name)!r}")
-
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "model":
-                value = value.to_json()
-            elif f.name == "loss":
-                value = {"alpha": value.alpha, "beta": value.beta,
-                         "gamma": value.gamma}
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        kwargs = _known_keys(cls, obj)
-        if "model" in kwargs:
-            kwargs["model"] = ModelConfig.from_json(kwargs["model"])
-        if "loss" in kwargs:
-            kwargs["loss"] = LossWeights(**_known_keys(LossWeights, kwargs["loss"]))
-        return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+                ("epochs", self.epochs >= 1, "positive"))
 
 
 class Adam:
@@ -175,15 +133,9 @@ class TrainResult:
 
 def _batch_loss(params, batch: PreparedBatch, weights: LossWeights) -> Tensor:
     if params.kind == "swan":
-        flags = params.config.flags
         out = swan_forward(params, batch)
-        eff = LossWeights(
-            alpha=weights.alpha,
-            beta=weights.beta if flags.loss_cos else 0.0,
-            gamma=weights.gamma if (flags.loss_var and flags.aem) else 0.0)
-        return total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, eff)
-    yhat = dnn_forward(params, batch)
-    return ce_loss(batch.labels, yhat)
+        return total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, weights)
+    return ce_loss(batch.labels, dnn_forward(params, batch))
 
 
 def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
@@ -232,6 +184,9 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
                                 schema, params, graph, rng, config.batch_size)
     opt = Adam(params.parameters(), lr=config.lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
+    flags = config.model.flags
+    weights = replace(config.loss, beta=config.loss.beta if flags.loss_cos else 0.0,
+                      gamma=config.loss.gamma if flags.loss_var and flags.aem else 0.0)
 
     epoch_losses: list[float] = []
     order = np.arange(len(batches))
@@ -240,7 +195,7 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
         total = 0.0
         for step, b_idx in enumerate(order):
             batch = batches[b_idx]
-            loss = _batch_loss(params, batch, config.loss)
+            loss = _batch_loss(params, batch, weights)
             value = loss.item()
             if not np.isfinite(value):
                 # A training batch holds one scene, and scene vocabulary
@@ -298,20 +253,16 @@ SWEEPABLE = ("tau", "cc_threshold", "n_aeg", "n_seg", "alpha", "beta", "gamma",
 
 
 def _config_with(config: TrainConfig, param: str, value: float) -> TrainConfig:
-    model_fields = {f.name for f in fields(ModelConfig)}
+    """`config` with `param` set to `value`; an integral float given for an
+    integer field becomes an int, any other value is checked as it is."""
     obj = config.to_json()
-    if param in ("alpha", "beta", "gamma"):
-        obj["loss"][param] = value
-    elif param in model_fields:
-        obj["model"][param] = _coerce_like(ModelConfig, param, value)
-    else:
-        obj[param] = _coerce_like(TrainConfig, param, value)
+    section, cls = ((obj["loss"], LossWeights) if param in obj["loss"] else
+                    (obj["model"], ModelConfig) if param in obj["model"] else
+                    (obj, TrainConfig))
+    if isinstance(value, float) and value.is_integer() and field_types(cls)[param] is int:
+        value = int(value)
+    section[param] = value
     return TrainConfig.from_json(obj)
-
-
-def _coerce_like(cls, name: str, value):
-    kind = {f.name: f.type for f in fields(cls)}.get(name, "float")
-    return int(value) if "int" in str(kind) else value
 
 
 def gate_saturation(gates: np.ndarray | None, tolerance: float = 0.05) -> float | None:

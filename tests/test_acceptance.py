@@ -56,6 +56,21 @@ def _train_config(seed, flags=ComponentFlags(), tau=None, epochs=4):
                                                  gamma=1e-3))
 
 
+def test_train_config_json_pinned():
+    """The acceptance runs' configuration, as a config file spells it."""
+    assert _train_config(SEEDS[0]).to_json() == {
+        "model": {"embed_dim": 8, "expert_dim": 8, "n_aeg": 4, "n_seg": 2,
+                  "tau": 0.02, "k_neighbors": 5, "min_weight": 1,
+                  "cc_threshold": 0.05, "buckets": 10, "san_hidden": [16, 8],
+                  "expert_hidden": [8], "selector_hidden": [16, 8],
+                  "final_hidden": [], "dnn_hidden": [16],
+                  "flags": {"srg": True, "aem": True, "cfr": True,
+                            "loss_var": True, "loss_cos": True}},
+        "model_kind": "swan", "lr": 0.002, "beta1": 0.9, "beta2": 0.999,
+        "adam_eps": 1e-08, "batch_size": 256, "epochs": 4, "seed": 0,
+        "loss": {"alpha": 1.0, "beta": 0.001, "gamma": 0.001}}
+
+
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"

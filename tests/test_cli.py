@@ -193,3 +193,65 @@ def test_non_integer_vocab_is_one_line_error(workspace, tmp_path, capsys, vocab)
     assert f"{entry['name']!r}" in err and "not an integer" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m.bin").exists()
+
+
+def _assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("swan: error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_wrongly_typed_gen_config_is_one_line_error(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"archetypes": "x"}))
+    assert main(["datagen", "--config", str(gen),
+                 "--out-train", str(tmp_path / "train.jsonl"),
+                 "--out-test", str(tmp_path / "test.jsonl"),
+                 "--out-truth", str(tmp_path / "truth.json")]) == 1
+    _assert_one_line_error(capsys, "GenConfig archetypes must be an integer")
+    assert not (tmp_path / "train.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", ["null", "non-object entry", "string boundaries"])
+@pytest.mark.parametrize("command", ["srg build", "train", "sweep"])
+def test_malformed_schema_is_one_line_error(workspace, tmp_path, capsys, case, command):
+    schema = json.loads((workspace / "schema.json").read_text())
+    numeric = next(e for e in schema if e["kind"] == "numeric")
+    needle = {"null": "a schema must be a list", "non-object entry": "5 is not an object",
+              "string boundaries": f"numeric feature {numeric['name']!r}"}[case]
+    if case == "null":
+        schema = None
+    elif case == "non-object entry":
+        schema.append(5)
+    else:
+        numeric["boundaries"] = "ab"
+    bad_schema = tmp_path / "schema.json"
+    bad_schema.write_text(json.dumps(schema))
+    data = ["--train", str(workspace / "train.jsonl"), "--schema", str(bad_schema),
+            "--config", str(workspace / "train.json")]
+    argv = {"srg build": ["srg", "build", "--data", str(workspace / "train.jsonl"),
+                          "--schema", str(bad_schema), "--out", str(tmp_path / "g.json")],
+            "train": ["train", *data, "--out", str(tmp_path / "m.bin")],
+            "sweep": ["sweep", "--param", "tau", "--values", "0.5", *data,
+                      "--test", str(workspace / "test.jsonl"),
+                      "--report", str(tmp_path / "sweep.json")]}[command]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("reference", [
+    {}, [], {"auc_all": 0.7, "per_scene": 5}, {"auc_all": 0.7, "per_scene": [1]},
+    {"auc_all": 0.7, "per_scene": {"s": "x"}}])
+def test_malformed_reference_report_is_one_line_error(workspace, tmp_path, capsys,
+                                                      reference):
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps(reference))
+    assert main(["eval", "--model", str(workspace / "model.bin"),
+                 "--test", str(workspace / "test.jsonl"),
+                 "--report", str(tmp_path / "report.json"),
+                 "--reference", str(path)]) == 1
+    _assert_one_line_error(capsys, f"{path}: bad report file")
+    assert not (tmp_path / "report.json").exists()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestGenerate:
         again = GroundTruth.load(path)
         assert again.to_json() == result.truth.to_json()
 
+    def test_default_json_pinned(self):
+        assert GenConfig().to_json() == {
+            "archetypes": 4, "train_scenes": 60, "cold_scenes": 20,
+            "users": 400, "items_per_scene": 150, "examples_per_scene": 800,
+            "user_features": 4, "item_features": 7, "scene_attr_features": 2,
+            "label_noise": 0.1, "seed": 0, "positive_rate": 0.25,
+            "user_vocab": 8, "attr_noise": 0.4, "archetype_spread": 0.7,
+            "affinity_scale": 1.6, "quality_scale": 1.5,
+            "quality_profile": [1.0, 0.62, 0.33, 0.26, 0.11, 0.0, 0.0]}
+
     def test_unknown_config_keys_named(self):
         obj = small_config().to_json()
         obj["trian_scenes"] = 3
@@ -144,6 +155,14 @@ class TestGenerate:
         # null selected a decay profile that no longer exists.
         with pytest.raises(ConfigError, match="GenConfig quality_profile must be a list"):
             GenConfig.from_json({"quality_profile": value})
+
+    @pytest.mark.parametrize("name, value", [
+        *((f.name, bad) for f in fields(GenConfig) for bad in ("x", True)),
+        ("users", 2.5), ("seed", None), ("quality_profile", ["a"]),
+        ("quality_profile", [1.0, True])])
+    def test_wrongly_typed_field_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"GenConfig {name} must be"):
+            GenConfig.from_json({name: value})
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -245,6 +245,16 @@ class TestAblationWiring:
 
 
 class TestConfigJson:
+    def test_default_json_pinned(self):
+        assert ModelConfig().to_json() == {
+            "embed_dim": 16, "expert_dim": 16, "n_aeg": 10, "n_seg": 10,
+            "tau": 0.001, "k_neighbors": 5, "min_weight": 1,
+            "cc_threshold": 0.05, "buckets": 10, "san_hidden": [32, 16],
+            "expert_hidden": [32, 16], "selector_hidden": [32, 16],
+            "final_hidden": [16], "dnn_hidden": [64, 32],
+            "flags": {"srg": True, "aem": True, "cfr": True,
+                      "loss_var": True, "loss_cos": True}}
+
     def test_model_config_round_trip(self):
         config = replace(tiny_model_config(), flags=ComponentFlags(loss_cos=False))
         again = ModelConfig.from_json(config.to_json())
@@ -255,6 +265,13 @@ class TestConfigJson:
         obj["hard_gate_inference"] = False
         with pytest.raises(ConfigError, match="hard_gate_inference"):
             ModelConfig.from_json(obj)
+
+    @pytest.mark.parametrize("name, value", [
+        ("srg", "false"), ("aem", 0), ("cfr", None), ("loss_var", 1.0),
+        ("loss_cos", [True])])
+    def test_wrongly_typed_flag_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"ComponentFlags {name} must be a bool"):
+            ModelConfig.from_json({"flags": {name: value}})
 
     def test_unknown_flag_keys_named(self):
         obj = ComponentFlags().to_json()

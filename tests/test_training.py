@@ -9,10 +9,11 @@ import pytest
 from conftest import tiny_model_config, tiny_train_config
 from swan import autodiff as ad
 from swan.autodiff import Tensor
+from swan.datagen import GenConfig
 from swan.features import ConfigError, Dataset, Example
 from swan.head import LossWeights
 from swan.metrics import evaluate
-from swan.model import ModelConfig, predict_scores
+from swan.model import ComponentFlags, ModelConfig, predict_scores
 from swan import training
 from swan.srg import build_srg
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
@@ -361,6 +362,14 @@ class TestFlatAdam:
 
 
 class TestTrainConfigJson:
+    def test_default_json_pinned(self):
+        obj = TrainConfig().to_json()
+        assert obj.pop("model") == ModelConfig().to_json()
+        assert obj == {"model_kind": "swan", "lr": 0.001, "beta1": 0.9,
+                       "beta2": 0.999, "adam_eps": 1e-08, "batch_size": 256,
+                       "epochs": 2, "seed": 0,
+                       "loss": {"alpha": 1.0, "beta": 0.001, "gamma": 0.001}}
+
     def test_unknown_keys_named(self):
         obj = tiny_train_config().to_json()
         obj["warmup"] = 3
@@ -383,7 +392,8 @@ class TestTrainConfigJson:
         ("epochs", "x"), ("epochs", True), ("epochs", 2.0),
         ("batch_size", "32"), ("batch_size", None), ("seed", False),
         ("seed", 1.5), ("lr", "0.01"), ("lr", True), ("beta1", None),
-        ("beta2", [0.999]), ("adam_eps", "1e-8")])
+        ("beta2", [0.999]), ("adam_eps", "1e-8"), ("model_kind", 3),
+        ("model_kind", None), ("model", []), ("loss", 3)])
     def test_wrongly_typed_field_named(self, name, value):
         with pytest.raises(ConfigError, match=rf"TrainConfig {name} must be"):
             TrainConfig.from_json({"model": {}, name: value})
@@ -391,10 +401,20 @@ class TestTrainConfigJson:
     @pytest.mark.parametrize("name, value", [
         ("embed_dim", "8"), ("embed_dim", 8.0), ("expert_dim", True),
         ("n_aeg", None), ("n_seg", 2.5), ("san_hidden", ["16"]),
-        ("expert_hidden", [8, 4.0]), ("dnn_hidden", [False])])
+        ("expert_hidden", [8, 4.0]), ("dnn_hidden", [False]),
+        ("k_neighbors", "3"), ("min_weight", 2.5), ("cc_threshold", "x"),
+        ("cc_threshold", True), ("buckets", None), ("san_hidden", 16),
+        ("flags", []), ("flags", None)])
     def test_wrongly_typed_model_size_named(self, name, value):
-        with pytest.raises(ConfigError, match=rf"ModelConfig {name}: a size must be"):
+        with pytest.raises(ConfigError, match=rf"ModelConfig {name} must be"):
             TrainConfig.from_json({"model": {name: value}})
+
+    @pytest.mark.parametrize("cls", [TrainConfig, ModelConfig, ComponentFlags,
+                                     LossWeights, GenConfig])
+    @pytest.mark.parametrize("obj", [[], None, "{}"])
+    def test_non_object_config_named(self, cls, obj):
+        with pytest.raises(ConfigError, match=rf"{cls.__name__} must be a JSON object"):
+            cls.from_json(obj)
 
     def test_numpy_numbers_accepted(self):
         config = TrainConfig(epochs=np.int64(3), seed=np.int32(2),
@@ -508,6 +528,18 @@ class TestSweep:
         entries = run_sweep("cc_threshold", [0.01, 0.3], result.train,
                             result.test, result.schema, graph, config)
         assert entries[0]["n_key_features"] >= entries[1]["n_key_features"]
+
+    @pytest.mark.parametrize("param", ["n_aeg", "epochs", "batch_size",
+                                       "k_neighbors", "min_weight"])
+    def test_integer_field_takes_integral_values_only(self, tiny_data, param):
+        config = training._config_with(tiny_train_config(), param, 3.0)
+        value = getattr(config.model, param, getattr(config, param, None))
+        assert value == 3 and type(value) is int
+        result, graph = tiny_data
+        with pytest.raises(ConfigError, match=rf"Config {param} must be an "
+                                              r"integer, got 2\.5"):
+            run_sweep(param, [2.5], result.train, result.test, result.schema,
+                      graph, tiny_train_config())
 
     def test_unknown_param_rejected(self, tiny_data):
         result, graph = tiny_data
