@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import MLP
@@ -35,18 +37,11 @@ def dics(p: float, t: float, tau: float) -> float:
     return ez / (1.0 + ez)
 
 
-def dics_gate(p: Tensor, t: Tensor, tau: float) -> Tensor:
-    """Tensor form of `dics` for a [B, K] probability matrix and [B, K] thresholds."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return ad.sigmoid(ad.scale(ad.sub(p, t), 1.0 / tau))
-
-
 @dataclass
 class SelectorOutput:
-    p: Tensor  # [B, N_a] selection probabilities
-    t: Tensor  # [B, 1] shared threshold
-    w: Tensor  # [B, N_a] gate values
+    p: np.ndarray  # [B, N_a] selection probabilities
+    t: np.ndarray  # [B, 1] shared threshold
+    w: Tensor      # [B, N_a] gate values
 
 
 def expert_selector(e_user: Tensor, vec_san: Tensor, prob_mlp: MLP,
@@ -54,12 +49,11 @@ def expert_selector(e_user: Tensor, vec_san: Tensor, prob_mlp: MLP,
     """Per-expert probabilities, the shared threshold and the smooth gates.
 
     `prob_mlp` maps e_user (+) vec_san to N_a logits and `thre_mlp` maps
-    vec_san to one.
+    vec_san to one; `autodiff.dics_gate`, the tensor form of `dics`, turns
+    the two into the gates in one op.
     """
-    p = ad.sigmoid(prob_mlp(ad.concat([e_user, vec_san])))
-    t = ad.sigmoid(thre_mlp(vec_san))
-    n = p.shape[-1]
-    w = dics_gate(p, ad.repeat_cols(t, n), tau)
+    w, p, t = ad.dics_gate(prob_mlp(ad.concat([e_user, vec_san])),
+                           thre_mlp(vec_san), tau)
     return SelectorOutput(p=p, t=t, w=w)
 
 

@@ -5,9 +5,12 @@ backward closure on the output tensor; `backward` replays the records in
 reverse insertion order, which is a valid topological order because an op
 can only consume tensors created before it. There is no implicit
 broadcasting: shape adaptation is explicit via `reshape` and
-`repeat_cols`. The fused ops (`affine`, `mix`, `abs_cos_pairs`, `bce` and
-`neg_row_variance`) each replace a chain of narrow ops with one record and
-an analytic backward, and state the block layout they expect.
+`repeat_cols`. The fused ops (`affine`, `mix`, `pair_features`,
+`dics_gate`, `abs_cos_pairs`, `bce` and `neg_row_variance`) each replace a
+chain of narrow ops with one record and an analytic backward, and state
+the block layout they expect. Each repeats the numpy operations of the
+chain it replaces, so its values and gradients are the chain's, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -149,6 +152,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor, n: int = 1) -> Tensor:
             or b.shape[0] != n * w.shape[1]):
         raise DimensionError(
             f"affine: {x.shape}, {w.shape} and {b.shape} are not {n} matching blocks")
+    if n == 1:
+        def backward_fn(g: np.ndarray) -> None:
+            if x.requires_grad:
+                _accumulate(x, g @ w.data.T)
+            if w.requires_grad:
+                _accumulate(w, x.data.T @ g)
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+
+        return _record(x.data @ w.data + b.data, (x, w, b), backward_fn)
     batch, k, m = x.shape[0], x.shape[1] // n, w.shape[1]
     xs = x.data.reshape(batch, n, k).transpose(1, 0, 2)  # [n, B, k]
     ws = w.data.reshape(n, k, m)
@@ -192,6 +205,76 @@ def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
 def sum_blocks(v: Tensor, n: int) -> Tensor:
     """Sum of the n column blocks of v in block order: `mix` by ones."""
     return mix(Tensor(np.ones((v.shape[0], n))), v, n)
+
+
+def pair_features(u: Tensor, t: Tensor, s: Tensor) -> Tensor:
+    """[u_b, t_b, t_b - s_bi, t_b * s_bi] for every row b and block i of s.
+
+    u is [B, du] and t is [B, d]; s is [B, I*d], made of I column blocks
+    s_bi of width d. The output is [B*I, du + 3d], pair (b, i) in row
+    b*I + i: the input of an attention unit that scores each of a row's
+    I candidates against the row (DIN's local activation unit). It is the
+    chain `rows(u, r)`, `rows(t, r)`, `reshape(s)`, `sub`, `mul` and
+    `concat`, r repeating each row index I times.
+    """
+    if u.data.ndim != 2 or t.data.ndim != 2 or s.data.ndim != 2:
+        raise DimensionError(f"pair_features needs 2-D operands, got "
+                             f"{u.shape}, {t.shape} and {s.shape}")
+    batch, d = t.shape
+    if (u.shape[0] != batch or s.shape[0] != batch or d == 0
+            or s.shape[1] == 0 or s.shape[1] % d):
+        raise DimensionError(f"pair_features: {s.shape} is not I >= 1 blocks of "
+                             f"{t.shape} for {u.shape[0]} rows")
+    n, du = s.shape[1] // d, u.shape[1]
+    rep = np.repeat(np.arange(batch), n)
+    e_t = t.data[rep]
+    e_s = s.data.reshape(batch * n, d)
+    out = np.empty((batch * n, du + 3 * d))
+    out[:, :du] = u.data[rep]
+    out[:, du:du + d] = e_t
+    np.subtract(e_t, e_s, out=out[:, du + d:du + 2 * d])
+    np.multiply(e_t, e_s, out=out[:, du + 2 * d:])
+
+    def backward_fn(g: np.ndarray) -> None:
+        g_sub, g_mul = g[:, du + d:du + 2 * d], g[:, du + 2 * d:]
+        if u.requires_grad:
+            _accumulate(u, _scatter_rows(rep, g[:, :du], u.shape))
+        if s.requires_grad:
+            _accumulate(s, (g_mul * e_t - g_sub).reshape(s.shape))
+        if t.requires_grad:
+            g_t = g[:, du:du + d] + g_mul * e_s + g_sub
+            _accumulate(t, _scatter_rows(rep, g_t, t.shape))
+
+    return _record(out, (u, t, s), backward_fn)
+
+
+def dics_gate(a: Tensor, c: Tensor, tau: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Smooth gates sigmoid((sigmoid(a) - sigmoid(c)) / tau), as a tensor,
+    with p = sigmoid(a) and t = sigmoid(c) as arrays.
+
+    a is [B, K] logits of K selection probabilities and c the [B, 1] logit
+    of each row's shared threshold. It is the chain `sigmoid(a)`,
+    `sigmoid(c)`, `repeat_cols`, `sub`, `scale` by 1 / tau and `sigmoid`.
+    """
+    if a.data.ndim != 2 or c.shape != (a.shape[0], 1):
+        raise DimensionError(f"dics_gate needs [B, K] logits and a [B, 1] "
+                             f"threshold logit, got {a.shape} and {c.shape}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    inv_tau = 1.0 / tau
+    p = _stable_sigmoid(a.data)
+    t = _stable_sigmoid(c.data)
+    w = _stable_sigmoid((p - t) * inv_tau)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g_diff = g * w * (1.0 - w) * inv_tau
+        if c.requires_grad:
+            g_t = (-g_diff).sum(axis=1, keepdims=True)
+            _accumulate(c, g_t * t * (1.0 - t))
+        if a.requires_grad:
+            _accumulate(a, g_diff * p * (1.0 - p))
+
+    return _record(w, (a, c), backward_fn), p, t
 
 
 def abs_cos_pairs(v: Tensor, n: int) -> Tensor:
@@ -325,8 +408,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             raise DimensionError(
                 f"concat: parts must agree on all but the last axis, got "
                 f"{[q.shape for q in parts]}")
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = list(itertools.accumulate((p.shape[-1] for p in parts), initial=0))
 
     def backward_fn(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -338,12 +420,11 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with no
+    overflowing exp: both branches read e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -399,7 +480,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
 
     def backward_fn(g: np.ndarray) -> None:
@@ -445,16 +526,22 @@ def rows(table: Tensor, indices) -> Tensor:
         raise DimensionError(f"rows needs a 1-D or 2-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"rows: index out of range [0, {table.shape[0]})")
-    n_rows, d = table.shape
+    d = table.shape[1]
 
     def backward_fn(g: np.ndarray) -> None:
         if table.requires_grad:
-            flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-            _accumulate(table, np.bincount(flat, weights=g.ravel(),
-                                           minlength=n_rows * d).reshape(n_rows, d))
+            _accumulate(table, _scatter_rows(idx, g, table.shape))
 
     out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
     return _record(out, (table,), backward_fn)
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The [V, d] table gradient of a gather of rows `idx`: one weighted
+    `bincount` over the flat positions `index * d + column`."""
+    n_rows, d = shape
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
 # ---------------------------------------------------------------------------

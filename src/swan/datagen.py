@@ -18,6 +18,7 @@ after noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +56,15 @@ class GenConfig(Config):
                   "items_per_scene", "examples_per_scene", "user_features",
                   "item_features", "scene_attr_features", "user_vocab")
         return (*((name, getattr(self, name) >= 1, "positive") for name in counts),
+                ("seed", self.seed >= 0, "at least 0"),
                 ("label_noise", 0.0 <= self.label_noise < 0.5, "in [0, 0.5)"),
-                ("positive_rate", 0.0 < self.positive_rate < 1.0, "in (0, 1)"))
+                ("positive_rate", 0.0 < self.positive_rate < 1.0, "in (0, 1)"),
+                ("attr_noise", 0.0 <= self.attr_noise <= 1.0, "in [0, 1]"),
+                *((name, 0.0 <= getattr(self, name) < math.inf,
+                   "finite and non-negative")
+                  for name in ("archetype_spread", "affinity_scale", "quality_scale")),
+                ("quality_profile", all(map(math.isfinite, self.quality_profile)),
+                 "a tuple of finite numbers"))
 
 
 @dataclass

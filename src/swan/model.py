@@ -66,9 +66,16 @@ class ModelConfig(Config):
     flags: ComponentFlags = field(default_factory=ComponentFlags)
 
     def _rules(self) -> tuple:
-        return (("n_aeg", self.n_aeg >= 1, "at least 1"),
-                ("n_seg", self.n_seg >= 1, "at least 1"),
-                ("tau", 0.0 < self.tau < math.inf, "finite and positive"))
+        sizes = ("embed_dim", "expert_dim", "n_aeg", "n_seg", "k_neighbors",
+                 "buckets")
+        hidden = ("san_hidden", "expert_hidden", "selector_hidden",
+                  "final_hidden", "dnn_hidden")
+        return (*((name, getattr(self, name) >= 1, "at least 1") for name in sizes),
+                *((name, all(h >= 1 for h in getattr(self, name)),
+                   "a tuple of sizes of at least 1") for name in hidden),
+                ("min_weight", self.min_weight >= 0, "at least 0"),
+                ("tau", 0.0 < self.tau < math.inf, "finite and positive"),
+                ("cc_threshold", 0.0 <= self.cc_threshold <= 1.0, "in [0, 1]"))
 
 
 class ModelParams:

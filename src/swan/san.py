@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import MLP
@@ -36,7 +34,8 @@ def san_forward(e_user: Tensor, e_target: Tensor, e_similar: Tensor,
     embedding. `e_user` and `e_target` are row batches; `e_similar` is
     [B, I*d_scene], row b holding the embeddings of row b's I similar
     scenes side by side, so rows of one batch may attend over different
-    scenes. All B*I (row, scene) pairs are scored in one MLP call.
+    scenes. All B*I (row, scene) pairs are built by one `pair_features` op
+    and scored in one MLP call.
     """
     batch, d = e_target.shape
     if (e_similar.data.ndim != 2 or e_similar.shape[0] != batch
@@ -45,11 +44,7 @@ def san_forward(e_user: Tensor, e_target: Tensor, e_similar: Tensor,
                          f"embeddings with I >= 1, got {e_similar.shape}")
     n_similar = e_similar.shape[1] // d
     # Pair (b, i) is row b * I + i.
-    row_of = np.repeat(np.arange(batch), n_similar)
-    e_t = ad.rows(e_target, row_of)
-    e_s = ad.reshape(e_similar, (batch * n_similar, d))
-    features = ad.concat([ad.rows(e_user, row_of), e_t,
-                          ad.sub(e_t, e_s), ad.mul(e_t, e_s)])
+    features = ad.pair_features(e_user, e_target, e_similar)
     scores = ad.reshape(score_mlp(features), (batch, n_similar))
     weights = ad.softmax(scores)  # [B, I]
     return SanOutput(weights=weights, vec=ad.mix(weights, e_similar, n_similar))

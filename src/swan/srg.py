@@ -14,6 +14,7 @@ are kept so a scene never seen at build time can be profiled and matched
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -90,20 +91,31 @@ def aggregates(codes: dict[str, np.ndarray], groups: Sequence) -> np.ndarray:
     """[groups, slots] aggregates of code columns over row groups.
 
     Slots run column by column, with AGGREGATES in order within each
-    column. Each value is a 1-D reduction over one (group, column) slice,
-    so it rounds the same whatever the other groups hold.
+    column. The groups are taken by row count: for each count n, the code
+    columns of the G groups of n rows are gathered into one C-contiguous
+    [F, G, n] float64 block, and each aggregate is reduced over its last
+    axis. numpy sums each length-n row pairwise, as it does a 1-D slice,
+    so a value rounds the same whatever the other groups hold.
     """
-    out = np.empty((len(groups), len(codes) * len(AGGREGATES)))
+    by_size: dict[int, list[int]] = {}
     for g, rows in enumerate(groups):
-        if len(rows) == 0:
-            raise ValueError("a scene profile needs at least one item")
-        stats = []
-        for col in codes.values():
-            values = col[rows].astype(np.float64)
-            # population variance
-            stats += [values.mean(), values.var(), values.max(), values.min()]
-        out[g] = stats
-    return out
+        by_size.setdefault(len(rows), []).append(g)
+    if 0 in by_size:
+        raise ValueError("a scene profile needs at least one item")
+    out = np.empty((len(codes), len(groups), len(AGGREGATES)))
+    if codes:
+        columns = np.array(list(codes.values()), dtype=np.float64)  # [F, rows]
+        for n, at in by_size.items():
+            block = np.take(columns, [groups[g] for g in at], axis=1)
+            # Mean and population variance as np.mean and np.var compute
+            # them, from one sum per row.
+            mean = np.add.reduce(block, axis=-1, keepdims=True) / n
+            dev = block - mean
+            out[:, at, 0] = mean[..., 0]
+            out[:, at, 1] = np.add.reduce(dev * dev, axis=-1) / n
+            out[:, at, 2] = block.max(axis=-1)
+            out[:, at, 3] = block.min(axis=-1)
+    return out.transpose(1, 0, 2).reshape(len(groups), -1)
 
 
 def bucket_boundaries(raw: np.ndarray, buckets: int) -> list[tuple[float, ...]]:
@@ -116,11 +128,25 @@ def bucket_boundaries(raw: np.ndarray, buckets: int) -> list[tuple[float, ...]]:
     return [tuple(np.unique(np.quantile(np.sort(col), qs))) for col in raw.T]
 
 
-def categorize(raw: np.ndarray, boundaries: Sequence[Sequence[float]]) -> np.ndarray:
-    """[scenes, slots] categories of aggregates, one edge list per column."""
-    # side="left" keeps a degenerate column (all values equal) in category 0.
-    return np.stack([np.searchsorted(edges, col, side="left")
-                     for edges, col in zip(boundaries, raw.T)], axis=1)
+def pad_edges(boundaries: Sequence[Sequence[float]]) -> np.ndarray:
+    """The slots' bucket edge lists as one [slots, max edges] matrix, each
+    row padded with +inf."""
+    width = max(map(len, boundaries), default=0)
+    return np.array([(*edges, *(math.inf,) * (width - len(edges)))
+                     for edges in boundaries]).reshape(len(boundaries), width)
+
+
+def categorize(raw: np.ndarray, boundaries) -> np.ndarray:
+    """[scenes, slots] categories of aggregates, one edge list per column.
+
+    `boundaries` is the edge lists or the matrix `pad_edges` makes of
+    them. A category is the number of the column's edges below the value,
+    as `np.searchsorted(edges, value, side="left")` counts them; side
+    "left" keeps a degenerate column (all values equal) in category 0.
+    All columns take one comparison.
+    """
+    edges = boundaries if isinstance(boundaries, np.ndarray) else pad_edges(boundaries)
+    return (edges < raw[..., None]).sum(-1, dtype=np.int64)
 
 
 def _layout(key_features: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -141,9 +167,10 @@ class SceneRelationGraph:
     Row i of the [S, slots] int matrix `categories` is the profile of
     `scene_ids[i]` (sorted, unique) over the slots of `layout`, (key
     feature, aggregate) pairs. An edge weight is the number of slots two
-    rows agree on; `edges` and `profiles` are views built when first read.
-    The build metadata (key features, one bucket-edge tuple per slot)
-    travels with the graph so new scenes can be profiled against it.
+    rows agree on; `edges`, `profiles` and `bucket_edges` are views built
+    when first read. The build metadata (key features, one bucket-edge
+    tuple per slot) travels with the graph so new scenes can be profiled
+    against it.
     """
 
     scene_ids: list[str]
@@ -167,6 +194,11 @@ class SceneRelationGraph:
     @cached_property
     def profiles(self) -> dict[str, SceneProfile]:
         return _profiles(self.scene_ids, self.layout, self.categories)
+
+    @cached_property
+    def bucket_edges(self) -> np.ndarray:
+        """`boundaries` as the +inf-padded matrix `categorize` compares with."""
+        return pad_edges(self.boundaries)
 
     @cached_property
     def edges(self) -> dict[tuple[str, str], int]:
@@ -214,7 +246,7 @@ def scene_categories(graph: SceneRelationGraph, codes: dict[str, np.ndarray],
     if missing:
         raise SchemaError(f"unknown feature name {missing[0]!r}")
     raw = aggregates({name: codes[name] for name in graph.key_features}, groups)
-    return categorize(raw, graph.boundaries)
+    return categorize(raw, graph.bucket_edges)
 
 
 def profile_new_scene(graph: SceneRelationGraph, scene_id: str,

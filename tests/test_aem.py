@@ -76,8 +76,8 @@ class TestExpertSelector:
         e_u = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
         vec = Tensor(np.random.default_rng(2).normal(size=(5, 3)))
         out = expert_selector(e_u, vec, _zero_mlp(7, 2), _zero_mlp(3, 1), 0.7)
-        np.testing.assert_allclose(out.p.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(out.t.data, 0.5, atol=1e-15)
+        np.testing.assert_allclose(out.p, 0.5, atol=1e-15)
+        np.testing.assert_allclose(out.t, 0.5, atol=1e-15)
         np.testing.assert_allclose(out.w.data, 0.5, atol=1e-15)
 
     def test_outputs_strictly_inside_unit_interval(self):
@@ -85,8 +85,8 @@ class TestExpertSelector:
         prob, thre = MLP.create(rng, 7, (6,), 2), MLP.create(rng, 3, (6,), 1)
         out = expert_selector(Tensor(rng.normal(size=(9, 4))),
                               Tensor(rng.normal(size=(9, 3))), prob, thre, 1.0)
-        for t in (out.p, out.t, out.w):
-            assert np.all(t.data > 0.0) and np.all(t.data < 1.0)
+        for values in (out.p, out.t, out.w.data):
+            assert np.all(values > 0.0) and np.all(values < 1.0)
 
     def test_hand_set_single_layer_oracle(self):
         w_p = np.array([[0.2, -0.1], [0.0, 0.3], [0.5, 0.5], [-0.4, 0.1],
@@ -105,8 +105,8 @@ class TestExpertSelector:
 
         out = expert_selector(Tensor(e_u), Tensor(vec), _linear_mlp(w_p, b_p),
                               _linear_mlp(w_t, b_t), tau)
-        np.testing.assert_allclose(out.p.data, p_manual, atol=1e-12)
-        np.testing.assert_allclose(out.t.data, t_manual, atol=1e-12)
+        np.testing.assert_allclose(out.p, p_manual, atol=1e-12)
+        np.testing.assert_allclose(out.t, t_manual, atol=1e-12)
         np.testing.assert_allclose(out.w.data, w_manual, atol=1e-12)
 
     def test_gradients_through_both_mlps(self):

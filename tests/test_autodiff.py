@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
@@ -437,6 +438,44 @@ class TestFusedOps:
         with pytest.raises(DimensionError):
             ad.mix(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 6))), 4)
 
+    def test_pair_features_layout(self):
+        u = Tensor(np.array([[1.0], [2.0]]))
+        t = Tensor(np.array([[3.0], [4.0]]))
+        s = Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
+        np.testing.assert_array_equal(ad.pair_features(u, t, s).data, [
+            [1.0, 3.0, -2.0, 15.0], [1.0, 3.0, -3.0, 18.0],
+            [2.0, 4.0, -3.0, 28.0], [2.0, 4.0, -4.0, 32.0]])
+
+    @pytest.mark.parametrize("shapes", [((2, 1), (2, 2), (2, 3)),
+                                        ((2, 1), (2, 2), (3, 4)),
+                                        ((3, 1), (2, 2), (2, 4)),
+                                        ((2, 1), (2, 2), (2, 0)),
+                                        ((2,), (2, 2), (2, 4))])
+    def test_pair_features_shape_errors(self, shapes):
+        u, t, s = (Tensor(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(DimensionError):
+            ad.pair_features(u, t, s)
+
+    def test_dics_gate_is_logistic_of_probability_gap(self):
+        a, c = np.array([[0.3, -1.2, 2.0]]), np.array([[0.1]])
+        w, p, t = ad.dics_gate(Tensor(a), Tensor(c), 0.5)
+        np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-a)), rtol=1e-15)
+        np.testing.assert_allclose(t, 1.0 / (1.0 + np.exp(-c)), rtol=1e-15)
+        np.testing.assert_allclose(w.data, 1.0 / (1.0 + np.exp(-(p - t) / 0.5)),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (3, 1)),
+                                        ((3,), (3, 1))])
+    def test_dics_gate_shape_errors(self, shapes):
+        a, c = (Tensor(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(DimensionError):
+            ad.dics_gate(a, c, 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_dics_gate_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            ad.dics_gate(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))), tau)
+
     def test_abs_cos_pairs_matches_pair_loop(self):
         rng = np.random.default_rng(56)
         v = rng.normal(size=(4, 5 * 3))
@@ -471,6 +510,10 @@ class TestFusedOps:
         p_aff, p_block, p_mix = (rng.normal(size=(batch, m)),
                                  rng.normal(size=(batch, n * m)),
                                  rng.normal(size=(batch, k)))
+        # pair_features of u = c, t = gates ([B, n]) and s = x (k blocks of n)
+        p_pairs = rng.normal(size=(batch * k, 4 * n))
+        thre = Tensor(rng.uniform(-2, 2, (batch, 1)), requires_grad=True)
+        p_gate = rng.normal(size=(batch, n))
         cases = [
             (lambda: _scalar_loss(ad.affine(x, w_aff, b), p_aff), [x, w_aff, b]),
             (lambda: _scalar_loss(ad.affine(x, w, b_block, n), p_block),
@@ -478,6 +521,9 @@ class TestFusedOps:
             (lambda: _scalar_loss(ad.mix(c, x, n), p_mix), [c, x]),
             (lambda: ad.bce(p, y, 1e-12), [p]),
             (lambda: ad.neg_row_variance(gates), [gates]),
+            (lambda: _scalar_loss(ad.pair_features(c, gates, x), p_pairs),
+             [c, gates, x]),
+            (lambda: _scalar_loss(ad.dics_gate(c, thre, 0.3)[0], p_gate), [c, thre]),
         ]
         for build, tensors in cases:
             for t in tensors:
@@ -543,6 +589,34 @@ def _block_matmul(x, w, n):
     return ad._record(out, (x, w), backward_fn)
 
 
+def _masked_sigmoid(x):
+    """The sigmoid body before `exp(-|x|)`: one masked scatter per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _pair_chain(u, t, s):
+    """SAN's pair features as six narrow ops."""
+    batch, d = t.shape
+    n = s.shape[1] // d
+    row_of = np.repeat(np.arange(batch), n)
+    e_t = ad.rows(t, row_of)
+    e_s = ad.reshape(s, (batch * n, d))
+    return ad.concat([ad.rows(u, row_of), e_t, ad.sub(e_t, e_s), ad.mul(e_t, e_s)])
+
+
+def _dics_chain(a, c, tau):
+    """The selector's gates as six narrow ops, with p and t."""
+    p = ad.sigmoid(a)
+    t = ad.sigmoid(c)
+    w = ad.sigmoid(ad.scale(ad.sub(p, ad.repeat_cols(t, a.shape[1])), 1.0 / tau))
+    return w, p.data, t.data
+
+
 def _plain_affine(x, w, b):
     """The one-layer affine: what layer 0 of every MLP ran."""
     def backward_fn(g):
@@ -589,10 +663,80 @@ def _value_and_grads(build, leaves):
     return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
 
+_SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
+                  -2.2e-308, 1e-17, -1e-17, 36.0, -36.0, 37.5, -37.5, 709.0,
+                  -709.0, 709.78, -709.78, 710.0, -710.0, 745.0, -745.0,
+                  745.13, -745.13, 746.0, -746.0]
+
+
 class TestFusedMatchRemovedChains:
     """Each fused op gives the bits of the chain of narrow ops it replaced,
     forward and backward, as it sits in the model: behind a ReLU for a
-    stacked layer, scaled for a loss term."""
+    stacked layer, scaled for a loss term. So do the op bodies rewritten
+    for speed: the sigmoid and the one-block `affine`."""
+
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.sampled_from(_SIGMOID_EDGES) | st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_matches_masked_form(self, x):
+        x = np.concatenate([x, _SIGMOID_EDGES, [math.nan]])
+        got, want = ad._stable_sigmoid(x), _masked_sigmoid(x)
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all()
+        np.testing.assert_array_equal(got[~nan].view(np.int64),
+                                      want[~nan].view(np.int64))
+
+    @given(st.integers(1, 24), st.integers(1, 12), st.integers(1, 12),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_affine_one_block_matches_3d_path(self, batch, k, m, sliced, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(batch, k + 3))
+        # A column slice is a strided input, as concat's gradient views are.
+        h = Tensor(data[:, 1:k + 1] if sliced else data[:, :k].copy(),
+                   requires_grad=True)
+        w = Tensor(rng.normal(size=(k, m)), requires_grad=True)
+        b = Tensor(rng.normal(size=m), requires_grad=True)
+        proj = rng.normal(size=(batch, m))
+        fused = _value_and_grads(lambda: _scalar_loss(ad.affine(h, w, b), proj),
+                                 [h, w, b])
+        chain = _value_and_grads(
+            lambda: _scalar_loss(_block_affine_chain(h, w, b, 1), proj), [h, w, b])
+        assert fused == chain
+
+    @given(st.integers(1, 9), st.integers(1, 6), st.integers(1, 5),
+           st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pair_features_matches_rows_sub_mul_concat(self, batch, du, d, n, seed):
+        rng = np.random.default_rng(seed)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((batch, du), (batch, d), (batch, n * d))]
+        # Zero rows in the projection test the signs of zero gradients.
+        proj = (rng.normal(size=(batch * n, du + 3 * d))
+                * rng.integers(0, 2, (batch * n, 1)))
+        fused = _value_and_grads(
+            lambda: _scalar_loss(ad.pair_features(*leaves), proj), leaves)
+        chain = _value_and_grads(
+            lambda: _scalar_loss(_pair_chain(*leaves), proj), leaves)
+        assert fused == chain
+
+    @given(st.integers(1, 9), st.integers(1, 8),
+           st.sampled_from([1e-3, 0.02, 0.5, 1.0, 7.0]), st.floats(0.1, 30.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_dics_gate_matches_sigmoid_chain(self, batch, k, tau, spread, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(spread * rng.normal(size=(batch, k)), requires_grad=True)
+        c = Tensor(rng.normal(size=(batch, 1)), requires_grad=True)
+        proj = rng.normal(size=(batch, k)) * rng.integers(0, 2, (batch, 1))
+        fused = _value_and_grads(
+            lambda: _scalar_loss(ad.dics_gate(a, c, tau)[0], proj), [a, c])
+        chain = _value_and_grads(
+            lambda: _scalar_loss(_dics_chain(a, c, tau)[0], proj), [a, c])
+        assert fused == chain
+        _, p, t = ad.dics_gate(a, c, tau)
+        _, want_p, want_t = _dics_chain(a, c, tau)
+        assert (p.tobytes(), t.tobytes()) == (want_p.tobytes(), want_t.tobytes())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(5))

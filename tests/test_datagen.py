@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import fields
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -159,7 +160,14 @@ class TestGenerate:
     @pytest.mark.parametrize("name, value", [
         *((f.name, bad) for f in fields(GenConfig) for bad in ("x", True)),
         ("users", 2.5), ("seed", None), ("quality_profile", ["a"]),
-        ("quality_profile", [1.0, True])])
+        ("quality_profile", [1.0, True]),
+        # in type but out of range
+        *(("attr_noise", bad) for bad in (-0.1, 1.5, nan, inf)),
+        *((name, bad) for name in ("archetype_spread", "affinity_scale",
+                                   "quality_scale")
+          for bad in (-1.0, nan, inf)),
+        ("quality_profile", [1.0, nan]), ("quality_profile", [inf, 0.5]),
+        ("seed", -1)])
     def test_wrongly_typed_field_named(self, name, value):
         with pytest.raises(ConfigError, match=rf"GenConfig {name} must be"):
             GenConfig.from_json({name: value})

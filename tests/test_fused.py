@@ -228,8 +228,8 @@ def op_counter(monkeypatch):
 
 
 class TestOpCounts:
-    @pytest.mark.parametrize("name, bound", [("accept", 64), ("default", 70)])
-    def test_training_step(self, data, op_counter, name, bound):
+    @pytest.mark.parametrize("name, count", [("accept", 54), ("default", 60)])
+    def test_training_step(self, data, op_counter, name, count):
         gen, graph = data
         params = init_params("swan", gen.schema, graph.scene_ids, CONFIGS[name], seed=6)
         examples = [ex for ex in gen.train if ex.scene_id == graph.scene_ids[0]]
@@ -238,18 +238,26 @@ class TestOpCounts:
         op_counter[0] = 0
         out = swan_forward(params, batch)
         loss = total_loss(batch.labels, out.yhat, out.aeg_outputs, out.w, WEIGHTS)
-        assert op_counter[0] <= bound
+        assert op_counter[0] == count
         ad.backward(loss)
-        assert op_counter[0] <= bound  # backward records nothing
+        assert op_counter[0] == count  # backward records nothing
 
-    def test_request(self, data, op_counter):
+    @staticmethod
+    def _cold_request_ops(data, op_counter, config):
+        """Ops one 10-row request from a cold scene records."""
         gen, graph = data
-        config = CONFIGS["default"]
         params = init_params("swan", gen.schema, graph.scene_ids, config, seed=7)
         cold_sid = gen.test[0].scene_id
+        assert cold_sid not in graph.scene_ids
         request = [ex for ex in gen.test if ex.scene_id == cold_sid][:10]
         assert _batch(params, graph, request, labels=False).neighbors.shape[1] \
             == config.k_neighbors
         op_counter[0] = 0
         predict_scores(params, graph, request)
-        assert op_counter[0] <= 61
+        return op_counter[0]
+
+    def test_request(self, data, op_counter):
+        assert self._cold_request_ops(data, op_counter, CONFIGS["default"]) == 51
+
+    def test_accept_request(self, data, op_counter):
+        assert self._cold_request_ops(data, op_counter, CONFIGS["accept"]) == 45

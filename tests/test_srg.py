@@ -123,6 +123,39 @@ class TestKeyFeatureSelection:
         assert selected[0] == "f0"
 
 
+def _loop_aggregates(codes, groups):
+    """`aggregates` as it was: one scene and one column at a time, four
+    1-D reductions each."""
+    out = np.empty((len(groups), len(codes) * len(AGGREGATES)))
+    for g, rows in enumerate(groups):
+        stats = []
+        for col in codes.values():
+            values = col[rows].astype(np.float64)
+            stats += [values.mean(), values.var(), values.max(), values.min()]
+        out[g] = stats
+    return out
+
+
+@st.composite
+def _grouped_codes(draw):
+    """Code columns over row groups: one-row groups, groups of equal and of
+    unequal sizes, constant columns and narrow or wide code ranges."""
+    sizes = draw(st.lists(st.just(1) | st.integers(1, 12) | st.integers(1, 300),
+                          min_size=1, max_size=12))
+    if draw(st.booleans()):
+        sizes += sizes[:draw(st.integers(0, len(sizes)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_rows = sum(sizes)
+    codes = {}
+    for j in range(draw(st.integers(1, 4))):
+        high = draw(st.sampled_from([1, 4, 10 ** 6]))  # 1: a constant column
+        codes[f"f{j}"] = rng.integers(0, high, n_rows) + rng.integers(0, 50)
+    groups = np.split(rng.permutation(n_rows), np.cumsum(sizes)[:-1])
+    if draw(st.booleans()):
+        groups = [np.sort(rows) for rows in groups]
+    return codes, groups
+
+
 def _aggregates(values):
     """One scene's aggregates of one code column, keyed by aggregate kind."""
     raw = aggregates({"f0": np.array(values)}, [np.arange(len(values))])
@@ -145,6 +178,18 @@ class TestProfiling:
     def test_empty_scene_rejected(self):
         with pytest.raises(ValueError):
             aggregates({"f0": np.array([1, 2])}, [np.arange(2), np.arange(0)])
+
+    @given(_grouped_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_aggregates_equal_per_scene_loop_bit_for_bit(self, case):
+        # The grouped reductions must round each value as the 1-D
+        # reduction over that scene's slice did.
+        codes, groups = case
+        np.testing.assert_array_equal(aggregates(codes, groups).view(np.int64),
+                                      _loop_aggregates(codes, groups).view(np.int64))
+
+    def test_no_key_columns(self):
+        assert aggregates({}, [np.arange(3), np.arange(2)]).shape == (2, 0)
 
     def test_slots_run_feature_by_feature(self):
         codes = {"b": np.array([1, 3, 5]), "a": np.array([0, 0, 6])}
@@ -169,6 +214,28 @@ class TestCategorize:
     def test_ten_scenes_five_buckets(self):
         cats = _categories([float(i + 1) for i in range(10)], buckets=5)
         assert cats == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    @given(_grouped_codes(), st.integers(1, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_searchsorted_per_slot(self, case, buckets, data):
+        raw = _loop_aggregates(*case)
+        boundaries = bucket_boundaries(raw, buckets)
+        # Also values on an edge and one ulp to each side of it.
+        edges = [e for col in boundaries for e in col]
+        if edges:
+            on_edge = np.array(data.draw(st.lists(
+                st.sampled_from(edges), min_size=raw.shape[1], max_size=raw.shape[1])))
+            raw = np.vstack([raw, on_edge, np.nextafter(on_edge, -np.inf),
+                             np.nextafter(on_edge, np.inf)])
+        want = np.stack([np.searchsorted(col_edges, col, side="left")
+                         for col_edges, col in zip(boundaries, raw.T)], axis=1)
+        got = categorize(raw, boundaries)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_slots_without_edges(self):
+        np.testing.assert_array_equal(categorize(np.ones((2, 2)), [(), ()]),
+                                      np.zeros((2, 2)))
 
     def test_bad_bucket_count(self):
         with pytest.raises(ValueError):

@@ -404,7 +404,13 @@ class TestTrainConfigJson:
         ("expert_hidden", [8, 4.0]), ("dnn_hidden", [False]),
         ("k_neighbors", "3"), ("min_weight", 2.5), ("cc_threshold", "x"),
         ("cc_threshold", True), ("buckets", None), ("san_hidden", 16),
-        ("flags", []), ("flags", None)])
+        ("flags", []), ("flags", None),
+        # in type but out of range
+        ("embed_dim", -2), ("embed_dim", 0), ("expert_dim", 0), ("k_neighbors", 0),
+        ("buckets", 0), ("san_hidden", [0]), ("expert_hidden", [8, -3]),
+        ("selector_hidden", [0]), ("final_hidden", [0]), ("dnn_hidden", [16, 0]),
+        ("min_weight", -1), ("cc_threshold", float("nan")), ("cc_threshold", -0.1),
+        ("cc_threshold", 1.5), ("cc_threshold", float("inf"))])
     def test_wrongly_typed_model_size_named(self, name, value):
         with pytest.raises(ConfigError, match=rf"ModelConfig {name} must be"):
             TrainConfig.from_json({"model": {name: value}})
