@@ -11,16 +11,56 @@ chain of narrow ops with one record and an analytic backward, and state
 the block layout they expect. Each repeats the numpy operations of the
 chain it replaces, so its values and gradients are the chain's, bit for
 bit.
+
+Importing the module fixes glibc's heap trim and mmap thresholds once
+(`_set_heap_policy`), so that the temporaries of each step reuse pages.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import os
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_heap_policy(environ: Mapping[str, str], libc=None) -> bool:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    By default glibc returns the free top of the heap to the kernel once
+    it exceeds a trim threshold that starts at 128 KiB, so a training
+    step's larger temporaries land on fresh pages and every step pays
+    thousands of minor page faults. The two values are the limits glibc's own dynamic
+    rule moves towards on 64-bit. Setting one threshold stops glibc from
+    adjusting the other, so both are set. Nothing is set off glibc, or
+    when the environment already sets malloc's thresholds. `libc` is the
+    C library handle, the process's own when None. Returns whether the
+    policy was set.
+    """
+    try:  # a name lookup in the C library: no process, no file
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc ")
+    except (AttributeError, ValueError, OSError):
+        glibc = False
+    if (not glibc or "MALLOC_TRIM_THRESHOLD_" in environ
+            or "MALLOC_MMAP_THRESHOLD_" in environ
+            or "glibc.malloc." in environ.get("GLIBC_TUNABLES", "")):
+        return False
+    mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return bool(mmap_set and trim_set)
+
+
+_HEAP_POLICY = _set_heap_policy(os.environ)
 
 
 class DimensionError(ValueError):
