@@ -9,7 +9,6 @@ README.
 Usage: python scripts/run_pipeline.py [workdir]
 """
 
-import json
 import pathlib
 import sys
 
@@ -17,7 +16,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from swan.cli import main as swan_cli
 from swan.datagen import GenConfig
+from swan.features import write_json
 from swan.head import LossWeights
+from swan.metrics import EvalReport
 from swan.model import ModelConfig
 from swan.training import TrainConfig
 
@@ -28,7 +29,7 @@ def main() -> None:
 
     gen = GenConfig(train_scenes=30, cold_scenes=10, examples_per_scene=400,
                     seed=0)
-    (work / "gen.json").write_text(json.dumps(gen.to_json(), indent=1))
+    write_json(work / "gen.json", gen.to_json())
 
     model = ModelConfig(embed_dim=8, expert_dim=8, n_aeg=4, n_seg=2, tau=0.02,
                         san_hidden=(16, 8), expert_hidden=(8,),
@@ -38,8 +39,7 @@ def main() -> None:
         cfg = TrainConfig(model=model, model_kind=kind, epochs=4,
                           batch_size=256, seed=0, lr=2e-3,
                           loss=LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3))
-        (work / f"train_{kind}.json").write_text(json.dumps(cfg.to_json(),
-                                                            indent=1))
+        write_json(work / f"train_{kind}.json", cfg.to_json())
 
     swan_cli(["datagen", "--config", str(work / "gen.json"),
               "--out-train", str(work / "train.jsonl"),
@@ -69,11 +69,10 @@ def main() -> None:
               "--report", str(work / "report_dnn.json"),
               "--reference", str(work / "report_swan.json")])
 
-    swan_report = json.loads((work / "report_swan.json").read_text())
-    dnn_report = json.loads((work / "report_dnn.json").read_text())
-    lift = swan_report["auc_cold_start"] - dnn_report["auc_cold_start"]
-    print(f"\ncold-start AUC: scene-adaptive {swan_report['auc_cold_start']:.4f} "
-          f"vs baseline {dnn_report['auc_cold_start']:.4f} (lift {lift:+.4f})")
+    swan_cold = EvalReport.load(work / "report_swan.json").auc_cold_start
+    dnn_cold = EvalReport.load(work / "report_dnn.json").auc_cold_start
+    print(f"\ncold-start AUC: scene-adaptive {swan_cold:.4f} "
+          f"vs baseline {dnn_cold:.4f} (lift {swan_cold - dnn_cold:+.4f})")
     print(f"artifacts in {work}/")
 
 

@@ -11,12 +11,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .datagen import GenConfig, generate
 from .features import (ConfigError, FeatureSchema, fit_numeric_boundaries,
-                       load_dataset, write_dataset)
+                       load_dataset, write_dataset, write_json)
 from .metrics import EvalReport, evaluate
 from .serialize import load_model, save_model
 from .srg import build_srg, load_graph, save_graph
@@ -87,9 +86,7 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",")]
     results = run_sweep(args.param, values, train_set, test_set, schema,
                         graph, config)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(args.report, results)
     for entry in results:
         cold = entry["auc_cold_start"]
         cold = "n/a" if cold is None else f"{cold:.4f}"

@@ -17,7 +17,6 @@ after noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import (Config, Dataset, Example, Feature, FeatureSchema,
-                       fit_numeric_boundaries)
+                       fit_numeric_boundaries, read_json, write_json)
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class GroundTruth:
             "item_means": self.item_means,
             "item_sigmas": self.item_sigmas,
             "quality_weights": self.quality_weights,
-            "scene_archetypes": dict(sorted(self.scene_archetypes.items())),
+            "scene_archetypes": dict(self.scene_archetypes),
         }
 
     @classmethod
@@ -97,14 +96,11 @@ class GroundTruth:
                    bias=float(obj["bias"]))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "GroundTruth":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json, "truth")
 
 
 @dataclass

@@ -41,6 +41,27 @@ class ConfigError(ValueError):
     """A configuration value is invalid, or does not fit the schema."""
 
 
+def write_json(path, obj) -> None:
+    """Write `obj` in swan's one JSON file format: UTF-8, one-space indent,
+    sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, parse, what: str, error: type = ValueError):
+    """`parse` applied to the JSON value in the UTF-8 file at `path`. Bad
+    UTF-8, malformed or too deeply nested JSON, and an AttributeError,
+    KeyError, TypeError, ValueError or OverflowError from `parse` all raise
+    one `error` that starts with the path and keeps the cause's text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
+        raise error(f"{path}: bad {what} file: {type(exc).__name__}: {exc}") from None
+
+
 def sorted_finite(values: Sequence[float]) -> bool:
     """True when every value is finite and none exceeds the next: bucket
     edges that `bisect_right` and `np.searchsorted` split alike."""
@@ -130,8 +151,7 @@ class Config:
 
     @classmethod
     def load(cls, path: str):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json, "config", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -303,14 +323,11 @@ class FeatureSchema:
         return cls([Feature.from_json(o) for o in obj])
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "FeatureSchema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json, "schema", SchemaError)
 
 
 @dataclass

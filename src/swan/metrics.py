@@ -8,13 +8,12 @@ scenes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import group_rows, scene_codes
+from .features import group_rows, read_json, scene_codes, write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -84,10 +83,10 @@ class EvalReport:
         return {
             "auc_all": self.auc_all,
             "auc_cold_start": self.auc_cold_start,
-            "per_scene": dict(sorted(self.per_scene.items())),
+            "per_scene": dict(self.per_scene),
             "gini_improvement": self.gini_improvement,
             "gini_defined": self.gini_defined,
-            "warnings": {k: sorted(v) for k, v in sorted(self.warnings.items())},
+            "warnings": {k: sorted(v) for k, v in self.warnings.items()},
         }
 
     @classmethod
@@ -99,19 +98,13 @@ class EvalReport:
                    warnings={k: list(v) for k, v in obj.get("warnings", {}).items()})
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "EvalReport":
         """The report in a report file; ValueError naming the file when the
         file is not one."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(json.load(fh))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad report file: {exc!r}") from None
+        return read_json(path, cls.from_json, "report")
 
 
 def improvement_ratios(report: "EvalReport", reference: "EvalReport",

@@ -13,7 +13,6 @@ are kept so a scene never seen at build time can be profiled and matched
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .features import (Example, FeatureSchema, SchemaError, encode_columns,
-                       group_rows, scene_codes, sorted_finite)
+                       group_rows, read_json, scene_codes, sorted_finite,
+                       write_json)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -326,16 +326,10 @@ def graph_from_json(obj: dict) -> SceneRelationGraph:
 
 
 def save_graph(graph: SceneRelationGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, graph_to_json(graph))
 
 
 def load_graph(path: str) -> SceneRelationGraph:
     """The graph in a graph.json file; SchemaError naming the file when the
     file is not one."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return graph_from_json(json.load(fh))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: bad graph file: {exc!r}") from None
+    return read_json(path, graph_from_json, "graph", SchemaError)

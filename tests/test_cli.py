@@ -1,5 +1,6 @@
 """End-to-end CLI tests over the documented subcommands."""
 
+import itertools
 import json
 import struct
 
@@ -202,6 +203,7 @@ def _assert_one_line_error(capsys, *needles):
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err
+    return err
 
 
 def test_wrongly_typed_gen_config_is_one_line_error(tmp_path, capsys):
@@ -240,6 +242,31 @@ def test_malformed_schema_is_one_line_error(workspace, tmp_path, capsys, case, c
                       "--report", str(tmp_path / "sweep.json")]}[command]
     assert main(argv) == 1
     _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("defect", ["truncated", "not UTF-8", "deeply nested"])
+@pytest.mark.parametrize("flag", ["datagen --config", "train --config", "--schema",
+                                  "train --graph", "eval --reference"])
+def test_bad_json_file_is_one_line_error_naming_it(workspace, tmp_path, capsys,
+                                                   flag, defect):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes({"truncated": b'{"a": [1,', "not UTF-8": b"\xff{}",
+                     "deeply nested": b"[" * 100_000}[defect])
+    if flag == "datagen --config":
+        argv = ["datagen", "--config", bad, "--out-train", tmp_path / "train.jsonl",
+                "--out-test", tmp_path / "test.jsonl", "--out-truth", tmp_path / "t.json"]
+    elif flag == "eval --reference":
+        argv = ["eval", "--model", workspace / "model.bin", "--test",
+                workspace / "test.jsonl", "--report", tmp_path / "report.json",
+                "--reference", bad]
+    else:
+        opts = {"--train": workspace / "train.jsonl", "--schema": workspace / "schema.json",
+                "--config": workspace / "train.json", "--out": tmp_path / "m.bin"}
+        opts[flag.split()[-1]] = bad
+        argv = ["train", *itertools.chain.from_iterable(opts.items())]
+    assert main([str(a) for a in argv]) == 1
+    err = _assert_one_line_error(capsys)
+    assert err.startswith(f"swan: error: {bad}: ")
 
 
 @pytest.mark.parametrize("reference", [

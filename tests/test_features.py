@@ -13,7 +13,8 @@ from swan.autodiff import Tensor, backward
 from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
                            FeatureSchema, ParseError, SchemaError,
                            embed_indices, encode_columns,
-                           fit_numeric_boundaries, load_dataset, write_dataset)
+                           fit_numeric_boundaries, load_dataset, write_dataset,
+                           write_json)
 
 
 @pytest.fixture
@@ -134,6 +135,15 @@ class TestSchema:
         again = FeatureSchema.from_json(json.loads(json.dumps(schema.to_json())))
         assert [f.name for f in again] == [f.name for f in schema]
         assert again["price"].boundaries == schema["price"].boundaries
+
+    def test_write_json_format(self, tmp_path):
+        """Every JSON file swan writes: one-space indent, keys sorted at
+        every depth, ASCII escapes and a final newline."""
+        obj = {"b": {"z": 1, "a": [3, {"y": 2.5, "x": None}]}, "a": "caf\u00e9"}
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=1, sort_keys=True)
+                                     + "\n").encode("utf-8")
 
     def test_fit_numeric_boundaries_equal_frequency(self):
         sch = FeatureSchema([Feature("v", "numeric", "item")])
