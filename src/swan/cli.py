@@ -43,7 +43,7 @@ def _cmd_srg_build(args) -> int:
     if needs_fit:
         schema = fit_numeric_boundaries(examples, schema, buckets=args.buckets)
     graph = build_srg(examples, schema, cc_threshold=args.cc_threshold,
-                      buckets=args.buckets, max_features=args.max_features)
+                      buckets=args.buckets)
     save_graph(graph, args.out)
     print(f"graph: {len(graph.scene_ids)} scenes, {len(graph.layout)} slots, "
           f"{len(graph.key_features)} key features")
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--cc-threshold", type=float, default=0.05)
     p.add_argument("--buckets", type=int, default=10)
-    p.add_argument("--max-features", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_srg_build)
 
@@ -153,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Bad input (ValueError, which covers ParseError,
-    SchemaError and ConfigError) and file errors print one line to stderr
-    and return 1."""
+    SchemaError and ConfigError), file errors and a failed allocation
+    print one line to stderr and return 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"swan: error: {exc}", file=sys.stderr)
         return 1
 

@@ -261,8 +261,11 @@ def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=-1)
 
 
-def _lloyd(pts: np.ndarray, k: int,
-           rng: np.random.Generator, max_iters: int):
+LLOYD_ITERATIONS = 100
+KMEANS_RESTARTS = 4
+
+
+def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator):
     n = len(pts)
     # k-means++ seeding
     centers = np.empty((k, pts.shape[1]))
@@ -276,7 +279,7 @@ def _lloyd(pts: np.ndarray, k: int,
     assign = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
     inertia = prev_inertia
-    for _ in range(max_iters):
+    for _ in range(LLOYD_ITERATIONS):
         d2 = _pairwise_sq_dist(pts, centers)
         new_assign = d2.argmin(axis=1)
         inertia = float(d2[np.arange(n), new_assign].sum())
@@ -295,9 +298,9 @@ def _lloyd(pts: np.ndarray, k: int,
     return assign, centers, inertia
 
 
-def kmeans(points, k: int, seed: int = 0, max_iters: int = 100,
-           n_init: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations from seeded k-means++ starts, best of `n_init`.
+def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """At most LLOYD_ITERATIONS Lloyd iterations from each of
+    KMEANS_RESTARTS seeded k-means++ starts.
 
     Returns (assignments, centroids) of the restart with the lowest
     inertia. Inertia is asserted non-increasing across iterations; an
@@ -312,12 +315,10 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k > len(np.unique(pts, axis=0)):
         raise ValueError(f"k={k} exceeds the number of distinct points")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
-        assign, centers, inertia = _lloyd(pts, k, rng, max_iters)
+    for _ in range(KMEANS_RESTARTS):
+        assign, centers, inertia = _lloyd(pts, k, rng)
         if best is None or inertia < best[2]:
             best = (assign, centers, inertia)
     return best[0], best[1]

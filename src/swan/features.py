@@ -345,6 +345,20 @@ def is_click_label(label) -> bool:
     return not isinstance(label, (bool, np.bool_)) and label in (0, 1)
 
 
+def click_labels(examples: Sequence[Example]) -> np.ndarray:
+    """The examples' labels as a float64 array; ValueError naming the
+    first example whose label is not a click label (`is_click_label`)."""
+    labels = [ex.label for ex in examples]
+    # Plain int labels of 0 and 1 pass in two C-level passes; anything else
+    # goes through the per-row rule, which names the first bad row.
+    if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
+        for i, label in enumerate(labels):
+            if not is_click_label(label):
+                raise ValueError(f"example {i} (scene {examples[i].scene_id!r}): "
+                                 f"label must be 0 or 1, got {label!r}")
+    return np.array(labels, dtype=np.float64)
+
+
 class Dataset(list):
     """A list of Examples that remembers its schema and the OOV count from load."""
 

@@ -37,10 +37,6 @@ class LossWeights(Config):
                 ("gamma", 0.0 <= self.gamma < math.inf, "finite and non-negative"))
 
 
-def _as_rows(t: Tensor) -> Tensor:
-    return ad.reshape(t, (1, t.shape[0])) if t.data.ndim == 1 else t
-
-
 def decide(e_in: Tensor, seg_outputs: Tensor, aeg_outputs: Tensor, w: Tensor,
            gate_mlp: MLP, final_mlp: MLP) -> Tensor:
     """Final click probability from the gated expert mixture.
@@ -88,12 +84,7 @@ def cos_loss(aeg_outputs: Tensor, n: int) -> Tensor:
     ordered-pair double sum equals twice the unordered sum, which is what
     `abs_cos_pairs` computes.
     """
-    v = _as_rows(aeg_outputs)
-    if n < 1:
-        raise ValueError("cos_loss needs at least one expert output")
-    if n == 1:
-        return Tensor(np.asarray(0.0))
-    return ad.scale(ad.abs_cos_pairs(v, n), 2.0 / v.shape[0])
+    return ad.scale(ad.abs_cos_pairs(aeg_outputs, n), 2.0 / aeg_outputs.shape[0])
 
 
 def var_loss(w: Tensor) -> Tensor:
@@ -103,12 +94,11 @@ def var_loss(w: Tensor) -> Tensor:
     uniform gates short-circuit to 0, where the analytic gradient is zero
     anyway.
     """
-    w2 = _as_rows(w)
-    if w2.shape[1] < 1:
-        raise ValueError("var_loss needs at least one gate")
-    if np.all(w2.data == w2.data.flat[0]):
+    if w.data.ndim != 2 or w.shape[1] < 1:
+        raise ValueError(f"var_loss needs a [B, n] matrix of gates, got {w.shape}")
+    if np.all(w.data == w.data.flat[0]):
         return Tensor(np.asarray(0.0))
-    return ad.neg_row_variance(w2)
+    return ad.neg_row_variance(w)
 
 
 def total_loss(labels, predictions: Tensor, aeg_outputs: Tensor, w: Tensor,

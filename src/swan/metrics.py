@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import group_rows, read_json, scene_codes, write_json
+from .features import click_labels, group_rows, read_json, scene_codes, write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -134,13 +134,14 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
     Overall and cold-start AUC pool examples (they are not per-scene
     averages). Scenes smaller than `min_scene_examples` pool into an
     "other" bucket; single-class scenes are excluded from the per-scene
-    table and recorded in the warnings.
+    table and recorded in the warnings. Every label must be 0 or 1 (not a
+    boolean); `features.click_labels` names the first row that is not.
     """
     from .model import predict_scores
 
     if len(dataset) == 0:
         raise ValueError("evaluate needs a non-empty test dataset")
-    labels = np.array([ex.label for ex in dataset])
+    labels = click_labels(dataset)
     scores = predict_scores(params, graph, dataset)
 
     scene_ids, codes = scene_codes(dataset)

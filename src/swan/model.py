@@ -322,11 +322,14 @@ def scene_neighbors(params, graph: SceneRelationGraph | None,
     `groups[g]` holds the rows of `scene_ids[g]` in the code columns
     `idx`. For the full model with a graph, a graph scene's categories are
     its matrix row and the other scenes' are computed in one pass from
-    their rows' codes; one `_neighbor_rows` call ranks them all. Otherwise
-    no scene has any.
+    their rows' codes; one `_neighbor_rows` call ranks them all. The DNN
+    baseline's scenes have none, and the full model without a graph is a
+    ValueError.
     """
-    if params.kind != "swan" or graph is None:
+    if params.kind != "swan":
         return [np.zeros(0, dtype=np.int64)] * len(scene_ids)
+    if graph is None:
+        raise ValueError("the full model needs a scene relation graph")
     ids = graph.scene_ids
     at = [bisect_left(ids, sid) for sid in scene_ids]
     cold = [g for g, (i, sid) in enumerate(zip(at, scene_ids)) if ids[i:i + 1] != [sid]]

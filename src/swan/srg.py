@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import (Example, FeatureSchema, SchemaError, encode_columns,
-                       group_rows, read_json, scene_codes, sorted_finite,
-                       write_json)
+from .features import (Example, FeatureSchema, SchemaError, click_labels,
+                       encode_columns, group_rows, read_json, scene_codes,
+                       sorted_finite, write_json)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -39,43 +39,35 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((dx * dy).sum() / denom)
 
 
-def select_key_features(examples: Sequence[Example], labels: Sequence[int],
-                        schema: FeatureSchema, cc_threshold: float = 0.05,
-                        max_features: int | None = None) -> list[str]:
-    """Item features whose |Pearson r| with the label reaches the threshold.
+def select_key_features(examples: Sequence[Example], schema: FeatureSchema,
+                        cc_threshold: float = 0.05) -> list[str]:
+    """Item features whose |Pearson r| with the examples' click labels
+    reaches the threshold.
 
     Encoded values (category codes, bucket indices) are the correlation
     inputs. Constant features are dropped. Results are sorted by |r|
-    descending with ties broken by name; `max_features` optionally caps
-    the list after sorting.
+    descending with ties broken by name.
     """
+    labels = click_labels(examples)
     return _key_features(encode_columns(examples, schema.group("item")), labels,
-                         len(examples), cc_threshold, max_features)
+                         cc_threshold)
 
 
-def _key_features(codes: dict[str, np.ndarray], labels: Sequence[int],
-                  n_examples: int, cc_threshold: float,
-                  max_features: int | None) -> list[str]:
-    """select_key_features over the item columns of `n_examples` encoded rows."""
-    if n_examples == 0:
+def _key_features(codes: dict[str, np.ndarray], labels: np.ndarray,
+                  cc_threshold: float) -> list[str]:
+    """select_key_features over the item columns of encoded rows whose
+    click labels are `labels`."""
+    if len(labels) == 0:
         raise ValueError("select_key_features needs a non-empty dataset")
-    if n_examples < 2:
+    if len(labels) < 2:
         raise ValueError("select_key_features needs at least 2 examples")
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape[0] != n_examples:
-        raise ValueError("labels must align with examples")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary")
     scored = []
     for name, col in codes.items():
-        r = pearson(col, y)
+        r = pearson(col, labels)
         if abs(r) >= cc_threshold and col.std() > 0.0:
             scored.append((name, abs(r)))
     scored.sort(key=lambda t: (-t[1], t[0]))
-    selected = [name for name, _ in scored]
-    if max_features is not None:
-        selected = selected[:max_features]
-    return selected
+    return [name for name, _ in scored]
 
 
 @dataclass(frozen=True)
@@ -136,16 +128,15 @@ def pad_edges(boundaries: Sequence[Sequence[float]]) -> np.ndarray:
                      for edges in boundaries]).reshape(len(boundaries), width)
 
 
-def categorize(raw: np.ndarray, boundaries) -> np.ndarray:
-    """[scenes, slots] categories of aggregates, one edge list per column.
+def categorize(raw: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """[scenes, slots] categories of aggregates, by the [slots, max edges]
+    matrix `pad_edges` makes of the columns' edge lists.
 
-    `boundaries` is the edge lists or the matrix `pad_edges` makes of
-    them. A category is the number of the column's edges below the value,
-    as `np.searchsorted(edges, value, side="left")` counts them; side
-    "left" keeps a degenerate column (all values equal) in category 0.
-    All columns take one comparison.
+    A category is the number of the column's edges below the value, as
+    `np.searchsorted(edges, value, side="left")` counts them; side "left"
+    keeps a degenerate column (all values equal) in category 0. All
+    columns take one comparison.
     """
-    edges = boundaries if isinstance(boundaries, np.ndarray) else pad_edges(boundaries)
     return (edges < raw[..., None]).sum(-1, dtype=np.int64)
 
 
@@ -259,23 +250,22 @@ def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
 
 
 def build_srg(examples: Sequence[Example], schema: FeatureSchema,
-              cc_threshold: float = 0.05, buckets: int = 10,
-              max_features: int | None = None) -> SceneRelationGraph:
+              cc_threshold: float = 0.05, buckets: int = 10) -> SceneRelationGraph:
     """Full three-step construction from a labeled training dataset.
 
     The item columns are encoded once; key-feature selection and every
     scene's profile read them.
     """
+    labels = click_labels(examples)
     codes = encode_columns(examples, schema.group("item"))
-    key = _key_features(codes, [ex.label for ex in examples], len(examples),
-                        cc_threshold, max_features)
+    key = _key_features(codes, labels, cc_threshold)
     if not key:
         raise ValueError(f"no feature reaches |r| >= {cc_threshold}; lower the threshold")
     ids, rows = scene_codes(examples)
     raw = aggregates({name: codes[name] for name in key}, group_rows(rows, len(ids)))
     layout = _layout(key)
     boundaries = bucket_boundaries(raw, buckets)
-    return SceneRelationGraph(ids, layout, categorize(raw, boundaries),
+    return SceneRelationGraph(ids, layout, categorize(raw, pad_edges(boundaries)),
                               key_features=tuple(key), buckets=buckets,
                               boundaries=boundaries,
                               cc_threshold=cc_threshold)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .features import Config, Example, FeatureSchema, field_types, is_click_label
+from .features import Config, Example, FeatureSchema, click_labels, field_types
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import evaluate
 from .model import (ModelConfig, ModelParams, PreparedBatch, check_graph_scenes,
@@ -155,15 +154,7 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
-    labels = list(map(attrgetter("label"), dataset))
-    # Plain int labels of 0 and 1 pass in two C-level passes; anything else
-    # goes through the per-row rule, which names the first bad row.
-    if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
-        bad = next((i for i, label in enumerate(labels)
-                    if not is_click_label(label)), None)
-        if bad is not None:
-            raise ValueError(f"example {bad} (scene {dataset[bad].scene_id!r}): "
-                             f"label must be 0 or 1, got {labels[bad]!r}")
+    labels = click_labels(dataset)
     if config.model_kind == "swan" and graph is None:
         raise ValueError("the full model needs a scene relation graph")
 
@@ -180,8 +171,8 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
                          config.seed)
 
     rng = np.random.default_rng(config.seed)
-    batches = _shuffled_batches(dataset, np.array(labels, dtype=np.float64),
-                                schema, params, graph, rng, config.batch_size)
+    batches = _shuffled_batches(dataset, labels, schema, params, graph, rng,
+                                config.batch_size)
     opt = Adam(params.parameters(), lr=config.lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
     flags = config.model.flags
@@ -265,11 +256,14 @@ def _config_with(config: TrainConfig, param: str, value: float) -> TrainConfig:
     return TrainConfig.from_json(obj)
 
 
-def gate_saturation(gates: np.ndarray | None, tolerance: float = 0.05) -> float | None:
-    """Fraction of selector gates within `tolerance` of 0 or 1."""
+SATURATION_MARGIN = 0.05
+
+
+def gate_saturation(gates: np.ndarray | None) -> float | None:
+    """Fraction of selector gates within SATURATION_MARGIN of 0 or 1."""
     if gates is None:
         return None
-    near = (gates <= tolerance) | (gates >= 1.0 - tolerance)
+    near = (gates <= SATURATION_MARGIN) | (gates >= 1.0 - SATURATION_MARGIN)
     return float(near.mean())
 
 

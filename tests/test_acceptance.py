@@ -219,10 +219,9 @@ class TestCriterion5:
         ok = True
         details = []
         for (data, _), seed in zip(datasets, SEEDS):
-            labels = [ex.label for ex in data.train]
-            grid = [len(select_key_features(data.train, labels, data.schema, t))
+            grid = [len(select_key_features(data.train, data.schema, t))
                     for t in (0.01, 0.05, 0.1)]
-            dense = [len(select_key_features(data.train, labels, data.schema, t))
+            dense = [len(select_key_features(data.train, data.schema, t))
                      for t in (0.0, 0.005, 0.02, 0.05, 0.08, 0.15, 0.5, 1.0)]
             ok &= grid[0] > grid[1] > grid[2]
             ok &= all(a >= b for a, b in zip(dense, dense[1:]))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests over the documented subcommands."""
 
+import argparse
 import itertools
 import json
 import struct
@@ -7,7 +8,7 @@ import struct
 import pytest
 
 from conftest import tiny_gen_config, tiny_train_config
-from swan.cli import main
+from swan.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +283,42 @@ def test_malformed_reference_report_is_one_line_error(workspace, tmp_path, capsy
                  "--reference", str(path)]) == 1
     _assert_one_line_error(capsys, f"{path}: bad report file")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_allocation_failure_is_one_line_error(workspace, tmp_path, capsys):
+    # An embedding table of 10**15 rows is past any machine's address
+    # space, so numpy fails to allocate it without touching memory.
+    schema = json.loads((workspace / "schema.json").read_text())
+    entry = next(e for e in schema if e["kind"] == "categorical")
+    entry["vocab"] = 10 ** 15
+    huge = tmp_path / "schema.json"
+    huge.write_text(json.dumps(schema))
+    assert main(["train", "--train", str(workspace / "train.jsonl"),
+                 "--schema", str(huge), "--graph", str(workspace / "graph.json"),
+                 "--config", str(workspace / "train.json"),
+                 "--out", str(tmp_path / "m.bin")]) == 1
+    _assert_one_line_error(capsys, "Unable to allocate")
+    assert not (tmp_path / "m.bin").exists()
+
+
+def _options(parser, command=()):
+    """Each subcommand's option strings, keyed by its space-joined path."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_options(sub, (*command, name)))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            out.setdefault(" ".join(command), []).extend(action.option_strings)
+    return out
+
+
+def test_cli_options_pinned():
+    assert _options(build_parser()) == {
+        "datagen": ["--config", "--out-train", "--out-test", "--out-truth",
+                    "--out-schema"],
+        "srg build": ["--data", "--schema", "--cc-threshold", "--buckets", "--out"],
+        "train": ["--train", "--schema", "--graph", "--config", "--out"],
+        "eval": ["--model", "--test", "--report", "--reference"],
+        "sweep": ["--param", "--values", "--train", "--test", "--schema", "--graph",
+                  "--config", "--report"]}

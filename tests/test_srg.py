@@ -14,8 +14,9 @@ from swan.features import (Example, Feature, FeatureSchema, SchemaError, group_r
                            scene_codes)
 from swan.srg import (AGGREGATES, SceneProfile, SceneRelationGraph, aggregates,
                       bucket_boundaries, build_srg, categorize,
-                      graph_from_json, graph_to_json, load_graph, pearson,
-                      profile_new_scene, select_key_features, similar_scenes)
+                      graph_from_json, graph_to_json, load_graph, pad_edges,
+                      pearson, profile_new_scene, select_key_features,
+                      similar_scenes)
 from swan import srg as swan_srg
 from swan.metrics import evaluate
 from swan.model import ComponentFlags, ModelConfig, predict_scores, resolve_neighbors
@@ -63,7 +64,7 @@ class TestKeyFeatureSelection:
         values = np.column_stack([labels, rng.integers(0, 5, size=40)])
         examples = _examples_from_matrix(values, labels)
         schema = _item_schema(2)
-        selected = select_key_features(examples, labels, schema, cc_threshold=1.0)
+        selected = select_key_features(examples, schema, cc_threshold=1.0)
         assert selected == ["f0"]
 
     def test_anticorrelated_feature_selected(self):
@@ -71,18 +72,18 @@ class TestKeyFeatureSelection:
         labels = rng.integers(0, 2, size=40)
         values = np.column_stack([1 - labels])
         examples = _examples_from_matrix(values, labels)
-        selected = select_key_features(examples, labels, _item_schema(1), 0.99)
+        selected = select_key_features(examples, _item_schema(1), 0.99)
         assert selected == ["f0"]
 
     def test_constant_feature_excluded(self):
         labels = np.array([0, 1] * 10)
         values = np.full((20, 1), 3)
         examples = _examples_from_matrix(values, labels)
-        assert select_key_features(examples, labels, _item_schema(1), 0.0) == []
+        assert select_key_features(examples, _item_schema(1), 0.0) == []
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            select_key_features([], [], _item_schema(1), 0.05)
+        with pytest.raises(ValueError, match="needs a non-empty dataset"):
+            select_key_features([], _item_schema(1), 0.05)
 
     def test_planted_five_of_twenty(self):
         # Labels are a noisy function of features 0..4 only.
@@ -93,7 +94,7 @@ class TestKeyFeatureSelection:
         z = signal - np.median(signal) + rng.normal(0, 2.0, size=n)
         labels = (z > 0).astype(int)
         examples = _examples_from_matrix(values, labels)
-        selected = select_key_features(examples, labels, _item_schema(20), 0.05)
+        selected = select_key_features(examples, _item_schema(20), 0.05)
         # Verify against an independent correlation computation.
         expected = [f"f{j}" for j in range(20)
                     if abs(_pearson_two_pass(values[:, j], labels)) >= 0.05]
@@ -107,20 +108,20 @@ class TestKeyFeatureSelection:
         labels = ((values[:, 0] + rng.normal(0, 3, n)) > 3.5).astype(int)
         examples = _examples_from_matrix(values, labels)
         schema = _item_schema(10)
-        counts = [len(select_key_features(examples, labels, schema, t))
+        counts = [len(select_key_features(examples, schema, t))
                   for t in (0.0, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0)]
         assert counts == sorted(counts, reverse=True)
 
-    def test_max_features_cap(self):
+    def test_ranked_by_abs_correlation(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 2, size=200)
         values = np.column_stack([labels, labels ^ (rng.random(200) < 0.2),
                                   labels ^ (rng.random(200) < 0.4)])
         examples = _examples_from_matrix(values, labels)
-        selected = select_key_features(examples, labels, _item_schema(3), 0.01,
-                                       max_features=2)
-        assert len(selected) == 2
+        # |r| is 1 for f0, about 0.59 for f1 and 0.15 for f2.
+        selected = select_key_features(examples, _item_schema(3), 0.01)
         assert selected[0] == "f0"
+        assert selected == ["f0", "f1", "f2"]
 
 
 def _loop_aggregates(codes, groups):
@@ -201,7 +202,7 @@ class TestProfiling:
 def _categories(values, buckets):
     """Categories of one aggregate column bucketed over its own scenes."""
     raw = np.array(values, dtype=np.float64)[:, None]
-    return categorize(raw, bucket_boundaries(raw, buckets))[:, 0].tolist()
+    return categorize(raw, pad_edges(bucket_boundaries(raw, buckets)))[:, 0].tolist()
 
 
 class TestCategorize:
@@ -229,13 +230,13 @@ class TestCategorize:
                              np.nextafter(on_edge, np.inf)])
         want = np.stack([np.searchsorted(col_edges, col, side="left")
                          for col_edges, col in zip(boundaries, raw.T)], axis=1)
-        got = categorize(raw, boundaries)
+        got = categorize(raw, pad_edges(boundaries))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
     def test_slots_without_edges(self):
-        np.testing.assert_array_equal(categorize(np.ones((2, 2)), [(), ()]),
-                                      np.zeros((2, 2)))
+        got = categorize(np.ones((2, 2)), pad_edges([(), ()]))
+        np.testing.assert_array_equal(got, np.zeros((2, 2)))
 
     def test_bad_bucket_count(self):
         with pytest.raises(ValueError):

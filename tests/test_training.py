@@ -13,9 +13,10 @@ from swan.datagen import GenConfig
 from swan.features import ConfigError, Dataset, Example
 from swan.head import LossWeights
 from swan.metrics import evaluate
-from swan.model import ComponentFlags, ModelConfig, predict_scores
+from swan.model import (ComponentFlags, ModelConfig, init_params, predict,
+                        predict_scores)
 from swan import training
-from swan.srg import build_srg
+from swan.srg import build_srg, select_key_features
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
                            run_sweep, train)
 
@@ -33,6 +34,23 @@ def _rows_add_at(table, indices):
 
     out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
     return ad._record(out, (table,), backward_fn)
+
+
+BAD_LABELS = [2, -1, True, False, 0.5, None, "1"]
+
+
+def _with_bad_labels(examples, label):
+    """Copies of the examples with `label` at row 5 and 3 at row 9."""
+    rows = [Example(ex.user, ex.item, ex.scene_id, ex.label) for ex in examples]
+    rows[5].label = label
+    rows[9].label = 3
+    return rows
+
+
+def _bad_label_message(rows, label):
+    """The error that names row 5's label, as a full-match pattern."""
+    return (rf"^example 5 \(scene '{rows[5].scene_id}'\): label must be 0 or 1, "
+            rf"got {re.escape(repr(label))}$")
 
 
 def _params_snapshot(params):
@@ -57,7 +75,6 @@ class TestTrain:
     def test_zero_learning_rate_keeps_params(self, tiny_data):
         result, graph = tiny_data
         config = tiny_train_config(lr=0.0, epochs=1)
-        from swan.model import init_params
         fresh = init_params("swan", result.schema, graph.scene_ids, config.model,
                             config.seed)
         out = train(result.train, graph, config)
@@ -135,24 +152,34 @@ class TestTrain:
             train(result.train, partial_graph, tiny_train_config())
 
     @pytest.mark.parametrize("kind", ["swan", "dnn"])
-    @pytest.mark.parametrize("label", [2, -1, True, False, 0.5, None, "1"])
+    @pytest.mark.parametrize("label", BAD_LABELS)
     def test_non_binary_label_rejected_before_init(self, tiny_data, monkeypatch,
                                                    kind, label):
         # The rule load_dataset applies to label fields: 0 or 1, no booleans.
         result, graph = tiny_data
-        rows = [Example(ex.user, ex.item, ex.scene_id, ex.label)
-                for ex in result.train]
-        rows[5].label = label
-        rows[9].label = 3
+        rows = _with_bad_labels(result.train, label)
 
         def no_init(*args, **kwargs):
             raise AssertionError("parameters initialised before the check")
         monkeypatch.setattr(training, "init_params", no_init)
-        with pytest.raises(ValueError, match=rf"example 5 \(scene "
-                           rf"'{rows[5].scene_id}'\): label must be 0 or 1, "
-                           rf"got {re.escape(repr(label))}$"):
+        with pytest.raises(ValueError, match=_bad_label_message(rows, label)):
             train(rows, graph, tiny_train_config(model_kind=kind),
                   schema=result.schema)
+
+    @pytest.mark.parametrize("call", ["build_srg", "select_key_features", "evaluate"])
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_non_binary_label_rejected_by_every_label_reader(self, tiny_data,
+                                                             call, label):
+        # train's rule and message, wherever labels are read from examples.
+        result, graph = tiny_data
+        rows = _with_bad_labels(result.train, label)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
+        run = {"build_srg": lambda: build_srg(rows, result.schema, 0.05, buckets=4),
+               "select_key_features": lambda: select_key_features(rows, result.schema),
+               "evaluate": lambda: evaluate(params, graph, rows)}[call]
+        with pytest.raises(ValueError, match=_bad_label_message(rows, label)):
+            run()
 
     def test_numeric_zero_one_labels_accepted(self, tiny_data):
         result, graph = tiny_data
@@ -459,7 +486,6 @@ class TestEvaluate:
     def test_pooled_not_averaged(self, tiny_data):
         """Overall AUC pools examples; it is not the mean of per-scene AUCs."""
         result, graph = tiny_data
-        from swan.model import init_params
         params = init_params("swan", result.schema, graph.scene_ids,
                              tiny_model_config(), seed=0)
         # Construct a two-scene set with per-scene AUCs 1.0 and 0.5 but a
@@ -498,7 +524,6 @@ class TestEvaluate:
 
     def test_small_scenes_pool_into_other(self, tiny_data):
         result, graph = tiny_data
-        from swan.model import init_params
         params = init_params("swan", result.schema, graph.scene_ids,
                              tiny_model_config(), seed=1)
         report = evaluate(params, graph,
@@ -506,6 +531,20 @@ class TestEvaluate:
                           min_scene_examples=10 ** 6)
         assert set(report.per_scene) == {"other"}
         assert "pooled_small_scenes" in report.warnings
+
+    @pytest.mark.parametrize("score", ["predict", "predict_scores", "evaluate"])
+    def test_full_model_without_graph_rejected(self, tiny_data, score):
+        # Scored without its graph, every scene of a full model would have
+        # no neighbours.
+        result, graph = tiny_data
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
+        run = {"predict": lambda: predict(params, None, result.test[0]),
+               "predict_scores": lambda: predict_scores(params, None, result.test),
+               "evaluate": lambda: evaluate(params, None, result.test)}[score]
+        with pytest.raises(ValueError,
+                           match="^the full model needs a scene relation graph$"):
+            run()
 
     def test_cold_start_auc_present_for_cold_scenes(self, tiny_data):
         result, graph = tiny_data
