@@ -4,11 +4,13 @@ and compare cold-start ranking quality.
 
 Writes every artifact (dataset files, schema, graph, models, reports)
 into a work directory, exercising the same CLI surface documented in the
-README.
+README, and prints each artifact's sha256 in `sha256sum`'s format, so
+two runs (say of two commits) compare with one diff of their outputs.
 
 Usage: python scripts/run_pipeline.py [workdir]
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -21,6 +23,10 @@ from swan.head import LossWeights
 from swan.metrics import EvalReport
 from swan.model import ModelConfig
 from swan.training import TrainConfig
+
+ARTIFACTS = ("gen.json", "train_swan.json", "train_dnn.json", "train.jsonl",
+             "test.jsonl", "truth.json", "schema.json", "graph.json", "swan.bin",
+             "report_swan.json", "dnn.bin", "report_dnn.json")
 
 
 def main() -> None:
@@ -74,6 +80,8 @@ def main() -> None:
     print(f"\ncold-start AUC: scene-adaptive {swan_cold:.4f} "
           f"vs baseline {dnn_cold:.4f} (lift {swan_cold - dnn_cold:+.4f})")
     print(f"artifacts in {work}/")
+    for name in ARTIFACTS:
+        print(f"{hashlib.sha256((work / name).read_bytes()).hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

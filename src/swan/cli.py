@@ -14,8 +14,8 @@ import argparse
 import sys
 
 from .datagen import GenConfig, generate
-from .features import (ConfigError, FeatureSchema, fit_numeric_boundaries,
-                       load_dataset, write_dataset, write_json)
+from .features import (ConfigError, FeatureSchema, load_dataset, write_dataset,
+                       write_json)
 from .metrics import EvalReport, evaluate
 from .serialize import load_model, save_model
 from .srg import build_srg, load_graph, save_graph
@@ -36,12 +36,20 @@ def _cmd_datagen(args) -> int:
     return 0
 
 
+def _fitted_schema(path: str) -> FeatureSchema:
+    """The schema in `path`; ConfigError naming its first numeric feature
+    without bucket boundaries."""
+    schema = FeatureSchema.load(path)
+    unfitted = [f.name for f in schema if f.kind == "numeric" and f.boundaries is None]
+    if unfitted:
+        raise ConfigError(f"{path}: numeric feature {unfitted[0]!r} has no fitted "
+                          "boundaries; swan datagen --out-schema writes a fitted schema")
+    return schema
+
+
 def _cmd_srg_build(args) -> int:
-    schema = FeatureSchema.load(args.schema)
+    schema = _fitted_schema(args.schema)
     examples = load_dataset(args.data, schema)
-    needs_fit = any(f.kind == "numeric" and f.boundaries is None for f in schema)
-    if needs_fit:
-        schema = fit_numeric_boundaries(examples, schema, buckets=args.buckets)
     graph = build_srg(examples, schema, cc_threshold=args.cc_threshold,
                       buckets=args.buckets)
     save_graph(graph, args.out)
@@ -52,10 +60,7 @@ def _cmd_srg_build(args) -> int:
 
 def _cmd_train(args) -> int:
     config = TrainConfig.load(args.config)
-    schema = FeatureSchema.load(args.schema)
-    if any(f.kind == "numeric" and f.boundaries is None for f in schema):
-        raise ConfigError("schema has unfitted numeric features; "
-                          "run srg build or datagen first")
+    schema = _fitted_schema(args.schema)
     dataset = load_dataset(args.train, schema)
     graph = load_graph(args.graph) if args.graph else None
     result = train(dataset, graph, config)
@@ -79,7 +84,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = TrainConfig.load(args.config)
-    schema = FeatureSchema.load(args.schema)
+    schema = _fitted_schema(args.schema)
     train_set = load_dataset(args.train, schema)
     test_set = load_dataset(args.test, schema)
     graph = load_graph(args.graph) if args.graph else None

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import (Config, Dataset, Example, Feature, FeatureSchema,
-                       fit_numeric_boundaries, read_json, write_json)
+                       fit_numeric_boundaries, write_json)
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,8 @@ class GroundTruth:
             "scene_archetypes": dict(self.scene_archetypes),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroundTruth":
-        return cls(scene_archetypes=dict(obj["scene_archetypes"]),
-                   archetype_user_weights=obj["archetype_user_weights"],
-                   quality_weights=obj["quality_weights"],
-                   item_means=obj["item_means"], item_sigmas=obj["item_sigmas"],
-                   bias=float(obj["bias"]))
-
     def save(self, path: str) -> None:
         write_json(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "GroundTruth":
-        return read_json(path, cls.from_json, "truth")
 
 
 @dataclass

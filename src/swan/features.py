@@ -499,9 +499,10 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
 
     Malformed lines raise ParseError naming file, line and column, and so
     does a numeric value that is not a finite number (JSON's NaN and
-    Infinity included) or is a boolean; unknown feature names raise
-    SchemaError. Out-of-vocabulary categorical values, booleans included,
-    are kept (they encode to the reserved index later) and counted.
+    Infinity included) or is a boolean; an unknown or missing feature
+    raises SchemaError naming file and line. Out-of-vocabulary categorical
+    values, booleans included, are kept (they encode to the reserved
+    index later) and counted.
     """
     known_user = {f.name for f in schema if f.group == "user"}
     known_item = {f.name for f in schema if f.group != "user"}
@@ -545,7 +546,10 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
             ex = Example(user=dict(obj["user"]), item=dict(obj["item"]),
                          scene_id=str(obj["scene_id"]), label=int(label))
             for feat in schema:
-                value = _feature_value(ex, feat)
+                try:
+                    value = _feature_value(ex, feat)
+                except SchemaError as e:
+                    raise SchemaError(f"{path}:{lineno}: {e}") from None
                 if feat.kind == "numeric":
                     try:
                         feat.number(value)
@@ -650,14 +654,6 @@ class EmbeddingSet:
             else:
                 raise ConfigError(f"no embedding rows for feature {feat.name!r}")
         return out
-
-    def scene_indices(self, scene_ids: Sequence[str]) -> np.ndarray:
-        """Vocabulary indices of known scene ids, in order; ConfigError
-        naming the first unknown one."""
-        unknown = [sid for sid in scene_ids if sid not in self.scene_vocab]
-        if unknown:
-            raise ConfigError(f"no scene rows for scene {unknown[0]!r}")
-        return np.array([self.scene_vocab[sid] for sid in scene_ids], dtype=np.int64)
 
     def scene_rows(self, scenes: np.ndarray) -> np.ndarray:
         """Row indices into `table` of an array of scene vocabulary indices,

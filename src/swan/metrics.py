@@ -165,7 +165,7 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
         if len(rows) and y.min() != y.max():
             per_scene["other"] = auc(y, scores[rows])
 
-    known = params.known_scenes
+    known = params.embeddings.scene_vocab
     cold = [g for g, sid in enumerate(scene_ids) if sid not in known]
     cold_rows = np.flatnonzero(np.isin(codes, cold))
     auc_cold = None

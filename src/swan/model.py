@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -94,10 +93,6 @@ class ModelParams:
         self.embeddings = embeddings
         self.mlps = mlps
         self.seed = seed
-
-    @property
-    def known_scenes(self) -> set[str]:
-        return set(self.embeddings.scene_vocab)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """`emb`, then `cfr` if the model has one, then each MLP's
@@ -189,7 +184,6 @@ class SwanForward:
     yhat: Tensor                    # [B, 1]
     w: Tensor                       # [B, N_a] selector gates, ones when ablated
     aeg_outputs: Tensor             # [B, N_a * d_expert], expert i in block i
-    e_in: Tensor
 
 
 def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
@@ -202,21 +196,30 @@ def stable_scene_rng(seed: int, scene_id: str) -> np.random.Generator:
     return np.random.default_rng((seed, zlib.crc32(scene_id.encode("utf-8"))))
 
 
-def check_graph_scenes(graph: SceneRelationGraph, known_scenes,
+def check_graph_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
                        source: str) -> None:
-    """ValueError naming the graph's scenes that are not in `known_scenes`.
+    """ValueError unless the graph holds exactly `scene_ids`, the model's
+    scene ids in sorted order, so that graph row i is scene vocabulary
+    index i; the message names the scenes only one side has.
 
-    Every graph scene can be retrieved as a neighbour, and a neighbour
-    needs the model's scene embedding and cross-scene tables. `source`
-    starts the message (the file or the call being checked).
+    A retrieved neighbour is a graph row, and the model reads its scene
+    embedding and cross-scene rows at that index. `source` starts the
+    message (the file or the call being checked).
     """
-    unknown = sorted(set(graph.scene_ids) - set(known_scenes))
-    if unknown:
-        shown = ", ".join(repr(s) for s in unknown[:5])
-        if len(unknown) > 5:
-            shown += f" and {len(unknown) - 5} more"
-        raise ValueError(f"{source}: the graph has {len(unknown)} scene(s) "
-                         f"the model does not know: {shown}")
+    if graph.scene_ids == scene_ids:
+        return
+    faults = []
+    for ids, fault in (
+            (set(graph.scene_ids) - set(scene_ids),
+             "the graph has {} scene(s) the model does not know"),
+            (set(scene_ids) - set(graph.scene_ids),
+             "{} scene(s) of the model missing from the graph")):
+        if ids:
+            shown = ", ".join(map(repr, sorted(ids)[:5]))
+            more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
+            faults.append(f"{fault.format(len(ids))}: {shown}{more}")
+    raise ValueError(f"{source}: {'; '.join(faults)}; build the graph from "
+                     "the model's training data")
 
 
 def resolve_neighbors(graph: SceneRelationGraph, scene_id: str,
@@ -285,7 +288,7 @@ def swan_forward(params: ModelParams, batch: PreparedBatch) -> SwanForward:
     aeg_outputs = aeg_forward(e_in, w, aeg)
     seg_outputs = seg_forward(e_in, seg)
     yhat = decide(e_in, seg_outputs, aeg_outputs, w, gate, final)
-    return SwanForward(yhat=yhat, w=w, aeg_outputs=aeg_outputs, e_in=e_in)
+    return SwanForward(yhat=yhat, w=w, aeg_outputs=aeg_outputs)
 
 
 def dnn_forward(params: ModelParams, batch: PreparedBatch) -> Tensor:
@@ -317,11 +320,13 @@ def predict(params, graph: SceneRelationGraph | None, example: Example) -> float
 def scene_neighbors(params, graph: SceneRelationGraph | None,
                     idx: dict[str, np.ndarray], scene_ids: Sequence[str],
                     groups: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each scene's similar scenes, as scene vocabulary indices.
+    """Each scene's similar scenes, as graph rows, which are scene
+    vocabulary indices: the graph must hold exactly the model's scenes
+    (`check_graph_scenes`).
 
     `groups[g]` holds the rows of `scene_ids[g]` in the code columns
-    `idx`. For the full model with a graph, a graph scene's categories are
-    its matrix row and the other scenes' are computed in one pass from
+    `idx`. For the full model with a graph, a known scene's categories are
+    its matrix row and the cold scenes' are computed in one pass from
     their rows' codes; one `_neighbor_rows` call ranks them all. The DNN
     baseline's scenes have none, and the full model without a graph is a
     ValueError.
@@ -330,14 +335,15 @@ def scene_neighbors(params, graph: SceneRelationGraph | None,
         return [np.zeros(0, dtype=np.int64)] * len(scene_ids)
     if graph is None:
         raise ValueError("the full model needs a scene relation graph")
-    ids = graph.scene_ids
-    at = [bisect_left(ids, sid) for sid in scene_ids]
-    cold = [g for g, (i, sid) in enumerate(zip(at, scene_ids)) if ids[i:i + 1] != [sid]]
-    targets = graph.categories[[min(i, len(ids) - 1) for i in at]]
+    emb = params.embeddings
+    check_graph_scenes(graph, list(emb.scene_vocab), "predict_scores")
+    n_known = len(emb.scene_vocab)
+    at = [emb.scene_index(sid) for sid in scene_ids]  # n_known when cold
+    cold = [g for g, i in enumerate(at) if i == n_known]
+    targets = graph.categories[[min(i, n_known - 1) for i in at]]
     if cold:
         targets[cold] = scene_categories(graph, idx, [groups[g] for g in cold])
-    return [params.embeddings.scene_indices([ids[i] for i in rows.tolist()])
-            for rows in _neighbor_rows(graph, scene_ids, targets, params)]
+    return _neighbor_rows(graph, scene_ids, targets, params)
 
 
 def scene_batches(params, graph: SceneRelationGraph | None,

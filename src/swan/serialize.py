@@ -74,8 +74,9 @@ def _check_header(path: str, header) -> None:
 def load_model(path: str) -> tuple[ModelParams, SceneRelationGraph | None]:
     """Rebuild params (freshly initialized, then overwritten) and the graph.
 
-    Every defect of the file, a malformed header or a non-finite
-    parameter value included, raises a ValueError naming the file.
+    Every defect of the file, a malformed header, a non-finite parameter
+    value and a graph that does not hold exactly the header's scene ids
+    (`check_graph_scenes`) included, raises a ValueError naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -132,5 +133,5 @@ def load_model(path: str) -> tuple[ModelParams, SceneRelationGraph | None]:
         tensor.data = buf.reshape(shape).astype(np.float64)
         offset += size
     if graph is not None:
-        check_graph_scenes(graph, params.known_scenes, path)
+        check_graph_scenes(graph, list(params.embeddings.scene_vocab), path)
     return params, graph

@@ -147,10 +147,10 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     non-finite. The feature schema normally travels with the dataset
     (load_dataset and the generator attach it); pass it explicitly for
     hand-built example lists. Every label must be 0 or 1 (not a
-    boolean), and the full model's graph must hold only scenes of the
-    dataset and every scene of the dataset; each check raises a
-    ValueError naming the first bad row or the scenes at fault before any
-    parameter is initialised.
+    boolean), and the full model's graph must hold exactly the dataset's
+    scenes (`check_graph_scenes`); each check raises a ValueError naming
+    the first bad row or the scenes at fault before any parameter is
+    initialised.
     """
     if len(dataset) == 0:
         raise ValueError("train needs a non-empty dataset")
@@ -162,11 +162,6 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     schema = _require_schema(dataset, schema)
     if config.model_kind == "swan":
         check_graph_scenes(graph, scene_ids, "train")
-        missing = sorted(set(scene_ids) - set(graph.scene_ids))
-        if missing:
-            raise ValueError(
-                f"training scene(s) {', '.join(map(repr, missing))} missing from "
-                "the graph; build the graph from the same training data")
     params = init_params(config.model_kind, schema, scene_ids, config.model,
                          config.seed)
 

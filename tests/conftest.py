@@ -54,6 +54,12 @@ def encoded(examples, schema, embeddings):
     return idx, vocab[codes]
 
 
+def vocab_indices(embeddings, scene_ids):
+    """The scene vocabulary indices of known scene ids, in order, as the
+    rows of a batch's neighbour matrix hold them."""
+    return np.array([embeddings.scene_vocab[sid] for sid in scene_ids], dtype=np.int64)
+
+
 @pytest.fixture(scope="session")
 def tiny_data():
     result = generate(tiny_gen_config())

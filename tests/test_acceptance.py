@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import encoded
+from conftest import encoded, vocab_indices
 from swan import autodiff as ad
 from swan.autodiff import Tensor, backward
 from swan.aem import dics
@@ -152,7 +152,7 @@ class TestCriterion1:
         ids = resolve_neighbors(graph, sid, graph.profiles[sid], params)
         batch = PreparedBatch(
             feature_idx=idx, scene_idx=scene_idx, labels=labels,
-            neighbors=np.tile(params.embeddings.scene_indices(ids),
+            neighbors=np.tile(vocab_indices(params.embeddings, ids),
                               (len(examples), 1)))
         weights = LossWeights(alpha=1.0, beta=1e-3, gamma=1e-3)
 

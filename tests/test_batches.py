@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded, tiny_gen_config, tiny_model_config
+from conftest import encoded, tiny_gen_config, tiny_model_config, vocab_indices
 from swan import autodiff as ad
 from swan import model as swan_model
 from swan.datagen import generate
@@ -39,7 +39,7 @@ def _batches(params, graph, data, labels, batch_size, **kwargs):
 
 def _neighbours(params, ids, n_rows):
     """A scene's neighbour ids as the [n_rows, I] matrix a batch carries."""
-    return np.tile(params.embeddings.scene_indices(ids), (n_rows, 1))
+    return np.tile(vocab_indices(params.embeddings, ids), (n_rows, 1))
 
 
 def _old_scene_batches(dataset, schema, params, graph, batch_size):
@@ -320,8 +320,8 @@ class TestCrossSceneScoring:
                 profile = graph.profiles.get(sid) or profile_new_scene(
                     graph, sid, [ex for ex in data if ex.scene_id == sid],
                     params.schema)
-                np.testing.assert_array_equal(nbrs, params.embeddings.scene_indices(
-                    resolve_neighbors(graph, sid, profile, params)))
+                np.testing.assert_array_equal(nbrs, vocab_indices(
+                    params.embeddings, resolve_neighbors(graph, sid, profile, params)))
 
     def test_chunks_share_one_neighbour_count(self, tiny_data):
         result, graph = tiny_data

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import vocab_indices
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
 from swan.cfr import assemble_input, cfr_forward
@@ -26,7 +27,7 @@ def _block(table, tables, sid, f):
 def _nbrs(tables, ids, rows=1):
     """Scene ids shared by `rows` rows, as the [rows, I] vocabulary-index
     matrix cfr_forward takes."""
-    return np.tile(tables.scene_indices(ids), (rows, 1))
+    return np.tile(vocab_indices(tables, ids), (rows, 1))
 
 
 def _expected_emb(tables, sid, idx):
@@ -67,8 +68,6 @@ class TestCfrForward:
         rng = np.random.default_rng(3)
         tables = _tables(rng, ["a"])
         idx = {"sf0": np.array([0]), "sf1": np.array([0])}
-        with pytest.raises(ConfigError, match="ghost"):
-            tables.scene_indices(["ghost"])
         # The row every unknown scene shares has no cross-scene rows.
         ghost = np.array([[tables.scene_index("ghost")]])
         with pytest.raises(ConfigError, match="scene index 1"):

@@ -218,17 +218,24 @@ def test_wrongly_typed_gen_config_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "train.jsonl").exists()
 
 
-@pytest.mark.parametrize("case", ["null", "non-object entry", "string boundaries"])
+@pytest.mark.parametrize("case", ["null", "non-object entry", "string boundaries",
+                                  "unfitted"])
 @pytest.mark.parametrize("command", ["srg build", "train", "sweep"])
 def test_malformed_schema_is_one_line_error(workspace, tmp_path, capsys, case, command):
+    # No subcommand fits bucket boundaries; datagen writes a fitted schema.
     schema = json.loads((workspace / "schema.json").read_text())
     numeric = next(e for e in schema if e["kind"] == "numeric")
     needle = {"null": "a schema must be a list", "non-object entry": "5 is not an object",
-              "string boundaries": f"numeric feature {numeric['name']!r}"}[case]
+              "string boundaries": f"numeric feature {numeric['name']!r}",
+              "unfitted": f"numeric feature {numeric['name']!r} has no fitted "
+                          "boundaries; swan datagen --out-schema writes a fitted schema"
+              }[case]
     if case == "null":
         schema = None
     elif case == "non-object entry":
         schema.append(5)
+    elif case == "unfitted":
+        del numeric["boundaries"]
     else:
         numeric["boundaries"] = "ab"
     bad_schema = tmp_path / "schema.json"

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_gen_config
-from swan.datagen import (GenConfig, GroundTruth, choose_k, generate, kmeans,
-                          silhouette)
+from swan.datagen import GenConfig, choose_k, generate, kmeans, silhouette
 from swan.features import (ConfigError, Feature, encode_columns, load_dataset,
                            write_dataset)
 
@@ -131,8 +130,7 @@ class TestGenerate:
         result = generate(small_config())
         path = tmp_path / "truth.json"
         result.truth.save(path)
-        again = GroundTruth.load(path)
-        assert again.to_json() == result.truth.to_json()
+        assert json.loads(path.read_text()) == result.truth.to_json()
 
     def test_default_json_pinned(self):
         assert GenConfig().to_json() == {

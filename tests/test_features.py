@@ -197,8 +197,9 @@ class TestDatasetIO:
         path = tmp_path / "data.jsonl"
         ex = _example()
         del ex.item["brand"]
-        write_dataset([ex], path)
-        with pytest.raises(SchemaError, match="brand"):
+        write_dataset([_example(), ex], path)
+        with pytest.raises(SchemaError, match=r"data\.jsonl:2: example is missing "
+                                              r"feature 'brand'"):
             load_dataset(path, schema)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import encoded, tiny_model_config
+from conftest import encoded, tiny_model_config, vocab_indices
 from swan import autodiff as ad
 from swan.aem import expert_selector
 from swan.autodiff import Tensor
@@ -44,7 +44,7 @@ def _batch(params, graph, examples, labels=True):
     return PreparedBatch(
         feature_idx=idx, scene_idx=scene_idx,
         labels=np.array([float(ex.label) for ex in examples]) if labels else None,
-        neighbors=np.tile(params.embeddings.scene_indices(ids), (len(examples), 1)))
+        neighbors=np.tile(vocab_indices(params.embeddings, ids), (len(examples), 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,25 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import encoded, tiny_gen_config, tiny_model_config
+from conftest import (encoded, tiny_gen_config, tiny_model_config,
+                      tiny_train_config, vocab_indices)
 from swan import autodiff as ad
+from swan import model as swan_model
 from swan.aem import expert_selector
 from swan.cfr import assemble_input, cfr_forward
 from swan.datagen import generate
 from swan.features import ConfigError, embed_indices
 from swan.head import decide
+from swan.metrics import evaluate
 from swan.model import (ComponentFlags, ModelConfig, PreparedBatch,
                         init_params,
                         predict, predict_scores, resolve_neighbors,
                         swan_forward)
 from swan.nn import glorot_uniform
 from swan.san import san_forward
+from swan.serialize import load_model, save_model
 from swan.srg import build_srg, profile_new_scene, similar_scenes
+from swan.training import train
 
 
 def _batch(params, graph, examples):
@@ -31,7 +36,7 @@ def _batch(params, graph, examples):
     idx, scene_idx = encoded(examples, params.schema, params.embeddings)
     ids = resolve_neighbors(graph, sid, profile, params)
     return PreparedBatch(feature_idx=idx, scene_idx=scene_idx, labels=None,
-                         neighbors=np.tile(params.embeddings.scene_indices(ids),
+                         neighbors=np.tile(vocab_indices(params.embeddings, ids),
                                            (len(examples), 1)))
 
 
@@ -186,7 +191,7 @@ class TestComposedPipeline:
             min_weight=config.min_weight)[0]]
         emb = params.embeddings
         idx, scene_idx = encoded([ex], params.schema, emb)
-        neighbors = emb.scene_indices(neighbor_ids)[None, :]  # one row
+        neighbors = vocab_indices(emb, neighbor_ids)[None, :]  # one row
         with ad.no_grad():
             bundle = embed_indices(idx, scene_idx, emb, params.schema)
             e_target = bundle.e_target
@@ -226,7 +231,7 @@ class TestAblationWiring:
         out = swan_forward(params, batch)
         np.testing.assert_array_equal(out.w.data, 1.0)
 
-    def test_cfr_off_zeroes_cross_scene_block(self, tiny_data):
+    def test_cfr_off_zeroes_cross_scene_block(self, tiny_data, monkeypatch):
         result, graph = tiny_data
         base = tiny_model_config()
         config_on = base
@@ -237,11 +242,61 @@ class TestAblationWiring:
         b_on = _batch(on, graph, [ex])
         b_off = _batch(off, graph, [ex])
         d = base.embed_dim
-        e_in_on = swan_forward(on, b_on).e_in.data
-        e_in_off = swan_forward(off, b_off).e_in.data
+        inputs = []
+
+        def recorded(*args):
+            out = assemble_input(*args)
+            inputs.append(out.data)
+            return out
+        monkeypatch.setattr(swan_model, "assemble_input", recorded)
+        swan_forward(on, b_on)
+        swan_forward(off, b_off)
+        e_in_on, e_in_off = inputs
         # Identical up to the last block, where CFR is zeroed out.
         np.testing.assert_array_equal(e_in_on[:, :-d], e_in_off[:, :-d])
         assert not np.array_equal(e_in_on[:, -d:], e_in_off[:, -d:])
+
+
+def _mismatched_graph(graph, case):
+    """The graph without its first scene ("fewer"), or with one more scene
+    after the others whose categories no scene shares, so that it is never
+    retrieved ("extra"); and the scene only one side has."""
+    if case == "fewer":
+        return replace(graph, scene_ids=graph.scene_ids[1:],
+                       categories=graph.categories[1:]), graph.scene_ids[0]
+    ghost = graph.scene_ids[-1] + "_ghost"
+    row = np.full((1, len(graph.layout)), 10 ** 6)
+    return replace(graph, scene_ids=[*graph.scene_ids, ghost],
+                   categories=np.concatenate([graph.categories, row])), ghost
+
+
+class TestGraphPairing:
+    """The full model's graph holds exactly the model's scenes, so graph
+    row i is scene vocabulary index i; every place where a model meets its
+    graph refuses another one, naming the scene only one side has."""
+
+    @pytest.mark.parametrize("case", ["fewer", "extra"])
+    @pytest.mark.parametrize("entry", ["train", "load_model", "predict_scores",
+                                       "evaluate"])
+    def test_graph_without_exactly_the_models_scenes_is_refused(
+            self, tiny_data, tmp_path, entry, case):
+        result, graph = tiny_data
+        bad, sid = _mismatched_graph(graph, case)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
+        phrase = ("missing from the graph" if case == "fewer"
+                  else "the model does not know")
+        with pytest.raises(ValueError, match=phrase) as err:
+            if entry == "train":
+                train(result.train, bad, tiny_train_config(epochs=1))
+            elif entry == "load_model":
+                save_model(params, tmp_path / "model.bin", graph=bad)
+                load_model(tmp_path / "model.bin")
+            elif entry == "predict_scores":
+                predict_scores(params, bad, result.test)
+            else:
+                evaluate(params, bad, result.test)
+        assert repr(sid) in str(err.value)
 
 
 class TestConfigJson:
