@@ -201,9 +201,7 @@ class Feature:
         """Number of distinct encoded indices, including the OOV row."""
         if self.kind == "categorical":
             return self.vocab + 1
-        if self.boundaries is None:
-            raise SchemaError(f"numeric feature {self.name!r} has no fitted boundaries")
-        return len(self.boundaries) + 1
+        return len(self._edges) + 1
 
     @property
     def oov_index(self) -> int:
@@ -222,9 +220,7 @@ class Feature:
             if code != value or not 0 <= code < self.vocab:
                 return self.oov_index
             return code
-        if self.boundaries is None:
-            raise SchemaError(f"numeric feature {self.name!r} has no fitted boundaries")
-        return bisect_right(self.boundaries, self.number(value))
+        return bisect_right(self._edges, self.number(value))
 
     def number(self, value) -> float:
         """A raw numeric value as a float; SchemaError unless finite and not a bool."""
@@ -247,10 +243,11 @@ class Feature:
         return x
 
     @cached_property
-    def _edges(self) -> np.ndarray | None:
-        """The fitted boundaries as a float64 array, None when not fitted."""
+    def _edges(self) -> np.ndarray:
+        """The fitted boundaries as a float64 array; the one SchemaError for
+        a numeric feature without them."""
         if self.boundaries is None:
-            return None
+            raise SchemaError(f"numeric feature {self.name!r} has no fitted boundaries")
         return np.array(self.boundaries, dtype=np.float64)
 
     def to_json(self) -> dict:
@@ -346,8 +343,11 @@ def is_click_label(label) -> bool:
 
 
 def click_labels(examples: Sequence[Example]) -> np.ndarray:
-    """The examples' labels as a float64 array; ValueError naming the
-    first example whose label is not a click label (`is_click_label`)."""
+    """The examples' labels as a float64 array; ValueError for an empty
+    list, the one empty-list rule of every call that reads labels, or
+    naming the first example whose label is not a click label."""
+    if len(examples) == 0:
+        raise ValueError("no examples: this call needs a non-empty dataset")
     labels = [ex.label for ex in examples]
     # Plain int labels of 0 and 1 pass in two C-level passes; anything else
     # goes through the per-row rule, which names the first bad row.
@@ -362,10 +362,10 @@ def click_labels(examples: Sequence[Example]) -> np.ndarray:
 class Dataset(list):
     """A list of Examples that remembers its schema and the OOV count from load."""
 
-    def __init__(self, examples: Iterable[Example] = (), oov_count: int = 0,
+    def __init__(self, examples: Iterable[Example] = (),
                  schema: "FeatureSchema | None" = None):
         super().__init__(examples)
-        self.oov_count = oov_count
+        self.oov_count = 0
         self.schema = schema
 
 
@@ -386,8 +386,8 @@ def encode_columns(examples: Sequence[Example],
     finite (numeric with fitted boundaries). Any other column (booleans,
     other types, a missing value, ints past int64 or past the float
     range, NaN or ±inf) goes through `Feature.encode` value by value in
-    row order, so the codes and the first error raised are those of
-    `Feature.encode` either way.
+    row order (`_per_value`), so the codes and the first error raised are
+    those of `Feature.encode` either way, the error naming its row.
     """
     sources: dict[str, list[dict]] = {}
     out = {}
@@ -395,10 +395,18 @@ def encode_columns(examples: Sequence[Example],
         values = _column_values(examples, f, sources)
         codes = None if values is None else _column_codes(f, values)
         if codes is None:
-            codes = np.fromiter((f.encode(_feature_value(ex, f)) for ex in examples),
-                                dtype=np.int64, count=len(examples))
+            codes = np.array(list(_per_value(examples, f, f.encode)), dtype=np.int64)
         out[f.name] = codes
     return out
+
+
+def _per_value(examples: Sequence[Example], feat: Feature, convert) -> Iterable:
+    """`convert` of each example's `feat` value; a SchemaError names its row."""
+    for i, ex in enumerate(examples):
+        try:
+            yield convert(_feature_value(ex, feat))
+        except SchemaError as e:
+            raise SchemaError(f"example {i} (scene {ex.scene_id!r}): {e}") from None
 
 
 def _column_values(examples: Sequence[Example], feat: Feature,
@@ -445,10 +453,11 @@ def _column_codes(feat: Feature, values: list) -> np.ndarray | None:
         except OverflowError:
             return None
         return codes
-    x = None if feat._edges is None else _float_column(values)
+    edges = feat._edges  # an unfitted feature fails here, naming no row
+    x = _float_column(values)
     if x is None:
         return None
-    return np.searchsorted(feat._edges, x, side="right").astype(np.int64, copy=False)
+    return np.searchsorted(edges, x, side="right").astype(np.int64, copy=False)
 
 
 def scene_codes(examples: Sequence[Example]) -> tuple[list[str], np.ndarray]:
@@ -485,7 +494,7 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
         column = _column_values(examples, feat, sources)
         values = None if column is None else _float_column(column)
         if values is None:
-            values = np.array([feat.number(_feature_value(ex, feat)) for ex in examples])
+            values = np.array(list(_per_value(examples, feat, feat.number)))
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         qs = np.quantile(values, np.arange(1, buckets) / buckets)

@@ -32,9 +32,8 @@ def finite_difference(loss_fn: Callable[[], float], tensor: Tensor,
     return grad
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
-                  floor: float = 1e-6) -> float:
-    """Largest elementwise |a - n| / max(|a|, |n|, floor)."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest elementwise |a - n| / max(|a|, |n|, 1e-6)."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float((np.abs(analytic - numeric) / denom).max())
 

@@ -134,13 +134,12 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
     Overall and cold-start AUC pool examples (they are not per-scene
     averages). Scenes smaller than `min_scene_examples` pool into an
     "other" bucket; single-class scenes are excluded from the per-scene
-    table and recorded in the warnings. Every label must be 0 or 1 (not a
-    boolean); `features.click_labels` names the first row that is not.
+    table and recorded in the warnings. The list must not be empty and
+    every label must be 0 or 1 (not a boolean); `features.click_labels`
+    names the first row that is not.
     """
     from .model import predict_scores
 
-    if len(dataset) == 0:
-        raise ValueError("evaluate needs a non-empty test dataset")
     labels = click_labels(dataset)
     scores = predict_scores(params, graph, dataset)
 

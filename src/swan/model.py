@@ -336,7 +336,7 @@ def scene_neighbors(params, graph: SceneRelationGraph | None,
     if graph is None:
         raise ValueError("the full model needs a scene relation graph")
     emb = params.embeddings
-    check_graph_scenes(graph, list(emb.scene_vocab), "predict_scores")
+    check_graph_scenes(graph, list(emb.scene_vocab), "neighbor retrieval")
     n_known = len(emb.scene_vocab)
     at = [emb.scene_index(sid) for sid in scene_ids]  # n_known when cold
     cold = [g for g, i in enumerate(at) if i == n_known]

@@ -22,12 +22,6 @@ class Linear:
         self.w = w
         self.b = b
 
-    @classmethod
-    def create(cls, rng: np.random.Generator, in_dim: int, out_dim: int) -> "Linear":
-        w = Tensor(glorot_uniform(rng, in_dim, out_dim), requires_grad=True)
-        b = Tensor(np.zeros(out_dim), requires_grad=True)
-        return cls(w, b)
-
 
 class MLP:
     """Stack of Linear layers with ReLU between them and a linear output.
@@ -44,25 +38,19 @@ class MLP:
         self.n = n
 
     @classmethod
-    def create(cls, rng: np.random.Generator, in_dim: int,
-               hidden: Sequence[int], out_dim: int) -> "MLP":
-        dims = [in_dim, *hidden, out_dim]
-        return cls([Linear.create(rng, a, b) for a, b in zip(dims[:-1], dims[1:])])
-
-    @classmethod
     def stacked(cls, rng: np.random.Generator, n: int, in_dim: int,
                 hidden: Sequence[int], out_dim: int) -> "MLP":
-        """n MLPs drawn one after another from `rng`, then stacked."""
+        """n MLPs drawn one after another from `rng`, each a glorot weight
+        per layer in layer order (zero biases draw nothing), then stacked."""
         if n < 1:
             raise ValueError("a stack needs at least one MLP")
-        mlps = [cls.create(rng, in_dim, hidden, out_dim) for _ in range(n)]
+        pairs = list(zip([in_dim, *hidden], [*hidden, out_dim]))
+        drawn = [[glorot_uniform(rng, a, b) for a, b in pairs] for _ in range(n)]
         layers = []
-        for i, group in enumerate(zip(*(m.layers for m in mlps))):
-            axis = 1 if i == 0 else 0
-            w = np.concatenate([layer.w.data for layer in group], axis=axis)
-            b = np.concatenate([layer.b.data for layer in group])
+        for i, (_, b) in enumerate(pairs):
+            w = np.concatenate([ws[i] for ws in drawn], axis=1 if i == 0 else 0)
             layers.append(Linear(Tensor(w, requires_grad=True),
-                                 Tensor(b, requires_grad=True)))
+                                 Tensor(np.zeros(n * b), requires_grad=True)))
         return cls(layers, n)
 
     @staticmethod

@@ -57,10 +57,8 @@ def _key_features(codes: dict[str, np.ndarray], labels: np.ndarray,
                   cc_threshold: float) -> list[str]:
     """select_key_features over the item columns of encoded rows whose
     click labels are `labels`."""
-    if len(labels) == 0:
-        raise ValueError("select_key_features needs a non-empty dataset")
     if len(labels) < 2:
-        raise ValueError("select_key_features needs at least 2 examples")
+        raise ValueError("key-feature selection needs at least 2 examples")
     scored = []
     for name, col in codes.items():
         r = pearson(col, labels)

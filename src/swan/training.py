@@ -146,28 +146,32 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     Aborts with the offending batch index if the loss ever goes
     non-finite. The feature schema normally travels with the dataset
     (load_dataset and the generator attach it); pass it explicitly for
-    hand-built example lists. Every label must be 0 or 1 (not a
-    boolean), and the full model's graph must hold exactly the dataset's
-    scenes (`check_graph_scenes`); each check raises a ValueError naming
-    the first bad row or the scenes at fault before any parameter is
+    hand-built example lists. The list must not be empty, every label
+    must be 0 or 1 (not a boolean), every feature value must encode, and
+    the full model's graph must hold exactly the dataset's scenes
+    (`check_graph_scenes`); each check raises a ValueError naming the
+    first bad row or the scenes at fault before any parameter is
     initialised.
     """
-    if len(dataset) == 0:
-        raise ValueError("train needs a non-empty dataset")
     labels = click_labels(dataset)
     if config.model_kind == "swan" and graph is None:
         raise ValueError("the full model needs a scene relation graph")
-
-    scene_ids = sorted({ex.scene_id for ex in dataset})
-    schema = _require_schema(dataset, schema)
+    schema = schema or getattr(dataset, "schema", None)
+    if schema is None:
+        raise ValueError("no feature schema: pass schema= or use a dataset "
+                         "that carries one")
+    idx, scene_ids, codes = encode_batch(dataset, schema)
     if config.model_kind == "swan":
         check_graph_scenes(graph, scene_ids, "train")
     params = init_params(config.model_kind, schema, scene_ids, config.model,
                          config.seed)
 
+    # The permutation only orders the rows within each scene's batches.
     rng = np.random.default_rng(config.seed)
-    batches = _shuffled_batches(dataset, labels, schema, params, graph, rng,
-                                config.batch_size)
+    batches = [batch for _, batch in scene_batches(
+        params, graph, idx, scene_ids, codes, labels, config.batch_size,
+        order=rng.permutation(len(dataset)))]
+    del idx, codes  # each batch holds a copy of its rows' codes
     opt = Adam(params.parameters(), lr=config.lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
     flags = config.model.flags
@@ -197,31 +201,6 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
             del loss  # free this batch's graph before the next one is built
         epoch_losses.append(total / len(dataset))
     return TrainResult(params=params, epoch_losses=epoch_losses)
-
-
-def _shuffled_batches(dataset: Sequence[Example], labels: np.ndarray,
-                      schema: FeatureSchema, params,
-                      graph: SceneRelationGraph | None, rng: np.random.Generator,
-                      batch_size: int) -> list[PreparedBatch]:
-    """Per-scene batches of the dataset, each scene's rows in the order of
-    one permutation drawn from `rng`.
-
-    `labels` holds the dataset's labels as floats, in dataset order. Rows
-    are encoded in dataset order, and the permutation only orders the
-    rows within each scene's group.
-    """
-    idx, scene_ids, codes = encode_batch(dataset, schema)
-    return [batch for _, batch in scene_batches(
-        params, graph, idx, scene_ids, codes, labels, batch_size,
-        order=rng.permutation(len(dataset)))]
-
-
-def _require_schema(dataset, schema) -> FeatureSchema:
-    schema = schema or getattr(dataset, "schema", None)
-    if schema is None:
-        raise ValueError("no feature schema: pass schema= or use a dataset "
-                         "that carries one")
-    return schema
 
 
 def baseline_dnn(dataset: Sequence[Example], config: TrainConfig,

@@ -9,12 +9,21 @@ from swan import autodiff as ad
 from swan.aem import aeg_forward, dics, expert_selector, seg_forward
 from swan.autodiff import Tensor, backward
 from swan.gradcheck import finite_difference, max_rel_error
-from swan.nn import MLP, Linear
+from swan.nn import MLP, Linear, glorot_uniform
 
 
 def _zero_mlp(in_dim, out_dim):
     return MLP([Linear(Tensor(np.zeros((in_dim, out_dim)), requires_grad=True),
                        Tensor(np.zeros(out_dim), requires_grad=True))])
+
+
+def _create(rng, in_dim, hidden, out_dim):
+    """One MLP as the per-MLP builder that `MLP.stacked` replaced drew it:
+    a glorot weight per layer, in layer order, and zero biases."""
+    dims = [in_dim, *hidden, out_dim]
+    return MLP([Linear(Tensor(glorot_uniform(rng, a, b), requires_grad=True),
+                       Tensor(np.zeros(b), requires_grad=True))
+                for a, b in zip(dims[:-1], dims[1:])])
 
 
 def _linear_mlp(w, b):
@@ -82,7 +91,7 @@ class TestExpertSelector:
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
-        prob, thre = MLP.create(rng, 7, (6,), 2), MLP.create(rng, 3, (6,), 1)
+        prob, thre = MLP.stacked(rng, 1, 7, (6,), 2), MLP.stacked(rng, 1, 3, (6,), 1)
         out = expert_selector(Tensor(rng.normal(size=(9, 4))),
                               Tensor(rng.normal(size=(9, 3))), prob, thre, 1.0)
         for values in (out.p, out.t, out.w.data):
@@ -113,7 +122,7 @@ class TestExpertSelector:
         # The smooth gate must pass gradient into the probability MLP and
         # the threshold MLP alike.
         rng = np.random.default_rng(4)
-        prob, thre = MLP.create(rng, 7, (5,), 2), MLP.create(rng, 3, (5,), 1)
+        prob, thre = MLP.stacked(rng, 1, 7, (5,), 2), MLP.stacked(rng, 1, 3, (5,), 1)
         e_u = Tensor(rng.uniform(-1, 1, (3, 4)))
         vec = Tensor(rng.uniform(-1, 1, (3, 3)))
         w = rng.normal(size=(3, 2))
@@ -140,7 +149,7 @@ class TestExpertGroups:
 
     def test_identical_experts_identical_outputs(self):
         rng = np.random.default_rng(6)
-        e1 = MLP.create(rng, 6, (4,), 3)
+        e1 = MLP.stacked(rng, 1, 6, (4,), 3)
         w0, w1 = e1.layers[0].w.data, e1.layers[1].w.data
         b0, b1 = e1.layers[0].b.data, e1.layers[1].b.data
         twins = MLP([Linear(Tensor(np.concatenate([w0, w0], axis=1)),
@@ -180,12 +189,27 @@ class TestExpertGroups:
         out = seg_forward(Tensor(x), expert)
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
+    @pytest.mark.parametrize("in_dim, hidden, out_dim",
+                             [(6, (), 3), (7, (6,), 2), (3, (5, 4), 1), (1, (1, 1), 1)])
+    def test_stack_of_one_draws_what_one_mlp_drew(self, in_dim, hidden, out_dim):
+        # Bit for bit: every weight, every bias, and the generator's state after.
+        rng_ref, rng = np.random.default_rng(12), np.random.default_rng(12)
+        ref = _create(rng_ref, in_dim, hidden, out_dim)
+        got = MLP.stacked(rng, 1, in_dim, hidden, out_dim)
+        assert got.n == 1 and len(got.layers) == len(ref.layers)
+        for mine, theirs in zip(got.layers, ref.layers):
+            for a, b in ((mine.w, theirs.w), (mine.b, theirs.b)):
+                assert a.requires_grad
+                assert (a.data.dtype, a.data.shape) == (b.data.dtype, b.data.shape)
+                assert a.data.tobytes() == b.data.tobytes()
+        assert rng.random() == rng_ref.random()
+
     @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
     def test_stack_equals_experts_drawn_in_turn(self, hidden):
         # The stack holds the same initial values as n MLPs drawn one after
         # another from the same generator, and computes the same outputs.
         rng = np.random.default_rng(9)
-        experts = [MLP.create(rng, 6, hidden, 3) for _ in range(4)]
+        experts = [_create(rng, 6, hidden, 3) for _ in range(4)]
         stack = MLP.stacked(np.random.default_rng(9), 4, 6, hidden, 3)
         x = Tensor(np.random.default_rng(10).normal(size=(5, 6)))
         expected = np.concatenate([e(x).data for e in experts], axis=1)

@@ -18,7 +18,6 @@ from swan.model import (ComponentFlags, PreparedBatch, dnn_forward,
                         scene_batches, scene_neighbors, swan_forward)
 from swan.srg import (SceneProfile, build_srg, profile_new_scene,
                       scene_categories)
-from swan.training import _shuffled_batches
 
 
 def _group_by_scene(examples):
@@ -122,9 +121,8 @@ class TestSceneBatches:
         old = _old_scene_batches([result.train[i] for i in order],
                                  result.schema, params, graph, batch_size)
         labels = np.array([ex.label for ex in result.train], dtype=np.float64)
-        new = _shuffled_batches(result.train, labels, result.schema, params,
-                                graph, np.random.default_rng(batch_size),
-                                batch_size)
+        new = [batch for _, batch in _batches(params, graph, result.train, labels,
+                                              batch_size, order=order)]
         assert len(new) == len(old)
         for b, (sid, a) in zip(new, old):
             assert np.all(b.scene_idx == params.embeddings.scene_index(sid))

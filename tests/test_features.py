@@ -1,13 +1,14 @@
 """Tests for schema handling, dataset IO and embedding lookups."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded
+from conftest import encoded, tiny_model_config, tiny_train_config
 from swan import autodiff as ad
 from swan.autodiff import Tensor, backward
 from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
@@ -15,6 +16,10 @@ from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
                            embed_indices, encode_columns,
                            fit_numeric_boundaries, load_dataset, write_dataset,
                            write_json)
+from swan.metrics import evaluate
+from swan.model import init_params, predict_scores
+from swan.srg import build_srg
+from swan.training import train
 
 
 @pytest.fixture
@@ -257,17 +262,23 @@ _COLUMN = st.sampled_from([
                                    else values, max_size=12))
 
 
+def _row_value(i, ex, f, convert):
+    """`convert` of example i's value of `f`; a SchemaError names the row."""
+    source = ex.user if f.group == "user" else ex.item
+    try:
+        if f.name not in source:
+            raise SchemaError(f"example is missing feature {f.name!r}")
+        return convert(source[f.name])
+    except SchemaError as e:
+        raise SchemaError(f"example {i} (scene {ex.scene_id!r}): {e}") from None
+
+
 def _per_value(examples, features):
     """encode_columns' reference: Feature.encode per value, feature by
     feature, row by row."""
     out = {}
     for f in features:
-        codes = []
-        for ex in examples:
-            source = ex.user if f.group == "user" else ex.item
-            if f.name not in source:
-                raise SchemaError(f"example is missing feature {f.name!r}")
-            codes.append(f.encode(source[f.name]))
+        codes = [_row_value(i, ex, f, f.encode) for i, ex in enumerate(examples)]
         out[f.name] = np.array(codes, dtype=np.int64)
     return out
 
@@ -367,13 +378,8 @@ def _fit_per_value(examples, schema, buckets):
         if feat.kind != "numeric" or feat.boundaries is not None:
             fitted.append(feat)
             continue
-        values = []
-        for ex in examples:
-            source = ex.user if feat.group == "user" else ex.item
-            if feat.name not in source:
-                raise SchemaError(f"example is missing feature {feat.name!r}")
-            values.append(feat.number(source[feat.name]))
-        values = np.array(values)
+        values = np.array([_row_value(i, ex, feat, feat.number)
+                           for i, ex in enumerate(examples)])
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         qs = np.quantile(values, np.arange(1, buckets) / buckets)
@@ -422,6 +428,51 @@ class TestFitNumericBoundaries:
         fitted = fit_numeric_boundaries(examples, schema, buckets=4)
         assert fitted["x"].boundaries == (0.0, 3.0, 7.25)
         assert fitted["y"].boundaries == (1.0, 2.0, 3.0)
+
+
+class TestRowNamedErrors:
+    """A bad value in a list of examples is named by its row and scene, as a
+    bad label is, whichever call encodes the list."""
+
+    @pytest.mark.parametrize("value, cause", [
+        (float("nan"), "numeric feature 'item_f0': non-finite value nan"),
+        (True, "numeric feature 'item_f0': boolean value True"),
+        (None, "example is missing feature 'item_f0'")])
+    @pytest.mark.parametrize("call", ["train", "evaluate", "predict_scores",
+                                      "build_srg"])
+    def test_bad_value_names_its_row(self, tiny_data, call, value, cause):
+        result, graph = tiny_data
+        rows = list(result.train if call in ("train", "build_srg") else result.test)
+        at = len(rows) // 2
+        item = {k: v for k, v in rows[at].item.items() if k != "item_f0"}
+        if value is not None:
+            item["item_f0"] = value
+        rows[at] = Example(user=rows[at].user, item=item,
+                           scene_id=rows[at].scene_id, label=rows[at].label)
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
+        with pytest.raises(SchemaError) as err:
+            if call == "train":
+                train(rows, graph, tiny_train_config(epochs=1), schema=result.schema)
+            elif call == "evaluate":
+                evaluate(params, graph, rows)
+            elif call == "predict_scores":
+                predict_scores(params, graph, rows)
+            else:
+                build_srg(rows, result.schema, buckets=4)
+        assert str(err.value) == f"example {at} (scene {rows[at].scene_id!r}): {cause}"
+
+    @pytest.mark.parametrize("call", ["train", "build_srg"])
+    def test_unfitted_feature_names_no_row(self, tiny_data, call):
+        result, graph = tiny_data
+        unfitted = FeatureSchema([replace(f, boundaries=None) if f.kind == "numeric"
+                                  else f for f in result.schema])
+        with pytest.raises(SchemaError) as err:
+            if call == "train":
+                train(result.train, graph, tiny_train_config(epochs=1), schema=unfitted)
+            else:
+                build_srg(result.train, unfitted, buckets=4)
+        assert str(err.value) == "numeric feature 'item_f0' has no fitted boundaries"
 
 
 _FUZZ_SCHEMA = FeatureSchema([

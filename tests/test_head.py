@@ -22,8 +22,8 @@ def _stack(parts, requires_grad=False):
 
 def _head(rng, d_in, n_seg, n_aeg, d_expert):
     """`decide`'s gate and read-out MLPs."""
-    return (MLP.create(rng, d_in, (), n_seg + n_aeg),
-            MLP.create(rng, d_expert, (4,), 1))
+    return (MLP.stacked(rng, 1, d_in, (), n_seg + n_aeg),
+            MLP.stacked(rng, 1, d_expert, (4,), 1))
 
 
 class TestDecide:

@@ -277,7 +277,7 @@ class TestGraphPairing:
 
     @pytest.mark.parametrize("case", ["fewer", "extra"])
     @pytest.mark.parametrize("entry", ["train", "load_model", "predict_scores",
-                                       "evaluate"])
+                                       "evaluate", "predict"])
     def test_graph_without_exactly_the_models_scenes_is_refused(
             self, tiny_data, tmp_path, entry, case):
         result, graph = tiny_data
@@ -294,9 +294,14 @@ class TestGraphPairing:
                 load_model(tmp_path / "model.bin")
             elif entry == "predict_scores":
                 predict_scores(params, bad, result.test)
-            else:
+            elif entry == "evaluate":
                 evaluate(params, bad, result.test)
+            else:
+                predict(params, bad, result.test[0])
         assert repr(sid) in str(err.value)
+        if entry != "predict_scores":
+            # The message names no call the caller did not make.
+            assert "predict_scores" not in str(err.value)
 
 
 class TestConfigJson:

@@ -18,7 +18,7 @@ def _mlp_from_arrays(*layers):
 
 
 def _random_mlp(rng, in_dim, hidden, out_dim=1):
-    return MLP.create(rng, in_dim, hidden, out_dim)
+    return MLP.stacked(rng, 1, in_dim, hidden, out_dim)
 
 
 def _per_row(sims, rows):
