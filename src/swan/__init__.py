@@ -1,6 +1,6 @@
 """Scene-wise adaptive network for cold-start multi-scene CTR prediction."""
 
-from .aem import SelectorOutput, aeg_forward, dics, expert_selector, seg_forward
+from .aem import aeg_forward, dics, expert_selector, seg_forward
 from .autodiff import DimensionError, Tensor, backward, no_grad
 from .cfr import assemble_input, cfr_forward
 from .datagen import GenConfig, GroundTruth, choose_k, generate, kmeans, silhouette

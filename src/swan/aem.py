@@ -13,9 +13,6 @@ return [B, N*d_expert], expert i in column block i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -37,24 +34,17 @@ def dics(p: float, t: float, tau: float) -> float:
     return ez / (1.0 + ez)
 
 
-@dataclass
-class SelectorOutput:
-    p: np.ndarray  # [B, N_a] selection probabilities
-    t: np.ndarray  # [B, 1] shared threshold
-    w: Tensor      # [B, N_a] gate values
-
-
 def expert_selector(e_user: Tensor, vec_san: Tensor, prob_mlp: MLP,
-                    thre_mlp: MLP, tau: float) -> SelectorOutput:
-    """Per-expert probabilities, the shared threshold and the smooth gates.
+                    thre_mlp: MLP, tau: float) -> Tensor:
+    """The [B, N_a] smooth gates of the per-expert probabilities against
+    the shared threshold.
 
     `prob_mlp` maps e_user (+) vec_san to N_a logits and `thre_mlp` maps
     vec_san to one; `autodiff.dics_gate`, the tensor form of `dics`, turns
     the two into the gates in one op.
     """
-    w, p, t = ad.dics_gate(prob_mlp(ad.concat([e_user, vec_san])),
-                           thre_mlp(vec_san), tau)
-    return SelectorOutput(p=p, t=t, w=w)
+    return ad.dics_gate(prob_mlp(ad.concat([e_user, vec_san])),
+                        thre_mlp(vec_san), tau)
 
 
 def aeg_forward(e_in: Tensor, w: Tensor, experts: MLP) -> Tensor:

@@ -288,9 +288,8 @@ def pair_features(u: Tensor, t: Tensor, s: Tensor) -> Tensor:
     return _record(out, (u, t, s), backward_fn)
 
 
-def dics_gate(a: Tensor, c: Tensor, tau: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Smooth gates sigmoid((sigmoid(a) - sigmoid(c)) / tau), as a tensor,
-    with p = sigmoid(a) and t = sigmoid(c) as arrays.
+def dics_gate(a: Tensor, c: Tensor, tau: float) -> Tensor:
+    """Smooth gates sigmoid((p - t) / tau), p = sigmoid(a) and t = sigmoid(c).
 
     a is [B, K] logits of K selection probabilities and c the [B, 1] logit
     of each row's shared threshold. It is the chain `sigmoid(a)`,
@@ -314,7 +313,7 @@ def dics_gate(a: Tensor, c: Tensor, tau: float) -> tuple[Tensor, np.ndarray, np.
         if a.requires_grad:
             _accumulate(a, g_diff * p * (1.0 - p))
 
-    return _record(w, (a, c), backward_fn), p, t
+    return _record(w, (a, c), backward_fn)
 
 
 def abs_cos_pairs(v: Tensor, n: int) -> Tensor:
@@ -588,12 +587,11 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.
 # backward pass
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Backpropagate from a scalar loss.
+def backward(loss: Tensor) -> None:
+    """Backpropagate from a scalar loss into every reachable tensor's `grad`.
 
-    Returns a map from every reachable grad-requiring leaf tensor to its
-    gradient. Gradients accumulate additively; running backward twice on
-    the same tensor without rebuilding the graph is an error.
+    Gradients accumulate additively; running backward twice on the same
+    tensor without rebuilding the graph is an error.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -618,6 +616,4 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     for node in nodes:
         if node._backward_fn is not None and node._grad is not None:
             node._backward_fn(node._grad)
-
-    return {t: t.grad for t in nodes if t.requires_grad and not t._parents}
 

@@ -187,7 +187,7 @@ class Feature:
                                   f"{self.vocab!r} is not an integer")
         elif self.boundaries is not None:
             if not (isinstance(self.boundaries, (list, tuple))
-                    and all(isinstance(b, numbers.Real) for b in self.boundaries)):
+                    and all(_has_type(b, float) for b in self.boundaries)):
                 raise SchemaError(f"numeric feature {self.name!r}: bucket boundaries "
                                   f"{self.boundaries!r} are not a list of numbers")
             edges = tuple(float(b) for b in self.boundaries)
@@ -480,11 +480,18 @@ def group_rows(codes: np.ndarray, n_groups: int,
     return [rows[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
-                           buckets: int = 10) -> FeatureSchema:
-    """Fit equal-frequency bucket boundaries for numeric features lacking them."""
+def quantile_edges(values: np.ndarray, buckets: int) -> tuple[float, ...]:
+    """Equal-frequency bucket edges of one column: its distinct
+    i / buckets quantiles, for i = 1 .. buckets - 1."""
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
+    return tuple(np.unique(np.quantile(values, np.arange(1, buckets) / buckets)))
+
+
+def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
+                           buckets: int = 10) -> FeatureSchema:
+    """Fit equal-frequency bucket boundaries (`quantile_edges`) for numeric
+    features lacking them."""
     sources: dict[str, list[dict]] = {}
     fitted = []
     for feat in schema:
@@ -497,9 +504,8 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
             values = np.array(list(_per_value(examples, feat, feat.number)))
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
-        qs = np.quantile(values, np.arange(1, buckets) / buckets)
-        edges = tuple(np.unique(qs))
-        fitted.append(Feature(feat.name, feat.kind, feat.group, boundaries=edges))
+        fitted.append(Feature(feat.name, feat.kind, feat.group,
+                              boundaries=quantile_edges(values, buckets)))
     return FeatureSchema(fitted)
 
 
@@ -507,11 +513,11 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
     """Load a JSON-lines dataset, validating every record against the schema.
 
     Malformed lines raise ParseError naming file, line and column, and so
-    does a numeric value that is not a finite number (JSON's NaN and
-    Infinity included) or is a boolean; an unknown or missing feature
-    raises SchemaError naming file and line. Out-of-vocabulary categorical
-    values, booleans included, are kept (they encode to the reserved
-    index later) and counted.
+    do a scene_id that is not a string and a numeric value that is not a
+    finite number (JSON's NaN and Infinity included) or is a boolean; an
+    unknown or missing feature raises SchemaError naming file and line.
+    Out-of-vocabulary categorical values, booleans included, are kept
+    (they encode to the reserved index later) and counted.
     """
     known_user = {f.name for f in schema if f.group == "user"}
     known_item = {f.name for f in schema if f.group != "user"}
@@ -543,6 +549,9 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
                     raise ParseError(f"{path}:{lineno}: missing key {key!r}")
             if not isinstance(obj["user"], dict) or not isinstance(obj["item"], dict):
                 raise ParseError(f"{path}:{lineno}: 'user' and 'item' must be objects")
+            if not isinstance(obj["scene_id"], str):
+                raise ParseError(f"{path}:{lineno}: scene_id must be a string, "
+                                 f"got {obj['scene_id']!r}")
             label = obj["label"]
             if not is_click_label(label):
                 raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
@@ -553,7 +562,7 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
                 if name not in known_item:
                     raise SchemaError(f"{path}:{lineno}: unknown feature name {name!r}")
             ex = Example(user=dict(obj["user"]), item=dict(obj["item"]),
-                         scene_id=str(obj["scene_id"]), label=int(label))
+                         scene_id=obj["scene_id"], label=int(label))
             for feat in schema:
                 try:
                     value = _feature_value(ex, feat)

@@ -127,12 +127,15 @@ def improvement_ratios(report: "EvalReport", reference: "EvalReport",
     return gains, skipped
 
 
-def evaluate(params, graph, dataset, reference: EvalReport | None = None,
-             min_scene_examples: int = 30) -> EvalReport:
+MIN_SCENE_EXAMPLES = 30
+
+
+def evaluate(params, graph, dataset,
+             reference: EvalReport | None = None) -> EvalReport:
     """Score a labeled test set and summarize ranking quality.
 
     Overall and cold-start AUC pool examples (they are not per-scene
-    averages). Scenes smaller than `min_scene_examples` pool into an
+    averages). Scenes smaller than MIN_SCENE_EXAMPLES pool into an
     "other" bucket; single-class scenes are excluded from the per-scene
     table and recorded in the warnings. The list must not be empty and
     every label must be 0 or 1 (not a boolean); `features.click_labels`
@@ -150,7 +153,7 @@ def evaluate(params, graph, dataset, reference: EvalReport | None = None,
     pooled_small: dict[str, np.ndarray] = {}
     for sid, rows in zip(scene_ids, group_rows(codes, len(scene_ids))):
         y = labels[rows]
-        if len(rows) < min_scene_examples:
+        if len(rows) < MIN_SCENE_EXAMPLES:
             pooled_small[sid] = rows
             continue
         if y.min() == y.max():

@@ -196,16 +196,18 @@ def stable_scene_rng(seed: int, scene_id: str) -> np.random.Generator:
     return np.random.default_rng((seed, zlib.crc32(scene_id.encode("utf-8"))))
 
 
-def check_graph_scenes(graph: SceneRelationGraph, scene_ids: Sequence[str],
-                       source: str) -> None:
-    """ValueError unless the graph holds exactly `scene_ids`, the model's
-    scene ids in sorted order, so that graph row i is scene vocabulary
-    index i; the message names the scenes only one side has.
+def check_graph_scenes(graph: SceneRelationGraph | None,
+                       scene_ids: Sequence[str], source: str) -> None:
+    """ValueError unless there is a graph and it holds exactly `scene_ids`,
+    the model's scene ids in sorted order, so that graph row i is scene
+    vocabulary index i; the message names the scenes only one side has.
 
     A retrieved neighbour is a graph row, and the model reads its scene
     embedding and cross-scene rows at that index. `source` starts the
     message (the file or the call being checked).
     """
+    if graph is None:
+        raise ValueError("the full model needs a scene relation graph")
     if graph.scene_ids == scene_ids:
         return
     faults = []
@@ -281,7 +283,7 @@ def swan_forward(params: ModelParams, batch: PreparedBatch) -> SwanForward:
                           e_cfr)
 
     if cfg.flags.aem:
-        w = expert_selector(bundle.e_user, vec_san, prob, thre, cfg.tau).w
+        w = expert_selector(bundle.e_user, vec_san, prob, thre, cfg.tau)
     else:
         w = Tensor(np.ones((n_rows, cfg.n_aeg)))
 
@@ -333,8 +335,6 @@ def scene_neighbors(params, graph: SceneRelationGraph | None,
     """
     if params.kind != "swan":
         return [np.zeros(0, dtype=np.int64)] * len(scene_ids)
-    if graph is None:
-        raise ValueError("the full model needs a scene relation graph")
     emb = params.embeddings
     check_graph_scenes(graph, list(emb.scene_vocab), "neighbor retrieval")
     n_known = len(emb.scene_vocab)

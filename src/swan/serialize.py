@@ -51,7 +51,8 @@ _HEADER_FIELDS = {"kind": str, "seed": int, "config": dict, "schema": list,
 
 
 def _check_header(path: str, header) -> None:
-    """ValueError naming the file unless the header has every field, well typed."""
+    """ValueError naming the file unless the header has every field, well
+    typed, and a non-negative seed."""
     if not isinstance(header, dict):
         raise ValueError(f"{path}: model header is not a JSON object")
     missing = sorted(set(_HEADER_FIELDS) - set(header))
@@ -59,9 +60,12 @@ def _check_header(path: str, header) -> None:
         raise ValueError(f"{path}: model header lacks {missing}")
     for key, kind in _HEADER_FIELDS.items():
         value = header[key]
-        if not isinstance(value, kind) and not (key == "graph" and value is None):
+        # JSON values have exact types, so a bool is no integer here.
+        if type(value) is not kind and not (key == "graph" and value is None):
             raise ValueError(f"{path}: model header field {key!r} is not a JSON "
                              f"{'integer' if kind is int else kind.__name__}")
+    if header["seed"] < 0:
+        raise ValueError(f"{path}: model header field 'seed' is negative")
     if not all(isinstance(s, str) for s in header["scene_ids"]):
         raise ValueError(f"{path}: model header has a scene id that is not a string")
     for meta in header["params"]:
@@ -117,11 +121,8 @@ def load_model(path: str) -> tuple[ModelParams, SceneRelationGraph | None]:
         if shape != tuple(meta["shape"]):
             raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{shape} != {tuple(meta['shape'])}")
-    try:
-        params = init_params(header["kind"], schema, header["scene_ids"], config,
-                             seed=header["seed"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: bad model header: {exc!r}") from None
+    params = init_params(header["kind"], schema, header["scene_ids"], config,
+                         seed=header["seed"])
 
     offset = 0
     for (name, tensor), meta in zip(params.named_parameters(), manifest):

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .features import (Example, FeatureSchema, SchemaError, click_labels,
-                       encode_columns, group_rows, read_json, scene_codes,
-                       sorted_finite, write_json)
+                       encode_columns, group_rows, quantile_edges, read_json,
+                       scene_codes, sorted_finite, write_json)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -110,12 +110,9 @@ def aggregates(codes: dict[str, np.ndarray], groups: Sequence) -> np.ndarray:
 
 def bucket_boundaries(raw: np.ndarray, buckets: int) -> list[tuple[float, ...]]:
     """Equal-frequency bucket edges of each aggregate column, over all scenes."""
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
     if len(raw) == 0:
         raise ValueError("bucket_boundaries needs at least one scene")
-    qs = np.arange(1, buckets) / buckets
-    return [tuple(np.unique(np.quantile(np.sort(col), qs))) for col in raw.T]
+    return [quantile_edges(col, buckets) for col in raw.T]
 
 
 def pad_edges(boundaries: Sequence[Sequence[float]]) -> np.ndarray:

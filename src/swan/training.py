@@ -148,14 +148,12 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
     (load_dataset and the generator attach it); pass it explicitly for
     hand-built example lists. The list must not be empty, every label
     must be 0 or 1 (not a boolean), every feature value must encode, and
-    the full model's graph must hold exactly the dataset's scenes
+    the full model needs a graph that holds exactly the dataset's scenes
     (`check_graph_scenes`); each check raises a ValueError naming the
     first bad row or the scenes at fault before any parameter is
     initialised.
     """
     labels = click_labels(dataset)
-    if config.model_kind == "swan" and graph is None:
-        raise ValueError("the full model needs a scene relation graph")
     schema = schema or getattr(dataset, "schema", None)
     if schema is None:
         raise ValueError("no feature schema: pass schema= or use a dataset "
@@ -233,10 +231,8 @@ def _config_with(config: TrainConfig, param: str, value: float) -> TrainConfig:
 SATURATION_MARGIN = 0.05
 
 
-def gate_saturation(gates: np.ndarray | None) -> float | None:
+def gate_saturation(gates: np.ndarray) -> float:
     """Fraction of selector gates within SATURATION_MARGIN of 0 or 1."""
-    if gates is None:
-        return None
     near = (gates <= SATURATION_MARGIN) | (gates >= 1.0 - SATURATION_MARGIN)
     return float(near.mean())
 

@@ -22,8 +22,7 @@ def test_signatures_pinned():
         "baseline_dnn": ["dataset", "config", "schema"],
         "run_sweep": ["param", "values", "train_set", "test_set", "schema",
                       "graph", "config"],
-        "evaluate": ["params", "graph", "dataset", "reference",
-                     "min_scene_examples"],
+        "evaluate": ["params", "graph", "dataset", "reference"],
         "predict_scores": ["params", "graph", "dataset", "collect_gates"],
         "init_params": ["kind", "schema", "scene_ids", "config", "seed"],
         "MLP.stacked": ["rng", "n", "in_dim", "hidden", "out_dim"],

@@ -84,6 +84,13 @@ class TestSchema:
             FeatureSchema.from_json([{"name": "x", "kind": "categorical",
                                       "group": "scene", "vocab": vocab}])
 
+    @pytest.mark.parametrize("boundaries", [[False, True], [0.5, True]])
+    def test_non_number_boundaries_rejected(self, boundaries):
+        """A boolean edge is no number, as a boolean value is none."""
+        with pytest.raises(SchemaError, match="'x'.*are not a list of numbers"):
+            FeatureSchema.from_json([{"name": "x", "kind": "numeric",
+                                      "group": "item", "boundaries": boundaries}])
+
     @pytest.mark.parametrize("vocab", [None, 0, -2, False])
     def test_missing_vocab_rejected(self, vocab):
         with pytest.raises(SchemaError, match="'x' needs a vocabulary size"):
@@ -182,6 +189,19 @@ class TestDatasetIO:
                    "scene_id": "s9", "label": 2}
             fh.write(json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match=":2:"):
+            load_dataset(path, schema)
+
+    @pytest.mark.parametrize("scene_id", [None, True, 5, 5.0, [1, 2], {"a": 1}])
+    def test_non_string_scene_id_names_line(self, tmp_path, schema, scene_id):
+        """Before, any scene_id was made a string: null became scene "None",
+        and 5 and 5.0 became two scenes."""
+        path = tmp_path / "data.jsonl"
+        write_dataset([_example()], path)
+        rec = json.loads(path.read_text().splitlines()[0])
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**rec, "scene_id": scene_id}) + "\n")
+        with pytest.raises(ParseError, match=r"data.jsonl:2: scene_id must be a "
+                                             r"string, got "):
             load_dataset(path, schema)
 
     def test_malformed_json_names_position(self, tmp_path, schema):

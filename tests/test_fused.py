@@ -137,7 +137,7 @@ def _reference(params, batch):
     if cfg.flags.aem:
         with ad.no_grad():
             w = expert_selector(Tensor(e_user), Tensor(vec), params.mlps["selector.prob"],
-                                params.mlps["selector.thre"], cfg.tau).w.data
+                                params.mlps["selector.thre"], cfg.tau).data
     else:
         w = np.ones((rows, cfg.n_aeg))
     aeg = [_mlp(e_in, layers) for layers in _experts(params.mlps["aeg"])]

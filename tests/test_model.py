@@ -201,11 +201,12 @@ class TestComposedPipeline:
             e_cfr = cfr_forward(san_out.weights, idx, emb, neighbors)
             e_in = assemble_input(bundle.e_other, bundle.e_user, san_out.vec,
                                   e_target, e_cfr)
-            sel = expert_selector(bundle.e_user, san_out.vec, params.mlps["selector.prob"],
-                                  params.mlps["selector.thre"], config.tau)
+            gates = expert_selector(bundle.e_user, san_out.vec,
+                                    params.mlps["selector.prob"],
+                                    params.mlps["selector.thre"], config.tau)
             aeg_outs = params.mlps["aeg"](e_in)
             seg_outs = params.mlps["seg"](e_in)
-            yhat = decide(e_in, seg_outs, aeg_outs, sel.w, params.mlps["gate"],
+            yhat = decide(e_in, seg_outs, aeg_outs, gates, params.mlps["gate"],
                           params.mlps["final"])
         assert got == pytest.approx(float(yhat.data[0, 0]), abs=1e-10)
 

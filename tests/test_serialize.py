@@ -175,6 +175,19 @@ class TestMalformedFile:
         with pytest.raises(ValueError, match="model.bin: "):
             load_model(path)
 
+    @pytest.mark.parametrize("seed", [-1, True, False])
+    def test_bad_seed_names_field(self, tmp_path, tiny_data, seed):
+        """Before, -1 failed in the random generator and `true` loaded and
+        was saved back as `true`."""
+        path, data, end = _dnn_file(tmp_path, tiny_data)
+        header = json.loads(data[16:end])
+        header["seed"] = seed
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack(">Q", len(blob)) + blob + data[end:])
+        with pytest.raises(ValueError, match="^.*model.bin: model header field "
+                                             "'seed' is (negative|not a JSON integer)$"):
+            load_model(path)
+
     def test_non_string_feature_name_names_file(self, tmp_path, tiny_data):
         result, graph = tiny_data
         out = train(result.train, graph, tiny_train_config(epochs=1))

@@ -5,13 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_gen_config, tiny_model_config, tiny_train_config
 from swan.datagen import generate
-from swan.features import (Example, Feature, FeatureSchema, SchemaError, group_rows,
-                           scene_codes)
+from swan.features import (Example, Feature, FeatureSchema, SchemaError,
+                           fit_numeric_boundaries, group_rows, scene_codes)
 from swan.srg import (AGGREGATES, SceneProfile, SceneRelationGraph, aggregates,
                       bucket_boundaries, build_srg, categorize,
                       graph_from_json, graph_to_json, load_graph, pad_edges,
@@ -241,6 +241,26 @@ class TestCategorize:
     def test_bad_bucket_count(self):
         with pytest.raises(ValueError):
             bucket_boundaries(np.array([[1.0]]), buckets=0)
+
+    @given(st.lists(st.floats(-1e6, 1e6) | st.integers(-30, 30).map(float),
+                    min_size=1, max_size=40), st.integers(1, 12))
+    @example([4.2] * 5, 10)
+    @example([3.0, -1.0, 7.5], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_edges_are_those_of_numeric_features(self, column, buckets):
+        """One equal-frequency rule: a graph slot's edges are the edges
+        fit_numeric_boundaries gives a numeric feature of the same values,
+        bit for bit, and those of the sorted column."""
+        (edges,) = bucket_boundaries(np.array(column)[:, None], buckets)
+        fitted = fit_numeric_boundaries(
+            [Example(user={}, item={"v": v}, scene_id="s", label=0) for v in column],
+            FeatureSchema([Feature("v", "numeric", "item")]), buckets)
+        sorted_edges = np.unique(np.quantile(np.sort(column),
+                                             np.arange(1, buckets) / buckets))
+        assert (np.array(edges).tobytes() == np.array(fitted["v"].boundaries).tobytes()
+                == sorted_edges.tobytes())
+        if buckets == 1 or len(set(column)) == 1:
+            assert len(edges) == (buckets > 1)
 
 
 def _profile(sid, cats, names=None):

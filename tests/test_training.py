@@ -15,7 +15,7 @@ from swan.head import LossWeights
 from swan.metrics import evaluate
 from swan.model import (ComponentFlags, ModelConfig, init_params, predict,
                         predict_scores)
-from swan import training
+from swan import metrics, training
 from swan.srg import build_srg, select_key_features
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
                            run_sweep, train)
@@ -136,6 +136,17 @@ class TestTrain:
             assert repr(sid) in str(err.value)
         for sid in partial_graph.profiles:
             assert repr(sid) not in str(err.value)
+
+    def test_full_model_without_graph_rejected_before_init(self, tiny_data,
+                                                           monkeypatch):
+        result, _ = tiny_data
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("parameters initialised before the check")
+        monkeypatch.setattr(training, "init_params", no_init)
+        with pytest.raises(ValueError,
+                           match="^the full model needs a scene relation graph$"):
+            train(result.train, None, tiny_train_config())
 
     def test_scene_missing_from_graph_rejected_before_init(self, tiny_data,
                                                            monkeypatch):
@@ -516,19 +527,18 @@ class TestEvaluate:
         config = tiny_train_config(epochs=1)
         out = train(result.train, graph, config)
         test = Dataset(result.test, schema=result.schema)
-        base = evaluate(out.params, graph, test, min_scene_examples=20)
-        again = evaluate(out.params, graph, test, reference=base,
-                         min_scene_examples=20)
+        base = evaluate(out.params, graph, test)
+        again = evaluate(out.params, graph, test, reference=base)
         assert again.gini_improvement == 0.0
         assert again.gini_defined is False
 
-    def test_small_scenes_pool_into_other(self, tiny_data):
+    def test_small_scenes_pool_into_other(self, tiny_data, monkeypatch):
         result, graph = tiny_data
         params = init_params("swan", result.schema, graph.scene_ids,
                              tiny_model_config(), seed=1)
+        monkeypatch.setattr(metrics, "MIN_SCENE_EXAMPLES", 10 ** 6)
         report = evaluate(params, graph,
-                          Dataset(result.test, schema=result.schema),
-                          min_scene_examples=10 ** 6)
+                          Dataset(result.test, schema=result.schema))
         assert set(report.per_scene) == {"other"}
         assert "pooled_small_scenes" in report.warnings
 
@@ -596,4 +606,4 @@ class TestSweep:
 def test_gate_saturation_fraction():
     gates = np.array([[0.01, 0.99], [0.5, 0.96], [0.02, 0.5]])
     assert gate_saturation(gates) == pytest.approx(4 / 6)
-    assert gate_saturation(None) is None
+    assert gate_saturation(np.full((2, 3), 0.5)) == 0.0
