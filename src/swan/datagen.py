@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import (Config, Dataset, Example, Feature, FeatureSchema,
+from .features import (Config, Dataset, Feature, FeatureSchema,
                        fit_numeric_boundaries, write_json)
 
 
@@ -194,31 +194,6 @@ def generate(config: GenConfig) -> GenResult:
     z_train = np.concatenate([z for _, _, _, z in train_raw])
     bias = -float(np.quantile(z_train, 1.0 - pre_flip_rate))
 
-    user_names = [f"user_f{j}" for j in range(cfg.user_features)]
-    item_names = ([f"item_f{j}" for j in range(cfg.item_features)]
-                  + [f"scene_f{j}" for j in range(cfg.scene_attr_features)])
-
-    def to_examples(raw) -> list[Example]:
-        # Rows are built from each scene's `tolist()` columns, so every value
-        # is a plain Python int or float and encodes in one numpy pass.
-        out = []
-        for sid, u_idx, i_idx, z in raw:
-            scene = scenes[sid]
-            labels = (z + bias > 0.0).astype(np.int64)
-            flips = rng.random(len(labels)) < eps
-            labels[flips] = 1 - labels[flips]
-            attrs = scene["attrs"].tolist()
-            for user, item, label in zip(user_values[u_idx].tolist(),
-                                         scene["items"][i_idx].tolist(),
-                                         labels.tolist()):
-                out.append(Example(user=dict(zip(user_names, user)),
-                                   item=dict(zip(item_names, item + attrs)),
-                                   scene_id=sid, label=label))
-        return out
-
-    train_examples = to_examples(train_raw)
-    test_examples = to_examples(test_raw)
-
     schema = FeatureSchema(
         [Feature(f"user_f{j}", "categorical", "user", vocab=cfg.user_vocab)
          for j in range(cfg.user_features)]
@@ -226,7 +201,35 @@ def generate(config: GenConfig) -> GenResult:
            for j in range(cfg.item_features)]
         + [Feature(f"scene_f{j}", "categorical", "scene", vocab=A)
            for j in range(cfg.scene_attr_features)])
-    schema = fit_numeric_boundaries(train_examples, schema, buckets=10)
+
+    def to_columns(raw) -> tuple:
+        # `Dataset.from_columns`' columns, scene ids, scene codes and labels,
+        # straight from the drawn arrays: one column per schema feature, the
+        # user values, then the item values, then the scene attributes.
+        users, items, attrs, labels = [], [], [], []
+        for sid, u_idx, i_idx, z in raw:
+            scene = scenes[sid]
+            label = (z + bias > 0.0).astype(np.int64)
+            flips = rng.random(len(label)) < eps
+            label[flips] = 1 - label[flips]
+            users.append(user_values[u_idx])
+            items.append(scene["items"][i_idx])
+            attrs.append(np.broadcast_to(scene["attrs"],
+                                         (len(label), cfg.scene_attr_features)))
+            labels.append(label)
+        columns = [col for part in (users, items, attrs)
+                   for col in np.concatenate(part).T.copy()]
+        ids = sorted(sid for sid, _, _, _ in raw)
+        rank = {sid: i for i, sid in enumerate(ids)}
+        codes = np.repeat([rank[sid] for sid, _, _, _ in raw],
+                          [len(z) for _, _, _, z in raw])
+        return (dict(zip([f.name for f in schema], columns)), ids, codes,
+                np.concatenate(labels))
+
+    train_columns = to_columns(train_raw)
+    test_columns = to_columns(test_raw)
+    schema = fit_numeric_boundaries(Dataset.from_columns(schema, *train_columns),
+                                    schema, buckets=10)
 
     truth = GroundTruth(
         scene_archetypes={sid: int(a) for sid, a in archetypes.items()},
@@ -235,8 +238,8 @@ def generate(config: GenConfig) -> GenResult:
         item_means=item_means.tolist(),
         item_sigmas=item_sigmas.tolist(),
         bias=bias)
-    return GenResult(train=Dataset(train_examples, schema=schema),
-                     test=Dataset(test_examples, schema=schema),
+    return GenResult(train=Dataset.from_columns(schema, *train_columns),
+                     test=Dataset.from_columns(schema, *test_columns),
                      truth=truth, schema=schema)
 
 

@@ -12,11 +12,14 @@ import json
 import logging
 import math
 import numbers
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence, get_origin, get_type_hints
+from typing import Iterable, get_origin, get_type_hints
 
 import numpy as np
 
@@ -348,32 +351,194 @@ def click_labels(examples: Sequence[Example]) -> np.ndarray:
     naming the first example whose label is not a click label."""
     if len(examples) == 0:
         raise ValueError("no examples: this call needs a non-empty dataset")
-    labels = [ex.label for ex in examples]
-    # Plain int labels of 0 and 1 pass in two C-level passes; anything else
-    # goes through the per-row rule, which names the first bad row.
-    if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
-        for i, label in enumerate(labels):
-            if not is_click_label(label):
-                raise ValueError(f"example {i} (scene {examples[i].scene_id!r}): "
-                                 f"label must be 0 or 1, got {label!r}")
+    labels = (examples._labels if isinstance(examples, Dataset)
+              else _raw_column([ex.label for ex in examples]))
+    # An int64 column of 0 and 1 passes in one numpy pass; anything else goes
+    # through the per-row rule, which names the first bad row.
+    if (isinstance(labels, np.ndarray) and labels.dtype == np.int64
+            and not np.count_nonzero(labels & ~1)):
+        return labels.astype(np.float64)
+    labels = _as_list(labels)
+    for i, label in enumerate(labels):
+        if not is_click_label(label):
+            raise ValueError(f"example {i} (scene {examples[i].scene_id!r}): "
+                             f"label must be 0 or 1, got {label!r}")
     return np.array(labels, dtype=np.float64)
 
 
-class Dataset(list):
-    """A list of Examples that remembers its schema and the OOV count from load."""
+def _side(feat: Feature) -> str:
+    """The Example dict that holds `feat`'s values: `user` or `item`."""
+    return "user" if feat.group == "user" else "item"
+
+
+def _as_list(values: list | np.ndarray) -> list:
+    """A raw column's values as plain Python values, in row order."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+class _Missing:
+    """The raw value of a feature an example lacks."""
+
+
+_MISSING = _Missing()
+
+
+# The dtype of a list whose values are all of one of these types.
+_CLEAN_DTYPES = {frozenset({float}): np.float64, frozenset({int}): np.int64}
+
+
+def _raw_column(values: list | np.ndarray) -> list | np.ndarray:
+    """A column as a Dataset keeps it: an array as it is; a list of Python
+    floats as one float64 array, and of Python ints within int64 as one
+    int64 array, which `tolist()` gives back as they were; any other list
+    as it is."""
+    dtype = (None if isinstance(values, np.ndarray)
+             else _CLEAN_DTYPES.get(frozenset(map(type, values))))
+    if dtype is None:
+        return values
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an int past int64
+        return values
+
+
+def _item(values: list | np.ndarray, i: int):
+    """Row i's value of a raw column, as `_as_list` gives it."""
+    return values.item(i) if isinstance(values, np.ndarray) else values[i]
+
+
+def _index_of(ids: list) -> tuple[list, np.ndarray]:
+    """The distinct ids of a list, sorted, and each entry's int64 index into
+    them."""
+    scenes = sorted(set(ids))
+    index = {sid: i for i, sid in enumerate(scenes)}
+    return scenes, np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
+                               count=len(ids))
+
+
+# Iteration reads the columns this many rows at a time, so that few of
+# their values are held as Python objects at once.
+ROW_CHUNK = 4096
+
+
+class Dataset(Sequence):
+    """Examples held as columns: an immutable sequence of Examples that
+    knows its schema and the OOV count from load.
+
+    It keeps one raw-value column per schema feature (an int64 or float64
+    array when every value is a Python int within int64 or every one a
+    Python float, else the values as given), the sorted distinct scene
+    ids with an int64 code per row into them, and the label column.
+    Encoding, boundary fitting, scene codes and labels read the columns.
+
+    `ds[i]` and iteration make each Example when it is asked for, with the
+    column's plain Python values: `user` holds the user features and
+    `item` the others, each in schema order. A returned Example is a fresh
+    copy, so changing it leaves the dataset as it was. A slice is a
+    Dataset with the same schema.
+
+    Built from examples, it needs their schema, and every example must
+    hold each schema feature in its group's dict and no other feature; a
+    SchemaError names the first row that does not.
+    """
 
     def __init__(self, examples: Iterable[Example] = (),
                  schema: "FeatureSchema | None" = None):
-        super().__init__(examples)
-        self.oov_count = 0
+        rows = list(examples)
+        if rows and schema is None:
+            raise ValueError("a Dataset of examples needs their feature schema")
+        sources: dict[str, list[dict]] = {}
+        columns = {}
+        for feat in schema or ():
+            values = _column_values(rows, feat, sources)
+            if isinstance(values, list) and _Missing in set(map(type, values)):
+                # The per-value rule's error names the first row lacking it.
+                list(_per_value(rows, feat, values, lambda value: value))
+            columns[feat.name] = values
+        for side in ("user", "item"):
+            names = {f.name for f in schema or () if _side(f) == side}
+            if side not in sources:
+                sources[side] = list(map(attrgetter(side), rows))
+            dicts = sources[side]
+            # Every row holds each of the names; a longer dict holds another.
+            longer = np.flatnonzero(np.fromiter(map(len, dicts), dtype=np.int64,
+                                                count=len(dicts)) > len(names))
+            if longer.size:
+                i = int(longer[0])
+                name = next(k for k in dicts[i] if k not in names)
+                raise SchemaError(f"example {i} (scene {rows[i].scene_id!r}): "
+                                  f"unknown feature name {name!r}")
+        self._fill(schema, columns, *scene_codes(rows), [ex.label for ex in rows])
+
+    @classmethod
+    def from_columns(cls, schema: "FeatureSchema", columns: dict, scene_ids: list,
+                     codes: np.ndarray, labels: list | np.ndarray) -> "Dataset":
+        """A Dataset of columns as they are: `columns` holds one raw-value
+        column per schema feature, in schema order, `codes` each row's index
+        into the sorted distinct `scene_ids`, and `labels` each row's label.
+        The arrays given become read-only."""
+        ds = cls.__new__(cls)
+        ds._fill(schema, columns, scene_ids, codes, labels)
+        return ds
+
+    def _fill(self, schema, columns: dict, scene_ids: list, codes: np.ndarray,
+              labels: list | np.ndarray) -> None:
+        names = [f.name for f in schema or ()]
+        if list(columns) != names:
+            raise ValueError(f"columns {list(columns)} are not the schema's {names}")
+        if any(len(col) != len(codes) for col in (*columns.values(), labels)):
+            raise ValueError("every column of a Dataset needs one value per row")
         self.schema = schema
+        self.oov_count = 0
+        self._columns = {name: _raw_column(col) for name, col in columns.items()}
+        self._scene_ids = scene_ids
+        self._codes = np.asarray(codes, dtype=np.int64)
+        self._labels = _raw_column(labels)
+        self._sides = [[f.name for f in schema or () if _side(f) == side]
+                       for side in ("user", "item")]
+        for col in (*self._columns.values(), self._codes, self._labels):
+            if isinstance(col, np.ndarray):
+                col.flags.writeable = False
 
+    def __len__(self) -> int:
+        return len(self._codes)
 
-def _feature_value(example: Example, feat: Feature):
-    source = example.user if feat.group == "user" else example.item
-    if feat.name not in source:
-        raise SchemaError(f"example is missing feature {feat.name!r}")
-    return source[feat.name]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            present, codes = np.unique(self._codes[index], return_inverse=True)
+            return Dataset.from_columns(
+                self.schema, {name: col[index] for name, col in self._columns.items()},
+                [self._scene_ids[j] for j in present.tolist()], codes,
+                self._labels[index])
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"Dataset index {i} out of range for {len(self)} rows")
+        i %= len(self)
+        user, item = self._sides
+        return Example({name: _item(self._columns[name], i) for name in user},
+                       {name: _item(self._columns[name], i) for name in item},
+                       self._scene_ids[self._codes.item(i)], _item(self._labels, i))
+
+    def __iter__(self):
+        user, item = self._sides
+        for lo in range(0, len(self), ROW_CHUNK):
+            at = slice(lo, lo + ROW_CHUNK)
+
+            def values(names):
+                cols = [_as_list(self._columns[name][at]) for name in names]
+                return zip(*cols) if cols else repeat(())
+
+            scenes = map(self._scene_ids.__getitem__, self._codes[at].tolist())
+            for u, it, sid, label in zip(values(user), values(item), scenes,
+                                         _as_list(self._labels[at])):
+                yield Example(dict(zip(user, u)), dict(zip(item, it)), sid, label)
+
+    def __add__(self, other) -> list[Example]:
+        """The rows of both, as a list, as list concatenation gives them."""
+        return [*self, *other]
+
+    def __radd__(self, other) -> list[Example]:
+        return [*other, *self]
 
 
 def encode_columns(examples: Sequence[Example],
@@ -381,57 +546,77 @@ def encode_columns(examples: Sequence[Example],
     """Each feature's codes over the examples, as one int64 array per
     feature name; the only code that turns examples into codes.
 
-    A column is encoded in one numpy pass when every value is a Python
-    int (categorical) or every value is an int or float and their sum is
-    finite (numeric with fitted boundaries). Any other column (booleans,
-    other types, a missing value, ints past int64 or past the float
-    range, NaN or ±inf) goes through `Feature.encode` value by value in
-    row order (`_per_value`), so the codes and the first error raised are
-    those of `Feature.encode` either way, the error naming its row.
+    A column is encoded in one numpy pass when it is an int64 column
+    (`_raw_column`: every value a Python int within int64) or, numeric
+    with fitted boundaries, a column `_float_column` takes. Any other
+    column (booleans, other types, a missing value, ints past int64 or past
+    the float range, NaN or ±inf) goes through `Feature.encode` value by
+    value in row order (`_per_value`), so the codes and the first error
+    raised are those of `Feature.encode` either way, the error naming its
+    row.
     """
     sources: dict[str, list[dict]] = {}
     out = {}
     for f in features:
         values = _column_values(examples, f, sources)
-        codes = None if values is None else _column_codes(f, values)
+        codes = _column_codes(f, values)
         if codes is None:
-            codes = np.array(list(_per_value(examples, f, f.encode)), dtype=np.int64)
+            codes = np.array(list(_per_value(examples, f, values, f.encode)),
+                             dtype=np.int64)
         out[f.name] = codes
     return out
 
 
-def _per_value(examples: Sequence[Example], feat: Feature, convert) -> Iterable:
-    """`convert` of each example's `feat` value; a SchemaError names its row."""
-    for i, ex in enumerate(examples):
+def _per_value(examples: Sequence[Example], feat: Feature, values: list | np.ndarray,
+               convert) -> Iterable:
+    """`convert` of each of `feat`'s raw values over the examples; a
+    SchemaError, a missing value's included, names its row."""
+    for i, value in enumerate(_as_list(values)):
         try:
-            yield convert(_feature_value(ex, feat))
+            if value is _MISSING:
+                raise SchemaError(f"example is missing feature {feat.name!r}")
+            yield convert(value)
         except SchemaError as e:
-            raise SchemaError(f"example {i} (scene {ex.scene_id!r}): {e}") from None
+            raise SchemaError(f"example {i} (scene {examples[i].scene_id!r}): "
+                              f"{e}") from None
 
 
 def _column_values(examples: Sequence[Example], feat: Feature,
-                   sources: dict[str, list[dict]]) -> list | None:
-    """`feat`'s raw values over the examples in row order, or None when an
-    example lacks it; `sources` keeps each group's value dicts between
-    calls."""
-    group = "user" if feat.group == "user" else "item"
-    if group not in sources:
-        sources[group] = list(map(attrgetter(group), examples))
+                   sources: dict[str, list[dict]]) -> list | np.ndarray:
+    """`feat`'s raw values over the examples in row order, `_MISSING` where
+    an example lacks it: a Dataset's column, or the values of an example
+    list as `_raw_column` keeps them, whose value dicts `sources` keeps
+    between calls."""
+    if isinstance(examples, Dataset):
+        own = (None if examples.schema is None
+               else examples.schema._by_name.get(feat.name))
+        if own is not None and _side(own) == _side(feat):
+            return examples._columns[feat.name]
+        return [_MISSING] * len(examples)
+    side = _side(feat)
+    if side not in sources:
+        sources[side] = list(map(attrgetter(side), examples))
     try:
-        return list(map(itemgetter(feat.name), sources[group]))
-    except (LookupError, TypeError):
-        return None
+        return _raw_column(list(map(itemgetter(feat.name), sources[side])))
+    except LookupError:
+        return [src.get(feat.name, _MISSING) for src in sources[side]]
 
 
-def _float_column(values: list) -> np.ndarray | None:
-    """The values as one float64 array when every one is a Python int or
-    float and their sum is finite, or None when they need `Feature.number`
-    one by one.
+def _float_column(values: list | np.ndarray) -> np.ndarray | None:
+    """The values as one float64 array when they are an int64 column, a
+    float64 column of finite values, or a list of Python ints and floats
+    whose sum is finite; None when they need `Feature.number` one by one.
 
     A sum is finite only if every term is: NaN and ±inf carry through it,
     and a sum that overflows, or an int past the float range, takes the
     per-value path.
     """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values.astype(np.float64)
+        if values.dtype == np.float64 and np.isfinite(values).all():
+            return values
+        return None
     try:
         if set(map(type, values)) <= {int, float} and math.isfinite(sum(values)):
             return np.array(values, dtype=np.float64)
@@ -440,19 +625,14 @@ def _float_column(values: list) -> np.ndarray | None:
     return None
 
 
-def _column_codes(feat: Feature, values: list) -> np.ndarray | None:
+def _column_codes(feat: Feature, values: list | np.ndarray) -> np.ndarray | None:
     """`feat`'s codes over its values in one numpy pass, or None when the
     column needs `Feature.encode` per value."""
     if feat.kind == "categorical":
-        if not set(map(type, values)) <= {int}:
+        if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
             return None
-        try:
-            codes = np.array(values, dtype=np.int64)
-            # Viewed as uint64, a negative code is past the vocabulary too.
-            codes[codes.view(np.uint64) >= np.uint64(feat.vocab)] = feat.vocab
-        except OverflowError:
-            return None
-        return codes
+        # Viewed as uint64, a negative code is past the vocabulary too.
+        return np.minimum(values.view(np.uint64), np.uint64(feat.vocab)).view(np.int64)
     edges = feat._edges  # an unfitted feature fails here, naming no row
     x = _float_column(values)
     if x is None:
@@ -462,12 +642,10 @@ def _column_codes(feat: Feature, values: list) -> np.ndarray | None:
 
 def scene_codes(examples: Sequence[Example]) -> tuple[list[str], np.ndarray]:
     """The examples' distinct scene ids, sorted, and each example's index
-    into them as an int64 array."""
-    ids = list(map(attrgetter("scene_id"), examples))
-    scenes = sorted(set(ids))
-    index = {sid: i for i, sid in enumerate(scenes)}
-    return scenes, np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
-                               count=len(ids))
+    into them as an int64 array; a Dataset's are its own."""
+    if isinstance(examples, Dataset):
+        return list(examples._scene_ids), examples._codes
+    return _index_of(list(map(attrgetter("scene_id"), examples)))
 
 
 def group_rows(codes: np.ndarray, n_groups: int,
@@ -482,10 +660,18 @@ def group_rows(codes: np.ndarray, n_groups: int,
 
 def quantile_edges(values: np.ndarray, buckets: int) -> tuple[float, ...]:
     """Equal-frequency bucket edges of one column: its distinct
-    i / buckets quantiles, for i = 1 .. buckets - 1."""
+    i / buckets quantiles, for i = 1 .. buckets - 1.
+
+    The quantiles interpolate between two values by their difference, so
+    a column whose values lie farther apart than the largest float takes
+    them at half its values and doubles them, which is exact but for
+    subnormal values."""
     if buckets < 1:
         raise ValueError("buckets must be >= 1")
-    return tuple(np.unique(np.quantile(values, np.arange(1, buckets) / buckets)))
+    q = np.arange(1, buckets) / buckets
+    if values.size and not math.isfinite(float(values.max()) - float(values.min())):
+        return tuple(np.unique(np.quantile(values * 0.5, q) * 2.0))
+    return tuple(np.unique(np.quantile(values, q)))
 
 
 def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
@@ -499,9 +685,9 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
             fitted.append(feat)
             continue
         column = _column_values(examples, feat, sources)
-        values = None if column is None else _float_column(column)
+        values = _float_column(column)
         if values is None:
-            values = np.array(list(_per_value(examples, feat, feat.number)))
+            values = np.array(list(_per_value(examples, feat, column, feat.number)))
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         fitted.append(Feature(feat.name, feat.kind, feat.group,
@@ -516,12 +702,13 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
     do a scene_id that is not a string and a numeric value that is not a
     finite number (JSON's NaN and Infinity included) or is a boolean; an
     unknown or missing feature raises SchemaError naming file and line.
-    Out-of-vocabulary categorical values, booleans included, are kept
-    (they encode to the reserved index later) and counted.
+    Out-of-vocabulary categorical values, booleans included, are kept as
+    they are (they encode to the reserved index later) and counted.
     """
     known_user = {f.name for f in schema if f.group == "user"}
     known_item = {f.name for f in schema if f.group != "user"}
-    ds = Dataset(schema=schema)
+    columns: dict[str, list] = {f.name: [] for f in schema}
+    scene_ids, labels = [], []
     # Bytes that are not UTF-8 decode to lone surrogates, caught per line.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -561,19 +748,21 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
             for name in obj["item"]:
                 if name not in known_item:
                     raise SchemaError(f"{path}:{lineno}: unknown feature name {name!r}")
-            ex = Example(user=dict(obj["user"]), item=dict(obj["item"]),
-                         scene_id=obj["scene_id"], label=int(label))
             for feat in schema:
-                try:
-                    value = _feature_value(ex, feat)
-                except SchemaError as e:
-                    raise SchemaError(f"{path}:{lineno}: {e}") from None
+                source = obj[_side(feat)]
+                if feat.name not in source:
+                    raise SchemaError(f"{path}:{lineno}: example is missing "
+                                      f"feature {feat.name!r}")
+                value = source[feat.name]
                 if feat.kind == "numeric":
                     try:
                         feat.number(value)
                     except SchemaError as e:
                         raise ParseError(f"{path}:{lineno}: {e}") from None
-            ds.append(ex)
+                columns[feat.name].append(value)
+            scene_ids.append(obj["scene_id"])
+            labels.append(int(label))
+    ds = Dataset.from_columns(schema, columns, *_index_of(scene_ids), labels)
     categorical = [f for f in schema if f.kind == "categorical"]
     ds.oov_count = sum(int((codes == f.oov_index).sum()) for f, codes in
                        zip(categorical, encode_columns(ds, categorical).values()))

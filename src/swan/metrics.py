@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import click_labels, group_rows, read_json, scene_codes, write_json
+from .features import click_labels, group_rows, read_json, write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -141,12 +141,10 @@ def evaluate(params, graph, dataset,
     every label must be 0 or 1 (not a boolean); `features.click_labels`
     names the first row that is not.
     """
-    from .model import predict_scores
+    from .model import score_rows
 
     labels = click_labels(dataset)
-    scores = predict_scores(params, graph, dataset)
-
-    scene_ids, codes = scene_codes(dataset)
+    scores, _, scene_ids, codes = score_rows(params, graph, dataset)
 
     per_scene: dict[str, float] = {}
     warnings: dict[str, list[str]] = {}

@@ -395,6 +395,18 @@ def predict_scores(params, graph: SceneRelationGraph | None,
     PREDICT_BATCH that cross scenes. With `collect_gates` the selector
     gate matrix (rows aligned with the dataset) is returned as well.
     """
+    scores, gates, _, _ = score_rows(params, graph, dataset, collect_gates)
+    if collect_gates:
+        return scores, gates
+    return scores
+
+
+def score_rows(params, graph: SceneRelationGraph | None,
+               dataset: Sequence[Example], collect_gates: bool = False,
+               ) -> tuple[np.ndarray, np.ndarray | None, list[str], np.ndarray]:
+    """`predict_scores`' scores and gates (None unless `collect_gates`),
+    then the sorted scene ids and each row's code into them, as its one
+    `encode_batch` call read them."""
     scores = np.empty(len(dataset))
     gates = None
     idx, scene_ids, codes = encode_batch(dataset, params.schema)
@@ -410,6 +422,4 @@ def predict_scores(params, graph: SceneRelationGraph | None,
                     gates[at] = out.w.data
             else:
                 scores[at] = dnn_forward(params, batch).data[:, 0]
-    if collect_gates:
-        return scores, gates
-    return scores
+    return scores, gates, scene_ids, codes

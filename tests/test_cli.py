@@ -1,6 +1,7 @@
 """End-to-end CLI tests over the documented subcommands."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import struct
@@ -329,3 +330,16 @@ def test_cli_options_pinned():
         "eval": ["--model", "--test", "--report", "--reference"],
         "sweep": ["--param", "--values", "--train", "--test", "--schema", "--graph",
                   "--config", "--report"]}
+
+
+def test_workspace_bytes_pinned(workspace):
+    """Generation, row output, loading, encoding and the graph build, to the
+    byte: none of these files depends on BLAS."""
+    assert {name: hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+            for name in ("train.jsonl", "test.jsonl", "graph.json")} == {
+        "train.jsonl":
+            "7686e3eddc8ae2a4663d124db3a655c3e51e24e82088676891d47f9441c75546",
+        "test.jsonl":
+            "7c8b54b0792240216ab6afbe47658b491c382bc0101594b10d020347042e232c",
+        "graph.json":
+            "4797e5b90e560bfa4df75d77dfc5b4b9d78aafc06617f3df67a1ca6aefe33b40"}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import encoded, tiny_model_config, tiny_train_config
 from swan import autodiff as ad
 from swan.autodiff import Tensor, backward
-from swan.features import (ConfigError, EmbeddingSet, Example, Feature,
+from swan.features import (ConfigError, Dataset, EmbeddingSet, Example, Feature,
                            FeatureSchema, ParseError, SchemaError,
                            embed_indices, encode_columns,
                            fit_numeric_boundaries, load_dataset, write_dataset,
@@ -328,16 +328,20 @@ class TestEncodeColumns:
                     Feature("x", "numeric", "item", boundaries=tuple(boundaries))]
         if numeric_first:
             features.reverse()
-        got, want = (_outcome(encode_columns, examples, features),
-                     _outcome(_per_value, examples, features))
-        assert got[0] == want[0], (got, want)
-        if got[0] == "error":
-            assert got[1] == want[1]
-        else:
-            assert list(got[1]) == list(want[1])
-            for name, codes in want[1].items():
-                assert got[1][name].dtype == np.int64
-                np.testing.assert_array_equal(got[1][name], codes)
+        want = _outcome(_per_value, examples, features)
+        inputs = [examples]
+        if _MISSING not in cat[:n] + num[:n]:
+            inputs.append(Dataset(examples, schema=FeatureSchema(features)))
+        for rows in inputs:
+            got = _outcome(encode_columns, rows, features)
+            assert got[0] == want[0], (got, want)
+            if got[0] == "error":
+                assert got[1] == want[1]
+            else:
+                assert list(got[1]) == list(want[1])
+                for name, codes in want[1].items():
+                    assert got[1][name].dtype == np.int64
+                    np.testing.assert_array_equal(got[1][name], codes)
 
     @given(boundaries=st.lists(st.floats(-25, 25), max_size=3))
     @example(boundaries=[3.0, 1.0, 2.0])
@@ -427,13 +431,31 @@ class TestFitNumericBoundaries:
         schema = FeatureSchema([Feature("x", "numeric", "user"),
                                 Feature("c", "categorical", "item", vocab=3),
                                 Feature("y", "numeric", "item")])
-        got, want = (_outcome(fit_numeric_boundaries, examples, schema, buckets),
-                     _outcome(_fit_per_value, examples, schema, buckets))
-        assert got[0] == want[0], (got, want)
-        if got[0] == "error":
-            assert got[1] == want[1]
-        else:
-            assert repr(got[1].to_json()) == repr(want[1].to_json())
+        want = _outcome(_fit_per_value, examples, schema, buckets)
+        inputs = [examples]
+        if _MISSING not in x[:n] + y[:n]:
+            inputs.append(Dataset(examples, schema=FeatureSchema(
+                [schema["x"], schema["y"]])))
+        for rows in inputs:
+            got = _outcome(fit_numeric_boundaries, rows, schema, buckets)
+            assert got[0] == want[0], (got, want)
+            if got[0] == "error":
+                assert got[1] == want[1]
+            else:
+                assert repr(got[1].to_json()) == repr(want[1].to_json())
+
+    @pytest.mark.parametrize("rows", [[-1.7e308, 1.7e308], [1.7e308, -1.7e308, 1.0]])
+    def test_values_past_the_float_range_apart(self, rows):
+        """Two finite values farther apart than the largest float: the
+        quantiles' interpolation used to overflow to -inf, and the fit
+        blamed the boundaries."""
+        schema = FeatureSchema([Feature("v", "numeric", "item")])
+        examples = [Example({}, {"v": v}, "s", 0) for v in rows]
+        for data in (examples, Dataset(examples, schema=schema)):
+            edges = fit_numeric_boundaries(data, schema, buckets=2)["v"].boundaries
+            assert edges == ((0.0,) if len(rows) == 2 else (1.0,))
+        four = fit_numeric_boundaries(examples[:2], schema, buckets=4)
+        assert four["v"].boundaries == (-8.5e307, 0.0, 8.5e307)
 
     def test_one_pass_without_number(self, monkeypatch):
         """Columns of plain ints and floats never reach Feature.number."""

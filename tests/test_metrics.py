@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swan.metrics import (EvalReport, UndefinedMetricError, auc, gini,
-                          improvement_ratios)
+from conftest import tiny_model_config
+from swan import features, metrics, model, srg
+from swan.features import scene_codes
+from swan.metrics import (EvalReport, UndefinedMetricError, auc, evaluate,
+                          gini, improvement_ratios)
+from swan.model import init_params
 
 
 def brute_force_auc(labels, scores):
@@ -158,3 +162,26 @@ class TestImprovementRatios:
         report.save(path)
         again = EvalReport.load(path)
         assert again.to_json() == report.to_json()
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("form", ["dataset", "list"])
+    def test_reads_the_scenes_once(self, tiny_data, monkeypatch, form):
+        """One evaluate() call makes one pass over its rows' scenes, the one
+        scoring makes, whatever form the rows come in."""
+        result, graph = tiny_data
+        params = init_params("swan", result.schema, graph.scene_ids,
+                             tiny_model_config(), seed=0)
+        test = result.test if form == "dataset" else list(result.test)
+        passes = []
+
+        def counted(examples):
+            passes.append(len(examples))
+            return scene_codes(examples)
+        for module in (features, model, metrics, srg):
+            if hasattr(module, "scene_codes"):
+                monkeypatch.setattr(module, "scene_codes", counted)
+        report = evaluate(params, graph, test)
+        assert passes == [len(test)]
+        monkeypatch.undo()
+        assert report.to_json() == evaluate(params, graph, test).to_json()
