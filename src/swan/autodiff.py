@@ -224,7 +224,11 @@ def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
     """Coefficient-weighted sum of n column blocks: sum_i c[:, i] * v_i.
 
     c is [B, n] and v is [B, n*d], made of n column blocks v_i of width
-    d; the output is [B, d].
+    d; the output is [B, d]. The products are written block-major, as
+    [n, B, d], and summed over the block axis from +0.0, in block order
+    whenever B*d > 1. The [B, n, d] middle-axis sum this replaced gives
+    the same bits, except with one-column blocks, n >= 8 and B > 1,
+    which numpy summed pairwise.
     """
     if c.data.ndim != 2 or v.data.ndim != 2 or c.shape != (v.shape[0], n):
         raise DimensionError(f"mix needs [B, {n}] coefficients, got {c.shape}")
@@ -239,12 +243,30 @@ def mix(c: Tensor, v: Tensor, n: int) -> Tensor:
         if v.requires_grad:
             _accumulate(v, (c.data[:, :, None] * g[:, None, :]).reshape(batch, n * d))
 
-    return _record((c.data[:, :, None] * vs).sum(axis=1), (c, v), backward_fn)
+    terms = np.empty((n, batch, d))
+    np.multiply(c.data.T[:, :, None], vs.transpose(1, 0, 2), out=terms)
+    return _record(terms.sum(axis=0), (c, v), backward_fn)
 
 
 def sum_blocks(v: Tensor, n: int) -> Tensor:
-    """Sum of the n column blocks of v in block order: `mix` by ones."""
-    return mix(Tensor(np.ones((v.shape[0], n))), v, n)
+    """Sum of the n column blocks of v: `mix` by ones, without the products.
+
+    v is [B, n*d]; the output is [B, d]. It adds the blocks in block
+    order, starting from +0.0, as `mix` does; the backward hands g to
+    every block.
+    """
+    if v.data.ndim != 2 or n < 1 or v.shape[1] % n:
+        raise DimensionError(f"sum_blocks: {v.shape} is not {n} equal column blocks")
+    d = v.shape[1] // n
+    out = v.data[:, :d] + 0.0
+    for i in range(1, n):
+        out += v.data[:, i * d:(i + 1) * d]
+
+    def backward_fn(g: np.ndarray) -> None:
+        if v.requires_grad:
+            _accumulate(v, np.tile(g, (1, n)))
+
+    return _record(out, (v,), backward_fn)
 
 
 def pair_features(u: Tensor, t: Tensor, s: Tensor) -> Tensor:
@@ -255,7 +277,10 @@ def pair_features(u: Tensor, t: Tensor, s: Tensor) -> Tensor:
     b*I + i: the input of an attention unit that scores each of a row's
     I candidates against the row (DIN's local activation unit). It is the
     chain `rows(u, r)`, `rows(t, r)`, `reshape(s)`, `sub`, `mul` and
-    `concat`, r repeating each row index I times.
+    `concat`, r repeating each row index I times. The output is written
+    as [B, I, du + 3d] through broadcast views of u and t, and the
+    gradients of u and t sum a row's I pair gradients in pair order,
+    starting from +0.0, as the chain's `rows` scatter does.
     """
     if u.data.ndim != 2 or t.data.ndim != 2 or s.data.ndim != 2:
         raise DimensionError(f"pair_features needs 2-D operands, got "
@@ -266,26 +291,35 @@ def pair_features(u: Tensor, t: Tensor, s: Tensor) -> Tensor:
         raise DimensionError(f"pair_features: {s.shape} is not I >= 1 blocks of "
                              f"{t.shape} for {u.shape[0]} rows")
     n, du = s.shape[1] // d, u.shape[1]
-    rep = np.repeat(np.arange(batch), n)
-    e_t = t.data[rep]
-    e_s = s.data.reshape(batch * n, d)
-    out = np.empty((batch * n, du + 3 * d))
-    out[:, :du] = u.data[rep]
-    out[:, du:du + d] = e_t
-    np.subtract(e_t, e_s, out=out[:, du + d:du + 2 * d])
-    np.multiply(e_t, e_s, out=out[:, du + 2 * d:])
+    width = du + 3 * d
+    e_t = t.data[:, None, :]  # [B, 1, d], broadcast over the I pairs
+    e_s = s.data.reshape(batch, n, d)
+    out = np.empty((batch, n, width))
+    out[:, :, :du] = u.data[:, None, :]
+    out[:, :, du:du + d] = e_t
+    np.subtract(e_t, e_s, out=out[:, :, du + d:du + 2 * d])
+    np.multiply(e_t, e_s, out=out[:, :, du + 2 * d:])
 
     def backward_fn(g: np.ndarray) -> None:
-        g_sub, g_mul = g[:, du + d:du + 2 * d], g[:, du + 2 * d:]
-        if u.requires_grad:
-            _accumulate(u, _scatter_rows(rep, g[:, :du], u.shape))
+        gs = g.reshape(batch, n, width)
+        g_sub, g_mul = gs[:, :, du + d:du + 2 * d], gs[:, :, du + 2 * d:]
         if s.requires_grad:
             _accumulate(s, (g_mul * e_t - g_sub).reshape(s.shape))
-        if t.requires_grad:
-            g_t = g[:, du:du + d] + g_mul * e_s + g_sub
-            _accumulate(t, _scatter_rows(rep, g_t, t.shape))
+        if u.requires_grad or t.requires_grad:
+            # u's and t's pair gradients side by side, so that the sum
+            # over pairs runs over rows du + d >= 2 columns wide (u has
+            # columns in the model): numpy adds those in pair order, but
+            # the pairs of a one-column block pairwise.
+            g_ut = gs[:, :, :du + d].copy()
+            g_ut[:, :, du:] += g_mul * e_s
+            g_ut[:, :, du:] += g_sub
+            sums = g_ut.sum(axis=1, initial=0.0)
+            if u.requires_grad:
+                _accumulate(u, sums[:, :du])
+            if t.requires_grad:
+                _accumulate(t, sums[:, du:])
 
-    return _record(out, (u, t, s), backward_fn)
+    return _record(out.reshape(batch * n, width), (u, t, s), backward_fn)
 
 
 def dics_gate(a: Tensor, c: Tensor, tau: float) -> Tensor:
@@ -565,22 +599,17 @@ def rows(table: Tensor, indices) -> Tensor:
         raise DimensionError(f"rows needs a 1-D or 2-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"rows: index out of range [0, {table.shape[0]})")
-    d = table.shape[1]
+    n_rows, d = table.shape
 
     def backward_fn(g: np.ndarray) -> None:
         if table.requires_grad:
-            _accumulate(table, _scatter_rows(idx, g, table.shape))
+            flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+            _accumulate(table, np.bincount(flat, weights=g.ravel(),
+                                           minlength=n_rows * d).reshape(n_rows, d))
 
-    out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
-    return _record(out, (table,), backward_fn)
-
-
-def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The [V, d] table gradient of a gather of rows `idx`: one weighted
-    `bincount` over the flat positions `index * d + column`."""
-    n_rows, d = shape
-    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+    out = np.take(table.data, idx, axis=0)
+    return _record(out.reshape(idx.shape[0], math.prod(idx.shape[1:]) * d),
+                   (table,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,17 @@ def evaluate(params, graph, dataset,
     every label must be 0 or 1 (not a boolean); `features.click_labels`
     names the first row that is not.
     """
+    return _evaluate(params, graph, dataset, reference)[0]
+
+
+def _evaluate(params, graph, dataset, reference: EvalReport | None = None,
+              collect_gates: bool = False) -> tuple[EvalReport, np.ndarray | None]:
+    """`evaluate`'s report, and the selector gates of the same scoring
+    pass when `collect_gates` (None otherwise)."""
     from .model import score_rows
 
     labels = click_labels(dataset)
-    scores, _, scene_ids, codes = score_rows(params, graph, dataset)
+    scores, gates, scene_ids, codes = score_rows(params, graph, dataset, collect_gates)
 
     per_scene: dict[str, float] = {}
     warnings: dict[str, list[str]] = {}
@@ -189,4 +196,4 @@ def evaluate(params, graph, dataset,
             # All-zero (or empty) gains: Gini is undefined; report 0 and flag it.
             report.gini_improvement = 0.0
             report.gini_defined = False
-    return report
+    return report, gates

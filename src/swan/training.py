@@ -17,10 +17,10 @@ import numpy as np
 from .autodiff import Tensor, backward
 from .features import Config, Example, FeatureSchema, click_labels, field_types
 from .head import LossWeights, ce_loss, total_loss
-from .metrics import evaluate
+from .metrics import _evaluate
 from .model import (ModelConfig, ModelParams, PreparedBatch, check_graph_scenes,
-                    dnn_forward, encode_batch, init_params, predict_scores,
-                    scene_batches, swan_forward)
+                    dnn_forward, encode_batch, init_params, scene_batches,
+                    swan_forward)
 from .srg import SceneRelationGraph, build_srg
 
 
@@ -260,15 +260,14 @@ def run_sweep(param: str, values: Sequence[float], train_set: Sequence[Example],
                           buckets=cfg.model.buckets)
             n_key = len(g.key_features)
         result = train(train_set, g, cfg, schema=schema)
-        report = evaluate(result.params, g, test_set)
+        report, gates = _evaluate(result.params, g, test_set,
+                                  collect_gates=cfg.model_kind == "swan")
         entry = {"param": param, "value": value,
                  "auc_all": report.auc_all,
                  "auc_cold_start": report.auc_cold_start,
                  "final_loss": result.epoch_losses[-1],
                  "n_key_features": n_key}
-        if cfg.model_kind == "swan":
-            _, gates = predict_scores(result.params, g, test_set,
-                                      collect_gates=True)
+        if gates is not None:
             entry["gate_saturation"] = gate_saturation(gates)
         results.append(entry)
     return results

@@ -1,5 +1,6 @@
 """Shared fixtures: a small planted dataset with its graph and config."""
 
+import math
 import os
 
 # One BLAS thread unless the caller chose otherwise, set before numpy loads:
@@ -13,6 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from swan import autodiff as ad  # noqa: E402
 from swan.datagen import GenConfig, generate  # noqa: E402
 from swan.head import LossWeights  # noqa: E402
 from swan.model import ModelConfig, encode_batch  # noqa: E402
@@ -65,3 +67,74 @@ def tiny_data():
     result = generate(tiny_gen_config())
     graph = build_srg(result.train, result.schema, cc_threshold=0.05, buckets=4)
     return result, graph
+
+
+# The bodies of four autodiff ops before their numpy layout rewrite: fancy
+# indexing, a `bincount` scatter for the pair features' row sums, and
+# middle-axis sums over [B, n, d] products. Reference implementations
+# whose bits the rewritten ops must give; the shape checks are left out.
+
+
+def _scatter_rows_before(idx, g, shape):
+    n_rows, d = shape
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def rows_before(table, indices):
+    idx = np.asarray(indices).astype(np.int64, copy=False)
+    d = table.shape[1]
+
+    def backward_fn(g):
+        if table.requires_grad:
+            ad._accumulate(table, _scatter_rows_before(idx, g, table.shape))
+
+    out = table.data[idx].reshape(idx.shape[0], math.prod(idx.shape[1:]) * d)
+    return ad._record(out, (table,), backward_fn)
+
+
+def mix_before(c, v, n):
+    batch, d = v.shape[0], v.shape[1] // n
+    vs = v.data.reshape(batch, n, d)
+
+    def backward_fn(g):
+        if c.requires_grad:
+            ad._accumulate(c, (vs * g[:, None, :]).sum(axis=2))
+        if v.requires_grad:
+            ad._accumulate(v, (c.data[:, :, None] * g[:, None, :]).reshape(batch, n * d))
+
+    return ad._record((c.data[:, :, None] * vs).sum(axis=1), (c, v), backward_fn)
+
+
+def sum_blocks_before(v, n):
+    return mix_before(ad.Tensor(np.ones((v.shape[0], n))), v, n)
+
+
+def pair_features_before(u, t, s):
+    batch, d = t.shape
+    n, du = s.shape[1] // d, u.shape[1]
+    rep = np.repeat(np.arange(batch), n)
+    e_t = t.data[rep]
+    e_s = s.data.reshape(batch * n, d)
+    out = np.empty((batch * n, du + 3 * d))
+    out[:, :du] = u.data[rep]
+    out[:, du:du + d] = e_t
+    np.subtract(e_t, e_s, out=out[:, du + d:du + 2 * d])
+    np.multiply(e_t, e_s, out=out[:, du + 2 * d:])
+
+    def backward_fn(g):
+        g_sub, g_mul = g[:, du + d:du + 2 * d], g[:, du + 2 * d:]
+        if u.requires_grad:
+            ad._accumulate(u, _scatter_rows_before(rep, g[:, :du], u.shape))
+        if s.requires_grad:
+            ad._accumulate(s, (g_mul * e_t - g_sub).reshape(s.shape))
+        if t.requires_grad:
+            g_t = g[:, du:du + d] + g_mul * e_s + g_sub
+            ad._accumulate(t, _scatter_rows_before(rep, g_t, t.shape))
+
+    return ad._record(out, (u, t, s), backward_fn)
+
+
+KERNELS_BEFORE = {"rows": rows_before, "mix": mix_before,
+                  "sum_blocks": sum_blocks_before,
+                  "pair_features": pair_features_before}

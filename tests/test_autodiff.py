@@ -4,6 +4,7 @@ import builtins
 import ctypes
 import io
 import math
+import re
 import subprocess
 from types import SimpleNamespace
 
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import (mix_before, pair_features_before, rows_before,
+                      sum_blocks_before)
 from swan import autodiff as ad
 from swan.autodiff import DimensionError, Tensor, backward
 from swan.gradcheck import finite_difference, max_rel_error
@@ -483,6 +486,13 @@ class TestFusedOps:
         with pytest.raises(DimensionError):
             ad.mix(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 6))), 4)
 
+    @pytest.mark.parametrize("shape, n", [((2, 6), -1), ((2, 6), 0), ((2, 6), 4),
+                                          ((6,), 3), ((), 1)])
+    def test_sum_blocks_shape_errors(self, shape, n):
+        with pytest.raises(DimensionError, match=f"^sum_blocks: {re.escape(str(shape))} "
+                                                 f"is not {n} equal column blocks$"):
+            ad.sum_blocks(Tensor(np.ones(shape)), n)
+
     def test_pair_features_layout(self):
         u = Tensor(np.array([[1.0], [2.0]]))
         t = Tensor(np.array([[3.0], [4.0]]))
@@ -706,6 +716,32 @@ def _value_and_grads(build, leaves):
     return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
 
+def _signed_zeros(rng, shape):
+    """Normal draws, about a fifth of them -0.0 and a fifth +0.0."""
+    x = rng.normal(size=shape)
+    draw = rng.random(shape)
+    x[draw < 0.2] = -0.0
+    x[(draw >= 0.2) & (draw < 0.4)] = 0.0
+    return x
+
+
+def _op_bits(op, leaves, g):
+    """The bytes of op()'s value, then of each leaf's gradient when g
+    arrives at the output."""
+    for t in leaves:
+        t.zero_grad()
+    out = op()
+    out._backward_fn(g)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+# (B, n, d): n blocks of width d in B rows. Blocks one column wide stop
+# at n = 7: at n >= 8 the bodies before summed those pairwise.
+_BLOCK_SHAPES = [(0, 3, 4), (0, 1, 1), (1, 1, 1), (1, 1, 4), (1, 3, 4), (6, 1, 4),
+                 (5, 3, 1), (7, 7, 1), (4, 9, 2), (10, 20, 16), (33, 2, 40),
+                 (512, 5, 8)]
+
+
 _SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
                   -2.2e-308, 1e-17, -1e-17, 36.0, -36.0, 37.5, -37.5, 709.0,
                   -709.0, 709.78, -709.78, 710.0, -710.0, 745.0, -745.0,
@@ -716,7 +752,46 @@ class TestFusedMatchRemovedChains:
     """Each fused op gives the bits of the chain of narrow ops it replaced,
     forward and backward, as it sits in the model: behind a ReLU for a
     stacked layer, scaled for a loss term. So do the op bodies rewritten
-    for speed: the sigmoid and the one-block `affine`."""
+    for speed: the sigmoid, the one-block `affine`, and the gathers and
+    block sums of `rows`, `mix`, `sum_blocks` and `pair_features`, whose
+    bodies before are kept in conftest."""
+
+    @pytest.mark.parametrize("batch, n, d", _BLOCK_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mix_and_sum_blocks_match_bodies_before(self, batch, n, d, seed):
+        rng = np.random.default_rng(seed)
+        c = Tensor(_signed_zeros(rng, (batch, n)), requires_grad=True)
+        v = Tensor(_signed_zeros(rng, (batch, n * d)), requires_grad=True)
+        g = _signed_zeros(rng, (batch, d))
+        assert (_op_bits(lambda: ad.mix(c, v, n), [c, v], g)
+                == _op_bits(lambda: mix_before(c, v, n), [c, v], g))
+        assert (_op_bits(lambda: ad.sum_blocks(v, n), [v], g)
+                == _op_bits(lambda: sum_blocks_before(v, n), [v], g))
+
+    @pytest.mark.parametrize("index_shape", [(0,), (1,), (40,), (0, 3), (1, 1),
+                                             (12, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_matches_body_before(self, index_shape, seed):
+        rng = np.random.default_rng(seed)
+        table = Tensor(_signed_zeros(rng, (7, 3)), requires_grad=True)
+        idx = rng.integers(0, 7, size=index_shape)  # repeats rows
+        g = _signed_zeros(rng, (index_shape[0], math.prod(index_shape[1:]) * 3))
+        assert (_op_bits(lambda: ad.rows(table, idx), [table], g)
+                == _op_bits(lambda: rows_before(table, idx), [table], g))
+
+    @pytest.mark.parametrize("batch, du, d, n", [(0, 2, 3, 4), (1, 1, 1, 1), (1, 1, 1, 20),
+                                                 (5, 1, 1, 9), (4, 8, 1, 20),
+                                                 (3, 1, 6, 12), (512, 64, 16, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_features_matches_body_before(self, batch, du, d, n, seed):
+        # One-column u or t with 8 or more pairs: the row sums must still
+        # run in pair order, as the `bincount` scatter before did.
+        rng = np.random.default_rng(seed)
+        leaves = [Tensor(_signed_zeros(rng, shape), requires_grad=True)
+                  for shape in ((batch, du), (batch, d), (batch, n * d))]
+        g = _signed_zeros(rng, (batch * n, du + 3 * d))
+        assert (_op_bits(lambda: ad.pair_features(*leaves), leaves, g)
+                == _op_bits(lambda: pair_features_before(*leaves), leaves, g))
 
     @given(hnp.arrays(np.float64, st.integers(0, 40),
                       elements=st.sampled_from(_SIGMOID_EDGES) | st.floats()))

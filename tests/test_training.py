@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config, tiny_train_config
+from conftest import KERNELS_BEFORE, tiny_model_config, tiny_train_config
 from swan import autodiff as ad
 from swan.autodiff import Tensor
 from swan.datagen import GenConfig
@@ -15,7 +15,7 @@ from swan.head import LossWeights
 from swan.metrics import evaluate
 from swan.model import (ComponentFlags, ModelConfig, init_params, predict,
                         predict_scores)
-from swan import metrics, training
+from swan import metrics, model, training
 from swan.srg import build_srg, select_key_features
 from swan.training import (Adam, TrainConfig, baseline_dnn, gate_saturation,
                            run_sweep, train)
@@ -110,6 +110,33 @@ class TestTrain:
         for (name, a), (_, b) in zip(new.params.named_parameters(),
                                      old.params.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_kernel_bodies_train_as_before(self, tiny_data, monkeypatch):
+        # `rows`, `mix`, `sum_blocks` and `pair_features` as they were
+        # before their numpy layout rewrite, in every gather and block sum
+        # of a whole run: the only check of the signed zeros that reach
+        # Adam through them.
+        result, graph = tiny_data
+        config = tiny_train_config()
+        new = train(result.train, graph, config)
+        new_scores = predict_scores(new.params, graph, result.test)
+        calls = set()
+
+        def counted(name, body):
+            def call(*args):
+                calls.add(name)
+                return body(*args)
+            return call
+        for name, body in KERNELS_BEFORE.items():
+            monkeypatch.setattr(ad, name, counted(name, body))
+        old = train(result.train, graph, config)
+        assert calls == set(KERNELS_BEFORE)
+        assert new.epoch_losses == old.epoch_losses
+        for (name, a), (_, b) in zip(new.params.named_parameters(),
+                                     old.params.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        old_scores = predict_scores(old.params, graph, result.test)
+        assert new_scores.tobytes() == old_scores.tobytes()
 
     def test_empty_dataset_rejected(self, tiny_data):
         _, graph = tiny_data
@@ -576,6 +603,34 @@ class TestSweep:
         for e in entries:
             assert 0.0 <= e["auc_all"] <= 1.0
             assert 0.0 <= e["gate_saturation"] <= 1.0
+
+    @pytest.mark.parametrize("kind", ["swan", "dnn"])
+    def test_sweep_scores_each_value_once(self, tiny_data, monkeypatch, kind):
+        result, graph = tiny_data
+        graph = graph if kind == "swan" else None
+        config = tiny_train_config(epochs=1, model_kind=kind)
+        calls = []
+        score_rows = model.score_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return score_rows(*args, **kwargs)
+        monkeypatch.setattr(model, "score_rows", counted)
+        entries = run_sweep("lr", [1e-2, 3e-2], result.train, result.test,
+                            result.schema, graph, config)
+        assert len(calls) == 2
+        # The entry of the last value, as `evaluate` and `predict_scores`
+        # give it.
+        out = train(result.train, graph, training._config_with(config, "lr", 3e-2))
+        report = evaluate(out.params, graph, result.test)
+        assert (entries[-1]["auc_all"], entries[-1]["auc_cold_start"]) == (
+            report.auc_all, report.auc_cold_start)
+        if kind == "swan":
+            _, gates = predict_scores(out.params, graph, result.test,
+                                      collect_gates=True)
+            assert entries[-1]["gate_saturation"] == gate_saturation(gates)
+        else:
+            assert "gate_saturation" not in entries[-1]
 
     def test_cc_threshold_sweep_rebuilds_graph(self, tiny_data):
         result, graph = tiny_data
