@@ -1,6 +1,11 @@
 """Ranking metrics and the evaluation report.
 
-AUC uses the rank-sum (Mann-Whitney) form with ties half-credited; the
+AUC uses the rank-sum (Mann-Whitney) form with ties half-credited. One
+rank pass gives the AUC of every group of a partition of the rows: a sort
+of the scores, then a stable sort by group code, puts each group's rows
+together in score order, and each group's positive rank sum is one
+`bincount`. `auc` is its one-group case, and `evaluate` takes every
+scene's AUC, the pooled "other" AUC and the cold-pool AUC from it. The
 Gini coefficient is the normalized mean absolute pairwise difference,
 used here to measure how evenly a model's improvement spreads across
 scenes.
@@ -8,12 +13,13 @@ scenes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import click_labels, group_rows, read_json, write_json
+from .features import click_labels, read_json, write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -38,17 +44,45 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
         raise ValueError("labels must be binary")
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    # Tie groups of the sorted scores, by their first and last positions.
-    is_first = np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]
+    return _group_aucs(y, s, np.argsort(s), np.zeros(y.size, dtype=np.uint8), 1)[0]
+
+
+def _group_aucs(labels: np.ndarray, scores: np.ndarray, order: np.ndarray,
+                groups: np.ndarray, n_groups: int) -> list[float]:
+    """The AUC of each group of rows, NaN for a group without both classes.
+
+    `labels` are 0.0 or 1.0, `scores` finite, `order` an ascending order
+    of `scores` and `groups[i]` row i's group in range(n_groups). The
+    order need not be stable: a tie run's rows all take the mean of its
+    rank range, whatever their order within it. A stable sort by group
+    code (a radix sort, on the smallest unsigned type) keeps each group's
+    rows in score order. Ranks are half-integers, so each rank sum is
+    exact below 2**53 whatever the order of its additions, and each AUC
+    is computed with the same operations as for the group alone.
+    """
+    by_group = groups[order].astype(np.min_scalar_type(n_groups - 1))
+    at = np.argsort(by_group, kind="stable")
+    rows, group = order[at], by_group[at]
+    s = scores[rows]
+    # Tie runs (equal scores within one group), by their first position.
+    is_first = np.empty(rows.size, dtype=bool)
+    is_first[0] = True
+    np.not_equal(s[1:], s[:-1], out=is_first[1:])
+    is_first[1:] |= group[1:] != group[:-1]
     first = np.flatnonzero(is_first)
-    last = np.r_[first[1:], y.size] - 1
-    # 1-based ranks; a tie group takes the average of its rank range
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = ((first + last + 2) / 2.0)[np.cumsum(is_first) - 1]
-    rank_sum_pos = ranks[y == 1].sum()
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    run_group = group[first]
+    size = np.bincount(group, minlength=n_groups)
+    start = np.cumsum(size) - size
+    # A run's rows all take the mean of its 1-based rank range in the group.
+    rank = (first + np.append(first[1:], rows.size) + 1 - 2 * start[run_group]) / 2.0
+    run_pos = np.add.reduceat(labels[rows], first)
+    n_pos = np.bincount(run_group, weights=run_pos, minlength=n_groups).astype(np.int64)
+    rank_sum = np.bincount(run_group, weights=rank * run_pos, minlength=n_groups)
+    n_neg = size - n_pos
+    out = np.full(n_groups, np.nan)
+    np.divide(rank_sum - n_pos * (n_pos + 1) / 2.0, n_pos * n_neg, out=out,
+              where=(n_pos > 0) & (n_neg > 0))
+    return out.tolist()
 
 
 def gini(values: Sequence[float]) -> float:
@@ -137,9 +171,10 @@ def evaluate(params, graph, dataset,
     Overall and cold-start AUC pool examples (they are not per-scene
     averages). Scenes smaller than MIN_SCENE_EXAMPLES pool into an
     "other" bucket; single-class scenes are excluded from the per-scene
-    table and recorded in the warnings. The list must not be empty and
-    every label must be 0 or 1 (not a boolean); `features.click_labels`
-    names the first row that is not.
+    table and recorded in the warnings, a single-class "other" bucket as
+    "<other pool>" and a single-class cold pool as "<cold pool>". The
+    list must not be empty and every label must be 0 or 1 (not a
+    boolean); `features.click_labels` names the first row that is not.
     """
     return _evaluate(params, graph, dataset, reference)[0]
 
@@ -152,38 +187,46 @@ def _evaluate(params, graph, dataset, reference: EvalReport | None = None,
 
     labels = click_labels(dataset)
     scores, gates, scene_ids, codes = score_rows(params, graph, dataset, collect_gates)
+    # A call by module name: the benchmark's tracer times `metrics.auc`.
+    auc_all = auc(labels, scores)
+    order = np.argsort(scores)
 
+    n = len(scene_ids)
+    small = (np.bincount(codes, minlength=n) < MIN_SCENE_EXAMPLES).tolist()
+    # Each scene of at least MIN_SCENE_EXAMPLES rows is its own group; the
+    # smaller ones pool into group n, "other".
+    aucs = _group_aucs(labels, scores, order, np.where(small, n, np.arange(n))[codes],
+                       n + 1)
     per_scene: dict[str, float] = {}
     warnings: dict[str, list[str]] = {}
-    pooled_small: dict[str, np.ndarray] = {}
-    for sid, rows in zip(scene_ids, group_rows(codes, len(scene_ids))):
-        y = labels[rows]
-        if len(rows) < MIN_SCENE_EXAMPLES:
-            pooled_small[sid] = rows
-            continue
-        if y.min() == y.max():
+    pooled: list[str] = []
+    for sid, value, is_small in zip(scene_ids, aucs, small):
+        if is_small:
+            pooled.append(sid)
+        elif math.isnan(value):
             warnings.setdefault("single_class_scenes", []).append(sid)
-            continue
-        per_scene[sid] = auc(y, scores[rows])
-    if pooled_small:
-        rows = np.concatenate(list(pooled_small.values()))
-        warnings["pooled_small_scenes"] = list(pooled_small)
-        y = labels[rows]
-        if len(rows) and y.min() != y.max():
-            per_scene["other"] = auc(y, scores[rows])
+        else:
+            per_scene[sid] = value
+    if pooled:
+        warnings["pooled_small_scenes"] = pooled
+        if math.isnan(aucs[n]):
+            warnings.setdefault("single_class_scenes", []).append("<other pool>")
+        else:
+            per_scene["other"] = aucs[n]
 
     known = params.embeddings.scene_vocab
-    cold = [g for g, sid in enumerate(scene_ids) if sid not in known]
-    cold_rows = np.flatnonzero(np.isin(codes, cold))
+    cold = np.array([sid not in known for sid in scene_ids])
     auc_cold = None
-    if cold_rows.size:
-        y = labels[cold_rows]
-        if y.min() != y.max():
-            auc_cold = auc(y, scores[cold_rows])
-        else:
+    if cold.all():
+        auc_cold = auc_all
+    elif cold.any():
+        # Group 1 is the cold pool, in the same score order.
+        auc_cold = _group_aucs(labels, scores, order, cold[codes], 2)[1]
+        if math.isnan(auc_cold):
+            auc_cold = None
             warnings.setdefault("single_class_scenes", []).append("<cold pool>")
 
-    report = EvalReport(auc_all=auc(labels, scores), auc_cold_start=auc_cold,
+    report = EvalReport(auc_all=auc_all, auc_cold_start=auc_cold,
                         per_scene=per_scene, warnings=warnings)
     if reference is not None:
         gains, skipped = improvement_ratios(report, reference)

@@ -371,8 +371,9 @@ def scene_batches(params, graph: SceneRelationGraph | None,
     for key in sorted(runs):
         run = runs[key]
         rows = np.concatenate([groups[g] for g in run])
-        nbrs = np.concatenate([np.tile(neighbors[g], (len(groups[g]), 1))
-                               for g in run])
+        # Each row takes its scene's row of the run's [scenes, I] matrix.
+        nbrs = np.repeat(np.array([neighbors[g] for g in run]),
+                         [len(groups[g]) for g in run], axis=0)
         for lo in range(0, len(rows), batch_size):
             at = rows[lo:lo + batch_size]
             yield at, PreparedBatch(

@@ -153,10 +153,10 @@ class SceneRelationGraph:
     Row i of the [S, slots] int matrix `categories` is the profile of
     `scene_ids[i]` (sorted, unique) over the slots of `layout`, (key
     feature, aggregate) pairs. An edge weight is the number of slots two
-    rows agree on; `edges`, `profiles` and `bucket_edges` are views built
-    when first read. The build metadata (key features, one bucket-edge
-    tuple per slot) travels with the graph so new scenes can be profiled
-    against it.
+    rows agree on; `edges`, `profiles`, `bucket_edges` and `by_slot` are
+    views built when first read. The build metadata (key features, one
+    bucket-edge tuple per slot) travels with the graph so new scenes can
+    be profiled against it.
     """
 
     scene_ids: list[str]
@@ -187,6 +187,12 @@ class SceneRelationGraph:
         return pad_edges(self.boundaries)
 
     @cached_property
+    def by_slot(self) -> np.ndarray:
+        """`categories` as a contiguous [slots, S] matrix, the layout in
+        which `similar_scenes` compares."""
+        return np.ascontiguousarray(self.categories.T)
+
+    @cached_property
     def edges(self) -> dict[tuple[str, str], int]:
         """Every scene pair whose profiles share at least one slot."""
         ids, cats, edges = self.scene_ids, self.categories, {}
@@ -210,11 +216,18 @@ def similar_scenes(graph: SceneRelationGraph, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim != 2 or targets.shape[1] != len(graph.layout):
         raise SchemaError(f"targets {targets.shape} do not fit the graph's layout")
-    shared = (graph.categories == targets[:, None]).sum(2)
-    # The rows follow the sorted ids, so a stable sort breaks ties by id.
-    order = np.argsort(-shared, axis=1, kind="stable")[:, :k]
+    n_slots = len(graph.layout)
+    # Key: the slots a graph row does not share, slots - weight, in the
+    # smallest unsigned type that holds it; the slot-major [T, slots, S]
+    # comparison adds S-wide rows.
+    differ = graph.by_slot != targets[:, :, None]
+    key = differ.view(np.uint8).sum(1, dtype=np.min_scalar_type(n_slots))
+    # The rows follow the sorted ids, so a stable sort (a radix sort on
+    # small unsigned keys) breaks ties by id.
+    order = np.argsort(key, axis=1, kind="stable")[:, :k]
     # The rows at or above min_weight lead each order; a slice caps them at k.
-    return [row[:n] for row, n in zip(order, (shared >= min_weight).sum(1).tolist())]
+    kept = (key <= n_slots - min_weight).sum(1).tolist()
+    return [row[:n] for row, n in zip(order, kept)]
 
 
 def scene_categories(graph: SceneRelationGraph, codes: dict[str, np.ndarray],

@@ -1,5 +1,7 @@
 """Tests for AUC, Gini and the evaluation report."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import tiny_model_config
 from swan import features, metrics, model, srg
-from swan.features import scene_codes
-from swan.metrics import (EvalReport, UndefinedMetricError, auc, evaluate,
-                          gini, improvement_ratios)
+from swan.features import Example, scene_codes
+from swan.metrics import (MIN_SCENE_EXAMPLES, EvalReport, UndefinedMetricError,
+                          auc, evaluate, gini, improvement_ratios)
 from swan.model import init_params
 
 
@@ -53,6 +55,9 @@ class TestAuc:
             auc([1, 1], [0.2, 0.3])
         with pytest.raises(UndefinedMetricError):
             auc([0, 0], [0.2, 0.3])
+
+    def test_returns_a_float(self):
+        assert type(auc([1, 0, 1], [0.9, 0.1, 0.2])) is float
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
@@ -185,3 +190,120 @@ class TestEvaluate:
         assert passes == [len(test)]
         monkeypatch.undo()
         assert report.to_json() == evaluate(params, graph, test).to_json()
+
+
+def _scored(monkeypatch, labels, scores, scenes, known=()):
+    """evaluate() of rows with these labels, scores and scene ids, scoring
+    replaced by the given scores; the scenes in `known` are the model's,
+    the others cold."""
+    ids = sorted(set(scenes))
+    codes = np.searchsorted(ids, scenes)
+    monkeypatch.setattr(model, "score_rows", lambda *args: (
+        np.asarray(scores, dtype=np.float64), None, ids, codes))
+    params = SimpleNamespace(embeddings=SimpleNamespace(scene_vocab=set(known)))
+    return evaluate(params, None, [Example({}, {}, sid, label)
+                                   for sid, label in zip(scenes, labels)])
+
+
+def _per_group(labels, scores, scenes, known):
+    """The report's AUCs and warnings from one pair-counting AUC per scene,
+    pool and cold pool, as evaluate() defines them."""
+    labels, scores, scenes = np.asarray(labels), np.asarray(scores), np.asarray(scenes)
+
+    def pooled_auc(rows, name):
+        y = labels[rows]
+        if y.min() == y.max():
+            single.append(name)
+            return None
+        return brute_force_auc(y, scores[rows])
+    per_scene, single, small = {}, [], []
+    for sid in sorted(set(scenes.tolist())):
+        rows = scenes == sid
+        if rows.sum() < MIN_SCENE_EXAMPLES:
+            small.append(sid)
+        elif (value := pooled_auc(rows, sid)) is not None:
+            per_scene[sid] = value
+    if small and (value := pooled_auc(np.isin(scenes, small), "<other pool>")) is not None:
+        per_scene["other"] = value
+    cold = ~np.isin(scenes, list(known))
+    auc_cold = pooled_auc(cold, "<cold pool>") if cold.any() else None
+    warnings = {"single_class_scenes": single} if single else {}
+    if small:
+        warnings["pooled_small_scenes"] = small
+    return {"auc_all": brute_force_auc(labels, scores), "auc_cold_start": auc_cold,
+            "per_scene": per_scene, "warnings": warnings}
+
+
+@st.composite
+def _scene_rows(draw):
+    """Rows of 1 to 5 scenes, sizes around MIN_SCENE_EXAMPLES, some scenes
+    of one class, some known; scores on a coarse grid (many ties), each
+    scene's in its own range, so that one scene's top score often ties
+    the next one's lowest; the rows of all scenes interleaved."""
+    labels, scores, scenes, known = [], [], [], []
+    for s in range(draw(st.integers(1, 5))):
+        sid = f"s{s}"
+        size = draw(st.sampled_from([1, 2, 7, MIN_SCENE_EXAMPLES - 1,
+                                     MIN_SCENE_EXAMPLES, MIN_SCENE_EXAMPLES + 1, 45]))
+        one_class = draw(st.sampled_from([None, 0, 1]))
+        labels += [draw(st.integers(0, 1)) if one_class is None else one_class
+                   for _ in range(size)]
+        low = draw(st.integers(0, 6))
+        high = draw(st.integers(low, 6))
+        scores += [draw(st.integers(low, high)) / 8 for _ in range(size)]
+        scenes += [sid] * size
+        if draw(st.booleans()):
+            known.append(sid)
+    order = draw(st.permutations(range(len(labels))))
+    return ([labels[i] for i in order], [scores[i] for i in order],
+            [scenes[i] for i in order], known)
+
+
+class TestEvaluateAucs:
+    @given(_scene_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_match_per_group_auc(self, rows):
+        """Every AUC of the report equals the pair-counting AUC of its own
+        rows, bit for bit, and the single-class and pooled scenes are named."""
+        labels, scores, scenes, known = rows
+        with pytest.MonkeyPatch.context() as mp:
+            if min(labels) == max(labels):
+                with pytest.raises(UndefinedMetricError):
+                    _scored(mp, labels, scores, scenes, known)
+                return
+            report = _scored(mp, labels, scores, scenes, known)
+        expected = _per_group(labels, scores, scenes, known)
+        assert report.auc_all == expected["auc_all"]
+        assert report.auc_cold_start == expected["auc_cold_start"]
+        assert report.per_scene == expected["per_scene"]
+        assert report.warnings == expected["warnings"]
+        assert all(type(v) is float for v in
+                   [report.auc_all, *report.per_scene.values()])
+        if not known:
+            assert report.auc_cold_start == report.auc_all
+
+    def test_single_class_pool_recorded(self, monkeypatch):
+        """A pool of small scenes that holds one class has no AUC and is
+        named, as a single-class cold pool is."""
+        rng = np.random.default_rng(0)
+        labels = [0, 1] * 30 + [0] * 10
+        report = _scored(monkeypatch, labels, rng.random(70),
+                         ["big"] * 60 + ["small"] * 10, known=["big", "small"])
+        assert set(report.per_scene) == {"big"}
+        assert report.warnings == {"pooled_small_scenes": ["small"],
+                                   "single_class_scenes": ["<other pool>"]}
+        report = _scored(monkeypatch, [1] * 10 + labels[:60], rng.random(70),
+                         ["small"] * 10 + ["big"] * 60, known=["big"])
+        assert report.auc_cold_start is None
+        assert report.warnings["single_class_scenes"] == ["<other pool>", "<cold pool>"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 65])
+    def test_non_finite_score_rejected(self, monkeypatch, bad, at):
+        """A non-finite score, in a scene of its own AUC or in a
+        single-class pool, fails the whole report."""
+        scores = np.linspace(0.0, 1.0, 70)
+        scores[at] = bad
+        with pytest.raises(ValueError, match="scores must be finite"):
+            _scored(monkeypatch, [0, 1] * 30 + [0] * 10, scores,
+                    ["big"] * 60 + ["small"] * 10)

@@ -537,6 +537,39 @@ class TestSimilarScenes:
                     assert _ranked(g, target, k, min_weight) == \
                         _profile_scan(profiles, target, k, min_weight)
 
+    def test_more_than_255_slots(self):
+        """With 300 slots the key (slots not shared) needs 16 bits: in 8
+        bits a row sharing no slot (key 300) would tie with one sharing 256
+        (key 44) and rank above one sharing 10 (key 290)."""
+        target = np.arange(300)
+        rows = {"a": 0, "b": 256, "c": 300, "d": 10}  # slots shared with the target
+        ids = sorted(rows)
+        cats = np.array([np.where(np.arange(300) < rows[sid], target, 1000) for sid in ids])
+        g = SceneRelationGraph(ids, tuple((f"k{i}", "mean") for i in range(300)), cats)
+        for min_weight, expected in [(0, "cbda"), (1, "cbd"), (11, "cb"), (256, "cb"),
+                                     (257, "c"), (301, "")]:
+            rows_found = similar_scenes(g, target[None], k=4, min_weight=min_weight)[0]
+            assert "".join(ids[i] for i in rows_found.tolist()) == expected
+
+    @pytest.mark.parametrize("n_targets", [1, 200])
+    def test_many_ties_match_stable_argsort(self, n_targets):
+        """On matrices of two categories, where most weights tie, the top-k
+        is the stable descending sort of the shared-slot counts."""
+        rng = np.random.default_rng(n_targets)
+        for n_scenes, n_slots in [(1, 1), (40, 3), (300, 6)]:
+            cats = rng.integers(0, 2, size=(n_scenes, n_slots))
+            g = SceneRelationGraph([f"s{i:03d}" for i in range(n_scenes)],
+                                   tuple((f"k{i}", "mean") for i in range(n_slots)), cats)
+            targets = rng.integers(0, 2, size=(n_targets, n_slots))
+            shared = (cats == targets[:, None]).sum(2)
+            order = np.argsort(-shared, axis=1, kind="stable")
+            for k in (1, 5, n_scenes + 1):
+                for min_weight in (0, 1, n_slots // 2, n_slots, n_slots + 1):
+                    found = similar_scenes(g, targets, k=k, min_weight=min_weight)
+                    kept = (shared >= min_weight).sum(1)
+                    assert [rows.tolist() for rows in found] == [
+                        row[:min(k, n)].tolist() for row, n in zip(order, kept)]
+
     @given(st.permutations(range(6)))
     @settings(max_examples=30, deadline=None)
     def test_stable_under_input_permutation(self, order):
