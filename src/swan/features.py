@@ -284,6 +284,9 @@ class FeatureSchema:
             raise SchemaError("feature names must be unique")
         self.features = list(features)
         self._by_name = {f.name: f for f in self.features}
+        # The feature names an Example's `user` and `item` dicts hold.
+        self._sides = tuple([f.name for f in self.features if _side(f) == side]
+                            for side in ("user", "item"))
 
     def __iter__(self):
         return iter(self.features)
@@ -345,14 +348,13 @@ def is_click_label(label) -> bool:
     return not isinstance(label, (bool, np.bool_)) and label in (0, 1)
 
 
-def click_labels(examples: Sequence[Example]) -> np.ndarray:
-    """The examples' labels as a float64 array; ValueError for an empty
-    list, the one empty-list rule of every call that reads labels, or
+def click_labels(examples: Dataset) -> np.ndarray:
+    """The dataset's labels as a float64 array; ValueError for an empty
+    dataset, the one empty-input rule of every call that reads labels, or
     naming the first example whose label is not a click label."""
     if len(examples) == 0:
         raise ValueError("no examples: this call needs a non-empty dataset")
-    labels = (examples._labels if isinstance(examples, Dataset)
-              else _raw_column([ex.label for ex in examples]))
+    labels = examples._labels
     # An int64 column of 0 and 1 passes in one numpy pass; anything else goes
     # through the per-row rule, which names the first bad row.
     if (isinstance(labels, np.ndarray) and labels.dtype == np.int64
@@ -361,8 +363,8 @@ def click_labels(examples: Sequence[Example]) -> np.ndarray:
     labels = _as_list(labels)
     for i, label in enumerate(labels):
         if not is_click_label(label):
-            raise ValueError(f"example {i} (scene {examples[i].scene_id!r}): "
-                             f"label must be 0 or 1, got {label!r}")
+            raise ValueError(f"{_row_name(examples, i)}: label must be 0 or 1, "
+                             f"got {label!r}")
     return np.array(labels, dtype=np.float64)
 
 
@@ -416,6 +418,22 @@ def _index_of(ids: list) -> tuple[list, np.ndarray]:
                                count=len(ids))
 
 
+def _row_name(rows: Sequence, i: int) -> str:
+    """Row i and its scene, as every row-named error starts."""
+    return f"example {i} (scene {getattr(rows[i], 'scene_id', None)!r})"
+
+
+def _row_field(rows: list, field: str | None, kind: type, rule: str) -> list:
+    """Each row's `field` (the rows themselves for None); a SchemaError names
+    the first that is not a `kind`, found after one pass over the types."""
+    values = rows if field is None else list(map(attrgetter(field), rows))
+    if not set(map(type, values)) <= {kind}:
+        for i, value in enumerate(values):
+            if not isinstance(value, kind):
+                raise SchemaError(f"{_row_name(rows, i)}: {rule}, got {value!r}")
+    return values
+
+
 # Iteration reads the columns this many rows at a time, so that few of
 # their values are held as Python objects at once.
 ROW_CHUNK = 4096
@@ -437,9 +455,10 @@ class Dataset(Sequence):
     copy, so changing it leaves the dataset as it was. A slice is a
     Dataset with the same schema.
 
-    Built from examples, it needs their schema, and every example must
-    hold each schema feature in its group's dict and no other feature; a
-    SchemaError names the first row that does not.
+    Built from examples, it needs their schema. Each must be an Example
+    with a string `scene_id` and dict `user` and `item`, then hold each
+    schema feature in its group's dict, then no other; the rules are
+    checked in that order and a SchemaError names the first row at fault.
     """
 
     def __init__(self, examples: Iterable[Example] = (),
@@ -447,28 +466,27 @@ class Dataset(Sequence):
         rows = list(examples)
         if rows and schema is None:
             raise ValueError("a Dataset of examples needs their feature schema")
-        sources: dict[str, list[dict]] = {}
+        _row_field(rows, None, Example, "a row must be an Example")
+        scene_ids = _row_field(rows, "scene_id", str, "scene_id must be a string")
+        sources = {side: _row_field(rows, side, dict, f"{side!r} must be a dict")
+                   for side in ("user", "item")}
         columns = {}
         for feat in schema or ():
-            values = _column_values(rows, feat, sources)
-            if isinstance(values, list) and _Missing in set(map(type, values)):
-                # The per-value rule's error names the first row lacking it.
-                list(_per_value(rows, feat, values, lambda value: value))
-            columns[feat.name] = values
-        for side in ("user", "item"):
-            names = {f.name for f in schema or () if _side(f) == side}
-            if side not in sources:
-                sources[side] = list(map(attrgetter(side), rows))
-            dicts = sources[side]
+            dicts = sources[_side(feat)]
+            try:
+                columns[feat.name] = list(map(itemgetter(feat.name), dicts))
+            except LookupError:
+                i = next(i for i, d in enumerate(dicts) if feat.name not in d)
+                raise SchemaError(f"{_row_name(rows, i)}: example is missing "
+                                  f"feature {feat.name!r}") from None
+        for names, dicts in zip(schema._sides if rows else (), sources.values()):
             # Every row holds each of the names; a longer dict holds another.
-            longer = np.flatnonzero(np.fromiter(map(len, dicts), dtype=np.int64,
-                                                count=len(dicts)) > len(names))
-            if longer.size:
-                i = int(longer[0])
+            if max(map(len, dicts)) > len(names):
+                i = next(i for i, d in enumerate(dicts) if len(d) > len(names))
                 name = next(k for k in dicts[i] if k not in names)
-                raise SchemaError(f"example {i} (scene {rows[i].scene_id!r}): "
-                                  f"unknown feature name {name!r}")
-        self._fill(schema, columns, *scene_codes(rows), [ex.label for ex in rows])
+                raise SchemaError(f"{_row_name(rows, i)}: unknown feature name {name!r}")
+        self._fill(schema, columns, *_index_of(scene_ids),
+                   list(map(attrgetter("label"), rows)))
 
     @classmethod
     def from_columns(cls, schema: "FeatureSchema", columns: dict, scene_ids: list,
@@ -483,7 +501,7 @@ class Dataset(Sequence):
 
     def _fill(self, schema, columns: dict, scene_ids: list, codes: np.ndarray,
               labels: list | np.ndarray) -> None:
-        names = [f.name for f in schema or ()]
+        names = [] if schema is None else list(schema._by_name)
         if list(columns) != names:
             raise ValueError(f"columns {list(columns)} are not the schema's {names}")
         if any(len(col) != len(codes) for col in (*columns.values(), labels)):
@@ -494,11 +512,9 @@ class Dataset(Sequence):
         self._scene_ids = scene_ids
         self._codes = np.asarray(codes, dtype=np.int64)
         self._labels = _raw_column(labels)
-        self._sides = [[f.name for f in schema or () if _side(f) == side]
-                       for side in ("user", "item")]
         for col in (*self._columns.values(), self._codes, self._labels):
             if isinstance(col, np.ndarray):
-                col.flags.writeable = False
+                col.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -514,15 +530,15 @@ class Dataset(Sequence):
         if not -len(self) <= i < len(self):
             raise IndexError(f"Dataset index {i} out of range for {len(self)} rows")
         i %= len(self)
-        user, item = self._sides
+        user, item = self.schema._sides
         return Example({name: _item(self._columns[name], i) for name in user},
                        {name: _item(self._columns[name], i) for name in item},
                        self._scene_ids[self._codes.item(i)], _item(self._labels, i))
 
     def __iter__(self):
-        user, item = self._sides
         for lo in range(0, len(self), ROW_CHUNK):
             at = slice(lo, lo + ROW_CHUNK)
+            user, item = self.schema._sides  # an empty Dataset may have no schema
 
             def values(names):
                 cols = [_as_list(self._columns[name][at]) for name in names]
@@ -541,24 +557,29 @@ class Dataset(Sequence):
         return [*other, *self]
 
 
-def encode_columns(examples: Sequence[Example],
+def as_dataset(examples: Sequence[Example], schema: FeatureSchema | None) -> Dataset:
+    """The one way rows enter: a Dataset as it is (read by feature name
+    whatever its schema), any other sequence as `Dataset(examples, schema)`."""
+    return examples if isinstance(examples, Dataset) else Dataset(examples, schema)
+
+
+def encode_columns(examples: Dataset,
                    features: Iterable[Feature]) -> dict[str, np.ndarray]:
-    """Each feature's codes over the examples, as one int64 array per
-    feature name; the only code that turns examples into codes.
+    """Each feature's codes over the dataset's columns, as one int64 array
+    per feature name; the only code that turns examples into codes.
 
     A column is encoded in one numpy pass when it is an int64 column
     (`_raw_column`: every value a Python int within int64) or, numeric
     with fitted boundaries, a column `_float_column` takes. Any other
-    column (booleans, other types, a missing value, ints past int64 or past
-    the float range, NaN or ±inf) goes through `Feature.encode` value by
-    value in row order (`_per_value`), so the codes and the first error
-    raised are those of `Feature.encode` either way, the error naming its
-    row.
+    column (booleans, other types, ints past int64 or past the float
+    range, NaN or ±inf, or a feature the dataset's schema lacks) goes
+    through `Feature.encode` value by value in row order (`_per_value`),
+    so the codes and the first error raised are those of `Feature.encode`
+    either way, the error naming its row.
     """
-    sources: dict[str, list[dict]] = {}
     out = {}
     for f in features:
-        values = _column_values(examples, f, sources)
+        values = _column_values(examples, f)
         codes = _column_codes(f, values)
         if codes is None:
             codes = np.array(list(_per_value(examples, f, values, f.encode)),
@@ -567,9 +588,9 @@ def encode_columns(examples: Sequence[Example],
     return out
 
 
-def _per_value(examples: Sequence[Example], feat: Feature, values: list | np.ndarray,
+def _per_value(dataset: Dataset, feat: Feature, values: list | np.ndarray,
                convert) -> Iterable:
-    """`convert` of each of `feat`'s raw values over the examples; a
+    """`convert` of each of `feat`'s raw values over the dataset; a
     SchemaError, a missing value's included, names its row."""
     for i, value in enumerate(_as_list(values)):
         try:
@@ -577,29 +598,17 @@ def _per_value(examples: Sequence[Example], feat: Feature, values: list | np.nda
                 raise SchemaError(f"example is missing feature {feat.name!r}")
             yield convert(value)
         except SchemaError as e:
-            raise SchemaError(f"example {i} (scene {examples[i].scene_id!r}): "
-                              f"{e}") from None
+            raise SchemaError(f"{_row_name(dataset, i)}: {e}") from None
 
 
-def _column_values(examples: Sequence[Example], feat: Feature,
-                   sources: dict[str, list[dict]]) -> list | np.ndarray:
-    """`feat`'s raw values over the examples in row order, `_MISSING` where
-    an example lacks it: a Dataset's column, or the values of an example
-    list as `_raw_column` keeps them, whose value dicts `sources` keeps
-    between calls."""
-    if isinstance(examples, Dataset):
-        own = (None if examples.schema is None
-               else examples.schema._by_name.get(feat.name))
-        if own is not None and _side(own) == _side(feat):
-            return examples._columns[feat.name]
-        return [_MISSING] * len(examples)
-    side = _side(feat)
-    if side not in sources:
-        sources[side] = list(map(attrgetter(side), examples))
-    try:
-        return _raw_column(list(map(itemgetter(feat.name), sources[side])))
-    except LookupError:
-        return [src.get(feat.name, _MISSING) for src in sources[side]]
+def _column_values(dataset: Dataset, feat: Feature) -> list | np.ndarray:
+    """`feat`'s raw values over the dataset in row order: the column of
+    the dataset's feature of that name when it sits in the same Example
+    dict, else `_MISSING` in every row."""
+    own = None if dataset.schema is None else dataset.schema._by_name.get(feat.name)
+    if own is feat or (own is not None and _side(own) == _side(feat)):
+        return dataset._columns[feat.name]
+    return [_MISSING] * len(dataset)
 
 
 def _float_column(values: list | np.ndarray) -> np.ndarray | None:
@@ -637,15 +646,13 @@ def _column_codes(feat: Feature, values: list | np.ndarray) -> np.ndarray | None
     x = _float_column(values)
     if x is None:
         return None
-    return np.searchsorted(edges, x, side="right").astype(np.int64, copy=False)
+    return edges.searchsorted(x, side="right").astype(np.int64, copy=False)
 
 
-def scene_codes(examples: Sequence[Example]) -> tuple[list[str], np.ndarray]:
-    """The examples' distinct scene ids, sorted, and each example's index
-    into them as an int64 array; a Dataset's are its own."""
-    if isinstance(examples, Dataset):
-        return list(examples._scene_ids), examples._codes
-    return _index_of(list(map(attrgetter("scene_id"), examples)))
+def scene_codes(examples: Dataset) -> tuple[list[str], np.ndarray]:
+    """The dataset's distinct scene ids, sorted, and each row's index into
+    them as an int64 array."""
+    return list(examples._scene_ids), examples._codes
 
 
 def group_rows(codes: np.ndarray, n_groups: int,
@@ -678,16 +685,16 @@ def fit_numeric_boundaries(examples: Sequence[Example], schema: FeatureSchema,
                            buckets: int = 10) -> FeatureSchema:
     """Fit equal-frequency bucket boundaries (`quantile_edges`) for numeric
     features lacking them."""
-    sources: dict[str, list[dict]] = {}
+    dataset = as_dataset(examples, schema)
     fitted = []
     for feat in schema:
         if feat.kind != "numeric" or feat.boundaries is not None:
             fitted.append(feat)
             continue
-        column = _column_values(examples, feat, sources)
+        column = _column_values(dataset, feat)
         values = _float_column(column)
         if values is None:
-            values = np.array(list(_per_value(examples, feat, column, feat.number)))
+            values = np.array(list(_per_value(dataset, feat, column, feat.number)))
         if values.size == 0:
             raise ValueError(f"no values to fit boundaries for {feat.name!r}")
         fitted.append(Feature(feat.name, feat.kind, feat.group,
@@ -705,8 +712,7 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
     Out-of-vocabulary categorical values, booleans included, are kept as
     they are (they encode to the reserved index later) and counted.
     """
-    known_user = {f.name for f in schema if f.group == "user"}
-    known_item = {f.name for f in schema if f.group != "user"}
+    known = dict(zip(("user", "item"), map(set, schema._sides)))
     columns: dict[str, list] = {f.name: [] for f in schema}
     scene_ids, labels = [], []
     # Bytes that are not UTF-8 decode to lone surrogates, caught per line.
@@ -742,12 +748,10 @@ def load_dataset(path: str, schema: FeatureSchema) -> Dataset:
             label = obj["label"]
             if not is_click_label(label):
                 raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            for name in obj["user"]:
-                if name not in known_user:
-                    raise SchemaError(f"{path}:{lineno}: unknown feature name {name!r}")
-            for name in obj["item"]:
-                if name not in known_item:
-                    raise SchemaError(f"{path}:{lineno}: unknown feature name {name!r}")
+            for side in ("user", "item"):
+                for name in obj[side]:
+                    if name not in known[side]:
+                        raise SchemaError(f"{path}:{lineno}: unknown feature name {name!r}")
             for feat in schema:
                 source = obj[_side(feat)]
                 if feat.name not in source:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import click_labels, read_json, write_json
+from .features import as_dataset, click_labels, read_json, write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -185,6 +185,7 @@ def _evaluate(params, graph, dataset, reference: EvalReport | None = None,
     pass when `collect_gates` (None otherwise)."""
     from .model import score_rows
 
+    dataset = as_dataset(dataset, params.schema)
     labels = click_labels(dataset)
     scores, gates, scene_ids, codes = score_rows(params, graph, dataset, collect_gates)
     # A call by module name: the benchmark's tracer times `metrics.auc`.

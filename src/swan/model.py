@@ -21,9 +21,9 @@ from . import autodiff as ad
 from .aem import aeg_forward, expert_selector, seg_forward
 from .autodiff import Tensor
 from .cfr import assemble_input, cfr_forward
-from .features import (Config, EmbeddingSet, Example, FeatureSchema,
-                       SchemaError, embed_indices, encode_columns, group_rows,
-                       scene_codes)
+from .features import (Config, Dataset, EmbeddingSet, Example, FeatureSchema,
+                       SchemaError, as_dataset, embed_indices, encode_columns,
+                       group_rows, scene_codes)
 from .head import decide
 from .nn import MLP
 from .san import san_forward
@@ -186,7 +186,7 @@ class SwanForward:
     aeg_outputs: Tensor             # [B, N_a * d_expert], expert i in block i
 
 
-def encode_batch(examples: Sequence[Example], schema: FeatureSchema,
+def encode_batch(examples: Dataset, schema: FeatureSchema,
                  ) -> tuple[dict[str, np.ndarray], list[str], np.ndarray]:
     """Every schema feature's codes, then `features.scene_codes`."""
     return (encode_columns(examples, schema), *scene_codes(examples))
@@ -314,8 +314,6 @@ def predict(params, graph: SceneRelationGraph | None, example: Example) -> float
 
     It is `predict_scores` over a one-example dataset.
     """
-    if not isinstance(example, Example):
-        raise SchemaError("predict needs an Example")
     return float(predict_scores(params, graph, [example])[0])
 
 
@@ -390,11 +388,12 @@ def predict_scores(params, graph: SceneRelationGraph | None,
                    dataset: Sequence[Example], collect_gates: bool = False):
     """Scores aligned with the dataset order.
 
-    The dataset is encoded once. Unknown scenes are profiled from their
-    own rows' codes against the graph's stored bucket boundaries before
-    neighbor retrieval, and rows are scored in chunks of at most
-    PREDICT_BATCH that cross scenes. With `collect_gates` the selector
-    gate matrix (rows aligned with the dataset) is returned as well.
+    The dataset (a list is made one by `features.as_dataset`) is encoded
+    once. Unknown scenes are profiled from their own rows' codes against
+    the graph's stored bucket boundaries before neighbor retrieval, and
+    rows are scored in chunks of at most PREDICT_BATCH that cross scenes.
+    With `collect_gates` the selector gate matrix (rows aligned with the
+    dataset) is returned as well.
     """
     scores, gates, _, _ = score_rows(params, graph, dataset, collect_gates)
     if collect_gates:
@@ -408,6 +407,7 @@ def score_rows(params, graph: SceneRelationGraph | None,
     """`predict_scores`' scores and gates (None unless `collect_gates`),
     then the sorted scene ids and each row's code into them, as its one
     `encode_batch` call read them."""
+    dataset = as_dataset(dataset, params.schema)
     scores = np.empty(len(dataset))
     gates = None
     idx, scene_ids, codes = encode_batch(dataset, params.schema)

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import (Example, FeatureSchema, SchemaError, click_labels,
-                       encode_columns, group_rows, quantile_edges, read_json,
-                       scene_codes, sorted_finite, write_json)
+from .features import (Dataset, Example, FeatureSchema, SchemaError, as_dataset,
+                       click_labels, encode_columns, group_rows, quantile_edges,
+                       read_json, scene_codes, sorted_finite, write_json)
 
 AGGREGATES = ("mean", "var", "max", "min")
 
@@ -48,15 +48,15 @@ def select_key_features(examples: Sequence[Example], schema: FeatureSchema,
     inputs. Constant features are dropped. Results are sorted by |r|
     descending with ties broken by name.
     """
-    labels = click_labels(examples)
-    return _key_features(encode_columns(examples, schema.group("item")), labels,
-                         cc_threshold)
+    return _key_features(as_dataset(examples, schema), schema, cc_threshold)[0]
 
 
-def _key_features(codes: dict[str, np.ndarray], labels: np.ndarray,
-                  cc_threshold: float) -> list[str]:
-    """select_key_features over the item columns of encoded rows whose
-    click labels are `labels`."""
+def _key_features(dataset: Dataset, schema: FeatureSchema, cc_threshold: float,
+                  ) -> tuple[list[str], dict[str, np.ndarray]]:
+    """select_key_features over a dataset, and the codes of its item
+    columns, which it reads once."""
+    labels = click_labels(dataset)
+    codes = encode_columns(dataset, schema.group("item"))
     if len(labels) < 2:
         raise ValueError("key-feature selection needs at least 2 examples")
     scored = []
@@ -65,7 +65,7 @@ def _key_features(codes: dict[str, np.ndarray], labels: np.ndarray,
         if abs(r) >= cc_threshold and col.std() > 0.0:
             scored.append((name, abs(r)))
     scored.sort(key=lambda t: (-t[1], t[0]))
-    return [name for name, _ in scored]
+    return [name for name, _ in scored], codes
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,8 @@ def profile_new_scene(graph: SceneRelationGraph, scene_id: str,
                       scene_examples: Sequence[Example],
                       schema: FeatureSchema) -> SceneProfile:
     """Profile an unseen scene with the graph's stored bucket boundaries."""
-    codes = encode_columns(scene_examples, [schema[name] for name in graph.key_features])
+    codes = encode_columns(as_dataset(scene_examples, schema),
+                           [schema[name] for name in graph.key_features])
     cats = scene_categories(graph, codes, [np.arange(len(scene_examples))])
     return _profiles([scene_id], graph.layout, cats)[scene_id]
 
@@ -264,12 +265,11 @@ def build_srg(examples: Sequence[Example], schema: FeatureSchema,
     The item columns are encoded once; key-feature selection and every
     scene's profile read them.
     """
-    labels = click_labels(examples)
-    codes = encode_columns(examples, schema.group("item"))
-    key = _key_features(codes, labels, cc_threshold)
+    dataset = as_dataset(examples, schema)
+    key, codes = _key_features(dataset, schema, cc_threshold)
     if not key:
         raise ValueError(f"no feature reaches |r| >= {cc_threshold}; lower the threshold")
-    ids, rows = scene_codes(examples)
+    ids, rows = scene_codes(dataset)
     raw = aggregates({name: codes[name] for name in key}, group_rows(rows, len(ids)))
     layout = _layout(key)
     boundaries = bucket_boundaries(raw, buckets)

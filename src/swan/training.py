@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .features import Config, Example, FeatureSchema, click_labels, field_types
+from .features import (Config, Example, FeatureSchema, as_dataset, click_labels,
+                       field_types)
 from .head import LossWeights, ce_loss, total_loss
 from .metrics import _evaluate
 from .model import (ModelConfig, ModelParams, PreparedBatch, check_graph_scenes,
@@ -144,20 +145,18 @@ def train(dataset: Sequence[Example], graph: SceneRelationGraph | None,
 
     The per-epoch loss is the example-weighted mean of batch losses.
     Aborts with the offending batch index if the loss ever goes
-    non-finite. The feature schema normally travels with the dataset
-    (load_dataset and the generator attach it); pass it explicitly for
-    hand-built example lists. The list must not be empty, every label
-    must be 0 or 1 (not a boolean), every feature value must encode, and
-    the full model needs a graph that holds exactly the dataset's scenes
-    (`check_graph_scenes`); each check raises a ValueError naming the
-    first bad row or the scenes at fault before any parameter is
-    initialised.
+    non-finite. The feature schema travels with a Dataset (load_dataset
+    and the generator attach it); an Example list needs it passed and is
+    made a Dataset against it first (`features.as_dataset`). Then the
+    dataset must not be empty, every label must be 0 or 1 (not a
+    boolean), every feature value must encode, and the full model needs a
+    graph that holds exactly the dataset's scenes (`check_graph_scenes`);
+    each check raises a ValueError naming the first bad row or the scenes
+    at fault before any parameter is initialised.
     """
+    dataset = as_dataset(dataset, schema)
     labels = click_labels(dataset)
-    schema = schema or getattr(dataset, "schema", None)
-    if schema is None:
-        raise ValueError("no feature schema: pass schema= or use a dataset "
-                         "that carries one")
+    schema = schema or dataset.schema
     idx, scene_ids, codes = encode_batch(dataset, schema)
     if config.model_kind == "swan":
         check_graph_scenes(graph, scene_ids, "train")
@@ -250,6 +249,7 @@ def run_sweep(param: str, values: Sequence[float], train_set: Sequence[Example],
     """
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; one of {SWEEPABLE}")
+    train_set, test_set = as_dataset(train_set, schema), as_dataset(test_set, schema)
     results = []
     for value in values:
         cfg = _config_with(config, param, value)

@@ -16,6 +16,7 @@ import pytest  # noqa: E402
 
 from swan import autodiff as ad  # noqa: E402
 from swan.datagen import GenConfig, generate  # noqa: E402
+from swan.features import as_dataset  # noqa: E402
 from swan.head import LossWeights  # noqa: E402
 from swan.model import ModelConfig, encode_batch  # noqa: E402
 from swan.srg import build_srg  # noqa: E402
@@ -51,7 +52,7 @@ def encoded(examples, schema, embeddings):
     """`encode_batch`'s codes of the examples, and each row's scene
     vocabulary index (the shared unknown-scene row for a scene the
     embeddings do not know), as a `PreparedBatch` takes them."""
-    idx, scene_ids, codes = encode_batch(examples, schema)
+    idx, scene_ids, codes = encode_batch(as_dataset(examples, schema), schema)
     vocab = np.array([embeddings.scene_index(sid) for sid in scene_ids], dtype=np.int64)
     return idx, vocab[codes]
 

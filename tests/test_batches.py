@@ -11,7 +11,8 @@ from conftest import encoded, tiny_gen_config, tiny_model_config, vocab_indices
 from swan import autodiff as ad
 from swan import model as swan_model
 from swan.datagen import generate
-from swan.features import Example, group_rows, scene_codes
+from swan.features import (Dataset, Example, FeatureSchema, as_dataset,
+                           group_rows, scene_codes)
 from swan.model import (ComponentFlags, PreparedBatch, dnn_forward,
                         encode_batch, init_params,
                         predict, predict_scores, resolve_neighbors,
@@ -31,7 +32,8 @@ def _group_by_scene(examples):
 
 def _batches(params, graph, data, labels, batch_size, **kwargs):
     """`scene_batches` over the encoded rows of `data`."""
-    idx, scene_ids, codes = encode_batch(data, params.schema)
+    idx, scene_ids, codes = encode_batch(as_dataset(data, params.schema),
+                                         params.schema)
     return scene_batches(params, graph, idx, scene_ids, codes, labels,
                          batch_size, **kwargs)
 
@@ -87,7 +89,7 @@ class TestGrouping:
         examples = [Example(user={}, item={}, scene_id=sid, label=0) for sid in ids]
         order = (None if seed is None
                  else np.random.default_rng(seed).permutation(len(ids)))
-        scene_ids, codes = scene_codes(examples)
+        scene_ids, codes = scene_codes(Dataset(examples, FeatureSchema([])))
         groups = group_rows(codes, len(scene_ids), order)
         assert codes.dtype == np.int64 and codes.shape == (len(ids),)
         assert [scene_ids[c] for c in codes] == ids
@@ -258,7 +260,8 @@ def _per_scene_scores(params, graph, dataset):
 
 def _neighbour_counts(params, graph, dataset):
     """The numbers of neighbours the scenes of `dataset` get."""
-    idx, scene_ids, codes = encode_batch(dataset, params.schema)
+    idx, scene_ids, codes = encode_batch(as_dataset(dataset, params.schema),
+                                         params.schema)
     return {len(n) for n in scene_neighbors(params, graph, idx, scene_ids,
                                             group_rows(codes, len(scene_ids)))}
 
@@ -336,7 +339,8 @@ class TestCrossSceneScoring:
         params = _params("swan", result.schema, graph, tiny_model_config())
         data, _ = _mixed(result)
         data = data + list(result.test)
-        idx, scene_ids, codes = encode_batch(data, params.schema)
+        idx, scene_ids, codes = encode_batch(as_dataset(data, params.schema),
+                                             params.schema)
         groups = dict(zip(scene_ids, group_rows(codes, len(scene_ids))))
         cold = sorted(sid for sid in groups if sid not in graph.profiles)
         assert len(cold) == 2

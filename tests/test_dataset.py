@@ -10,7 +10,7 @@ import pytest
 from conftest import tiny_gen_config, tiny_train_config
 from swan.datagen import generate
 from swan.features import (Dataset, Example, Feature, FeatureSchema,
-                           ParseError, SchemaError, click_labels,
+                           ParseError, SchemaError, as_dataset, click_labels,
                            encode_columns, load_dataset, scene_codes,
                            write_dataset)
 from swan.metrics import evaluate
@@ -175,7 +175,8 @@ def test_columns_and_rows_give_identical_results(generated, tmp_path):
         train_set, test_set = generated.train, generated.test
         if form == "rows":
             train_set, test_set = list(train_set), list(test_set)
-        idx, scene_ids, codes = encode_batch(train_set, schema)
+        columns = as_dataset(train_set, schema)
+        idx, scene_ids, codes = encode_batch(columns, schema)
         graph = build_srg(train_set, schema, cc_threshold=0.05, buckets=4)
         params = train(train_set, graph, tiny_train_config(epochs=1),
                        schema=schema).params
@@ -187,7 +188,7 @@ def test_columns_and_rows_give_identical_results(generated, tmp_path):
         report.save(out / "report.json")
         outputs[form] = (
             {name: c.tolist() for name, c in idx.items()}, scene_ids,
-            codes.tolist(), click_labels(train_set).tolist(),
+            codes.tolist(), click_labels(columns).tolist(),
             [_sha256(out / name) for name in ("graph.json", "model.bin",
                                                "report.json")])
     assert outputs["columns"] == outputs["rows"]

@@ -17,8 +17,8 @@ from swan.features import (ConfigError, Dataset, EmbeddingSet, Example, Feature,
                            fit_numeric_boundaries, load_dataset, write_dataset,
                            write_json)
 from swan.metrics import evaluate
-from swan.model import init_params, predict_scores
-from swan.srg import build_srg
+from swan.model import init_params, predict, predict_scores
+from swan.srg import build_srg, profile_new_scene, select_key_features
 from swan.training import train
 
 
@@ -250,7 +250,7 @@ class TestDatasetIO:
                        _example(item={"brand": False, "hour": True})], path)
         loaded = load_dataset(path, schema)
         assert loaded.oov_count == 3
-        enc = encode_columns([loaded[1]], schema)
+        enc = encode_columns(loaded[1:2], schema)
         assert enc["brand"][0] == schema["brand"].oov_index
         assert enc["hour"][0] == schema["hour"].oov_index
 
@@ -303,6 +303,21 @@ def _per_value(examples, features):
     return out
 
 
+def _first_missing(examples, features):
+    """True when a row lacks one of the features, after checking that
+    `Dataset(examples, features)` names the first such row of the first
+    such feature."""
+    for f in features:
+        for i, ex in enumerate(examples):
+            if f.name not in (ex.user if f.group == "user" else ex.item):
+                with pytest.raises(SchemaError) as err:
+                    Dataset(examples, schema=FeatureSchema(features))
+                assert str(err.value) == (f"example {i} (scene 's'): "
+                                          f"example is missing feature {f.name!r}")
+                return True
+    return False
+
+
 def _outcome(fn, *args):
     try:
         return "codes", fn(*args)
@@ -318,7 +333,9 @@ class TestEncodeColumns:
     @settings(max_examples=400, deadline=None)
     def test_equals_per_value_encode(self, vocab, boundaries, cat, num, numeric_first):
         """Same codes and dtype, or the same first error, as Feature.encode
-        value by value; empty boundaries (one bucket) and zero rows included."""
+        value by value; empty boundaries (one bucket) and zero rows included.
+        Rows that lack a feature make no Dataset: its error names the first
+        such row of the first such feature, before any value error."""
         n = min(len(cat), len(num))
         examples = [Example(user={} if c is _MISSING else {"c": c},
                             item={} if x is _MISSING else {"x": x},
@@ -328,20 +345,19 @@ class TestEncodeColumns:
                     Feature("x", "numeric", "item", boundaries=tuple(boundaries))]
         if numeric_first:
             features.reverse()
+        if _first_missing(examples, features):
+            return
         want = _outcome(_per_value, examples, features)
-        inputs = [examples]
-        if _MISSING not in cat[:n] + num[:n]:
-            inputs.append(Dataset(examples, schema=FeatureSchema(features)))
-        for rows in inputs:
-            got = _outcome(encode_columns, rows, features)
-            assert got[0] == want[0], (got, want)
-            if got[0] == "error":
-                assert got[1] == want[1]
-            else:
-                assert list(got[1]) == list(want[1])
-                for name, codes in want[1].items():
-                    assert got[1][name].dtype == np.int64
-                    np.testing.assert_array_equal(got[1][name], codes)
+        got = _outcome(encode_columns, Dataset(examples, schema=FeatureSchema(features)),
+                       features)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert list(got[1]) == list(want[1])
+            for name, codes in want[1].items():
+                assert got[1][name].dtype == np.int64
+                np.testing.assert_array_equal(got[1][name], codes)
 
     @given(boundaries=st.lists(st.floats(-25, 25), max_size=3))
     @example(boundaries=[3.0, 1.0, 2.0])
@@ -385,12 +401,13 @@ class TestEncodeColumns:
                 (-1, 9.0, 5, 1e300), (2 ** 62, -1.0, 2 ** 62, -1e-300)]
         examples = [Example(user={"c": c}, item={"x": x, "y": y, "z": z},
                             scene_id="s", label=0) for c, x, y, z in rows]
-        codes = encode_columns(examples, features)
+        codes = encode_columns(Dataset(examples, FeatureSchema(features)), features)
         assert {name: c.tolist() for name, c in codes.items()} == {
             "c": [0, 3, 4, 4, 4], "x": [0, 2, 3, 3, 1], "y": [1, 0, 1, 1, 1],
             "z": [0, 0, 0, 0, 0]}
         assert all(c.dtype == np.int64 for c in codes.values())
-        assert {n: c.tolist() for n, c in encode_columns([], features).items()} == {
+        empty = Dataset([], FeatureSchema(features))
+        assert {n: c.tolist() for n, c in encode_columns(empty, features).items()} == {
             "c": [], "x": [], "y": [], "z": []}
 
 
@@ -431,18 +448,17 @@ class TestFitNumericBoundaries:
         schema = FeatureSchema([Feature("x", "numeric", "user"),
                                 Feature("c", "categorical", "item", vocab=3),
                                 Feature("y", "numeric", "item")])
+        present = [schema["x"], schema["y"]]
+        if _first_missing(examples, present):
+            return
         want = _outcome(_fit_per_value, examples, schema, buckets)
-        inputs = [examples]
-        if _MISSING not in x[:n] + y[:n]:
-            inputs.append(Dataset(examples, schema=FeatureSchema(
-                [schema["x"], schema["y"]])))
-        for rows in inputs:
-            got = _outcome(fit_numeric_boundaries, rows, schema, buckets)
-            assert got[0] == want[0], (got, want)
-            if got[0] == "error":
-                assert got[1] == want[1]
-            else:
-                assert repr(got[1].to_json()) == repr(want[1].to_json())
+        got = _outcome(fit_numeric_boundaries,
+                       Dataset(examples, schema=FeatureSchema(present)), schema, buckets)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert repr(got[1].to_json()) == repr(want[1].to_json())
 
     @pytest.mark.parametrize("rows", [[-1.7e308, 1.7e308], [1.7e308, -1.7e308, 1.0]])
     def test_values_past_the_float_range_apart(self, rows):
@@ -472,27 +488,54 @@ class TestFitNumericBoundaries:
         assert fitted["y"].boundaries == (1.0, 2.0, 3.0)
 
 
-class TestRowNamedErrors:
-    """A bad value in a list of examples is named by its row and scene, as a
-    bad label is, whichever call encodes the list."""
+def _bad_row(ex, bad):
+    """A copy of example `ex` with the fault `bad`: a value for item_f0
+    (None for none), or a named fault."""
+    item = dict(ex.item)
+    if bad is None:
+        del item["item_f0"]
+    elif not isinstance(bad, str):
+        item["item_f0"] = bad
+    elif bad == "unknown":
+        item["zzz"] = 1
+    row = Example(user=None if bad == "no user" else ex.user, item=item,
+                  scene_id=7 if bad == "int scene" else ex.scene_id, label=ex.label)
+    return vars(row) if bad == "dict row" else row
 
-    @pytest.mark.parametrize("value, cause", [
+
+class TestRowNamedErrors:
+    """A bad value or a malformed row in a list of examples is named by its
+    row and scene, as a bad label is, whichever call reads the list."""
+
+    @pytest.mark.parametrize("bad, cause", [
         (float("nan"), "numeric feature 'item_f0': non-finite value nan"),
         (True, "numeric feature 'item_f0': boolean value True"),
-        (None, "example is missing feature 'item_f0'")])
+        (None, "example is missing feature 'item_f0'"),
+        ("unknown", "unknown feature name 'zzz'"),
+        ("int scene", "scene_id must be a string, got 7"),
+        ("no scenes", "scene_id must be a string, got None"),
+        ("no user", "'user' must be a dict, got None"),
+        ("dict row", "a row must be an Example, got {}")])
     @pytest.mark.parametrize("call", ["train", "evaluate", "predict_scores",
-                                      "build_srg"])
-    def test_bad_value_names_its_row(self, tiny_data, call, value, cause):
+                                      "build_srg", "select_key_features",
+                                      "fit_numeric_boundaries", "predict",
+                                      "profile_new_scene"])
+    def test_bad_value_names_its_row(self, tiny_data, call, bad, cause):
         result, graph = tiny_data
-        rows = list(result.train if call in ("train", "build_srg") else result.test)
+        on_train = call in ("train", "build_srg", "select_key_features",
+                            "fit_numeric_boundaries")
+        rows = list(result.train if on_train else result.test)
         at = len(rows) // 2
-        item = {k: v for k, v in rows[at].item.items() if k != "item_f0"}
-        if value is not None:
-            item["item_f0"] = value
-        rows[at] = Example(user=rows[at].user, item=item,
-                           scene_id=rows[at].scene_id, label=rows[at].label)
+        if bad == "no scenes":
+            rows, at = [replace(ex, scene_id=None) for ex in rows], 0
+        else:
+            rows[at] = _bad_row(rows[at], bad)
+        if call == "predict":
+            rows, at = [rows[at]], 0
         params = init_params("swan", result.schema, graph.scene_ids,
                              tiny_model_config(), seed=0)
+        unfitted = FeatureSchema([replace(f, boundaries=None) if f.kind == "numeric"
+                                  else f for f in result.schema])
         with pytest.raises(SchemaError) as err:
             if call == "train":
                 train(rows, graph, tiny_train_config(epochs=1), schema=result.schema)
@@ -500,9 +543,19 @@ class TestRowNamedErrors:
                 evaluate(params, graph, rows)
             elif call == "predict_scores":
                 predict_scores(params, graph, rows)
-            else:
+            elif call == "build_srg":
                 build_srg(rows, result.schema, buckets=4)
-        assert str(err.value) == f"example {at} (scene {rows[at].scene_id!r}): {cause}"
+            elif call == "select_key_features":
+                select_key_features(rows, result.schema)
+            elif call == "fit_numeric_boundaries":
+                fit_numeric_boundaries(rows, unfitted, buckets=4)
+            elif call == "predict":
+                predict(params, graph, rows[0])
+            else:
+                profile_new_scene(graph, "cold", rows, result.schema)
+        scene = getattr(rows[at], "scene_id", None)  # a dict row has none
+        assert str(err.value) == (f"example {at} (scene {scene!r}): "
+                                  + cause.format(rows[at]))
 
     @pytest.mark.parametrize("call", ["train", "build_srg"])
     def test_unfitted_feature_names_no_row(self, tiny_data, call):
@@ -647,7 +700,7 @@ class TestEmbedding:
         loss = ad.sum_all(ad.concat([bundle.e_user, bundle.e_target,
                                      bundle.e_other]))
         backward(loss)
-        enc = encode_columns([ex], schema)
+        enc = encode_columns(Dataset([ex], schema), schema)
         for feat in schema:
             grad = _block(tables.table.grad, tables, feat)
             visited = enc[feat.name][0]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_model_config
 from swan import features, metrics, model, srg
-from swan.features import Example, scene_codes
+from swan.features import Example, FeatureSchema, scene_codes
 from swan.metrics import (MIN_SCENE_EXAMPLES, EvalReport, UndefinedMetricError,
                           auc, evaluate, gini, improvement_ratios)
 from swan.model import init_params
@@ -200,7 +200,8 @@ def _scored(monkeypatch, labels, scores, scenes, known=()):
     codes = np.searchsorted(ids, scenes)
     monkeypatch.setattr(model, "score_rows", lambda *args: (
         np.asarray(scores, dtype=np.float64), None, ids, codes))
-    params = SimpleNamespace(embeddings=SimpleNamespace(scene_vocab=set(known)))
+    params = SimpleNamespace(embeddings=SimpleNamespace(scene_vocab=set(known)),
+                             schema=FeatureSchema([]))
     return evaluate(params, None, [Example({}, {}, sid, label)
                                    for sid, label in zip(scenes, labels)])
 
